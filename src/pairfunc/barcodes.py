@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import Cube, _g17
-from .process import MarkedPoint, PointConfiguration, insert_point
+from .process import MarkedPoint, PointConfiguration, id_rows, insert_point
 
 __all__ = [
     "Bar",
@@ -68,18 +68,14 @@ class Barcode:
     def owners(self) -> np.ndarray:
         return np.array([b.owner for b in self.bars], dtype=np.int64)
 
-    def by_owner(self, owner: int) -> Bar:
-        for b in self.bars:
-            if b.owner == owner:
-                return b
-        raise KeyError(f"no bar owned by {owner}")
-
 
 def uniform_lifetimes(cfg: PointConfiguration) -> Barcode:
-    """Pass-through lifetimes: each point's bar takes its uniform mark."""
+    """Pass-through lifetimes: each point's bar takes its uniform mark.  Bars
+    follow the configuration's row order."""
     if cfg.mark_model.kind != "uniform01":
         raise ValueError("uniform lifetimes need the uniform01 mark model")
-    return Barcode(tuple(Bar(p.id, p.position[0], p.mark) for p in cfg.points))
+    bars = map(Bar, cfg.ids.tolist(), cfg.positions[:, 0].tolist(), cfg.marks.tolist())
+    return Barcode(tuple(bars))
 
 
 def _ancestor_indices(positions: np.ndarray, cylinder_radius: float) -> np.ndarray:
@@ -119,20 +115,14 @@ class MergeForest:
     survivor: dict[int, int]
     death: dict[int, int]
 
-    def degree(self, point_id: int) -> int:
-        out = 1 if self.ancestor[point_id] != point_id else 0
-        return len(self.children.get(point_id, ())) + out
-
 
 def build_merge_forest(cfg: PointConfiguration, cylinder_radius: float = 1.0) -> MergeForest:
     if cfg.window.dim < 2:
         raise ValueError("merge forests need dimension >= 2")
-    pts = cfg.points
-    n = len(pts)
-    pos = cfg.positions_array()
-    anc_idx = _ancestor_indices(pos, cylinder_radius)
+    n = len(cfg)
+    anc_idx = _ancestor_indices(cfg.positions, cylinder_radius)
 
-    ids = [p.id for p in pts]
+    ids = cfg.ids.tolist()
     ancestor = {ids[i]: (ids[anc_idx[i]] if anc_idx[i] >= 0 else ids[i]) for i in range(n)}
     children: dict[int, list[int]] = {pid: [] for pid in ids}
     for i in range(n):
@@ -180,18 +170,21 @@ def build_merge_forest(cfg: PointConfiguration, cylinder_radius: float = 1.0) ->
 
 def elder_lifetimes(forest: MergeForest) -> Barcode:
     """Branch lifetimes: death time minus birth time for dying leaves, +inf for
-    leaves that never lose a merge, 0 for non-leaves."""
-    times = {p.id: p.position[0] for p in forest.cfg.points}
+    leaves that never lose a merge, 0 for non-leaves.  Bars follow the
+    configuration's row order."""
+    ids = forest.cfg.ids.tolist()
+    births = forest.cfg.positions[:, 0].tolist()
+    times = dict(zip(ids, births))
     leaves = set(forest.leaves)
     bars = []
-    for p in forest.cfg.points:
-        if p.id not in leaves:
+    for pid, birth in zip(ids, births):
+        if pid not in leaves:
             life = 0.0
-        elif p.id in forest.death:
-            life = times[forest.death[p.id]] - times[p.id]
+        elif pid in forest.death:
+            life = times[forest.death[pid]] - birth
         else:
             life = math.inf
-        bars.append(Bar(p.id, p.position[0], life))
+        bars.append(Bar(pid, birth, life))
     return Barcode(tuple(bars))
 
 
@@ -203,6 +196,17 @@ def inversion_score(x_bar: Bar, y_bar: Bar) -> int:
     db = x_bar.birth - y_bar.birth
     dd = db + (x_bar.lifetime - y_bar.lifetime)
     return 1 if (db < 0 < dd) or (dd < 0 < db) else 0
+
+
+def inversion_matrix(births: np.ndarray, lifetimes: np.ndarray) -> np.ndarray:
+    """``inversion_score`` between every pair of bars given as (birth,
+    lifetime) columns: a symmetric boolean matrix with a false diagonal."""
+    ok = (lifetimes > 0) & (lifetimes < 1)
+    d = np.where(ok, births + np.where(ok, lifetimes, 0.0), 0.0)  # masked rows never compare
+    bb = births[:, None] - births[None, :]
+    dd = d[:, None] - d[None, :]
+    inv = ((bb < 0) & (dd > 0)) | ((bb > 0) & (dd < 0))
+    return inv & ok[:, None] & ok[None, :]
 
 
 class _Fenwick:
@@ -369,9 +373,8 @@ class ShieldedBoxConfig:
     def from_configuration(
         cls, cfg: PointConfiguration, center, **kw
     ) -> "ShieldedBoxConfig":
-        box = Cube(tuple(center), 4.0)
-        pts = tuple(p.position for p in cfg.points if box.contains(p.position))
-        return cls(tuple(center), pts, **kw)
+        inside = ~_outside_box(cfg, center)
+        return cls(tuple(center), tuple(map(tuple, cfg.positions[inside].tolist())), **kw)
 
 
 def _pad_masks(rel: np.ndarray, half: float):
@@ -465,36 +468,23 @@ def shield_membership(box_cfg: ShieldedBoxConfig, cylinder_radius: float = 1.0) 
     return True
 
 
+def _outside_box(cfg: PointConfiguration, center) -> np.ndarray:
+    """Row mask of the points outside the side-8 box at ``center``."""
+    return np.abs(cfg.positions - np.array(center, dtype=float)).max(axis=1) > 4.0
+
+
+def _tree_pair_scores(cfg: PointConfiguration, ids: list[int], cylinder_radius: float) -> np.ndarray:
+    """Tree-lifetime inversion scores between the points with the given ids."""
+    barcode = elder_lifetimes(build_merge_forest(cfg, cylinder_radius))
+    rows = id_rows(cfg.ids, ids)
+    return inversion_matrix(barcode.births()[rows], barcode.lifetimes()[rows])
+
+
 def outside_pair_scores(cfg: PointConfiguration, center, cylinder_radius: float = 1.0):
     """Tree-lifetime inversion scores between all pairs of points outside the
     side-8 box at ``center``: returns (outside ids, boolean score matrix)."""
-    rows, outside = _outside_score_table(cfg, center, cylinder_radius)
-    if not outside:
-        return outside, np.zeros((0, 0), dtype=bool)
-    return outside, _pair_score_matrix(rows, outside)
-
-
-def _outside_score_table(cfg: PointConfiguration, center, cylinder_radius: float):
-    """Births, lifetimes and an outside mask for pair-score comparison."""
-    forest = build_merge_forest(cfg, cylinder_radius)
-    barcode = elder_lifetimes(forest)
-    box = Cube(tuple(center), 4.0)
-    rows = {}
-    for bar in barcode.bars:
-        rows[bar.owner] = (bar.birth, bar.lifetime)
-    outside = [p.id for p in cfg.points if not box.contains(p.position)]
-    return rows, outside
-
-
-def _pair_score_matrix(rows, ids):
-    b = np.array([rows[i][0] for i in ids])
-    l = np.array([rows[i][1] for i in ids])
-    ok = (l > 0) & (l < 1)
-    d = np.where(ok, b + np.where(ok, l, 0.0), 0.0)  # masked rows never compare
-    bb = b[:, None] - b[None, :]
-    dd = d[:, None] - d[None, :]
-    inv = ((bb < 0) & (dd > 0)) | ((bb > 0) & (dd < 0))
-    return inv & ok[:, None] & ok[None, :]
+    outside = cfg.ids[_outside_box(cfg, center)].tolist()
+    return outside, _tree_pair_scores(cfg, outside, cylinder_radius)
 
 
 def _box_center(box) -> tuple[float, ...]:
@@ -532,11 +522,7 @@ def shield_property_check(
         box_cfg = ShieldedBoxConfig.from_configuration(cfg, center)
         if not shield_membership(box_cfg, cylinder_radius):
             raise ValueError("box content is not a shield configuration")
-    before_rows, outside = _outside_score_table(cfg, center, cylinder_radius)
+    outside, before = outside_pair_scores(cfg, center, cylinder_radius)
     cfg2 = insert_point(cfg, pos, None if not cfg.mark_model.has_marks else x.mark)
-    after_rows, _ = _outside_score_table(cfg2, center, cylinder_radius)
-    if not outside:
-        return True
-    before = _pair_score_matrix(before_rows, outside)
-    after = _pair_score_matrix(after_rows, outside)
+    after = _tree_pair_scores(cfg2, outside, cylinder_radius)
     return bool(np.array_equal(before, after))

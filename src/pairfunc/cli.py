@@ -16,13 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .barcodes import (
-    ShieldedBoxConfig,
-    inversion_count,
-    shield_membership,
-    shield_property_check,
-    uniform_lifetimes,
-)
+from .barcodes import ShieldedBoxConfig, shield_membership, shield_property_check
 from .experiment import (
     ConfigError,
     ExperimentConfig,
@@ -30,9 +24,9 @@ from .experiment import (
     stabilization_survey,
     write_outputs,
 )
-from .geometry import Cube, Window
+from .geometry import Window
 from .graphs import build_edges, crossing_number, graph_to_text, kernel_from_flag
-from .models import MODEL_NAMES, get_model
+from .models import get_model
 from .process import MarkModel, dump_configuration, load_configuration, sample_ppp
 from .stats import binomial_lower_tail_bound, poisson_upper_tail_bound
 

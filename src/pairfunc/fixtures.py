@@ -45,7 +45,7 @@ POISSON_TREE_FIGURE_LIFETIMES = {0: math.inf, 1: 7.0, 2: 2.0}
 
 def poisson_tree_figure_configuration() -> PointConfiguration:
     window = Window(n=10.0, dim=2, coefficients=(0.6,), exponents=(1.0,))
-    return PointConfiguration.from_arrays(window, MarkModel.none(), _TREE_POINTS)
+    return PointConfiguration(window, MarkModel.none(), _TREE_POINTS)
 
 
 # Snowflakes: six-armed stars of arm length 0.9.  Centers carry radius marks
@@ -79,7 +79,7 @@ def snowflake_configuration() -> PointConfiguration:
             ang = math.radians(rot + 60.0 * k)
             positions.append((cx + _ARM * math.cos(ang), cy + _ARM * math.sin(ang)))
             marks.append(_TIP_MARK)
-    return PointConfiguration.from_arrays(
+    return PointConfiguration(
         window, MarkModel.uniform_radius(0.0, 1.0), positions, marks
     )
 
@@ -150,4 +150,4 @@ def sample_shielded_configuration(
         for p in lo + rng.uniform(0.0, 4.0, (n_inner, 2)):
             if inner.contains(p):
                 pts.append((float(p[0]), float(p[1])))
-    return PointConfiguration.from_arrays(window, MarkModel.none(), pts)
+    return PointConfiguration(window, MarkModel.none(), pts)

@@ -3,10 +3,10 @@ difference operators and empirical stabilization radii.
 
 A ``PairScore`` bundles the pair score of a model with the machinery the
 functionals need: a context builder (graph, barcode, ...), a per-pair value,
-and optional fast paths for the total, the compound scores and a pair-score
-snapshot used to measure stabilization.  Difference operators recompute the
-model from scratch on augmented configurations; correctness first, desk-scale
-inputs keep that cheap.
+the total over ordered pairs, and, where the model has them, the compound
+scores and a pair-score snapshot used to measure stabilization.  Difference
+operators recompute the model from scratch on augmented configurations;
+correctness first, desk-scale inputs keep that cheap.
 """
 from __future__ import annotations
 
@@ -16,7 +16,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .process import MarkedPoint, PointConfiguration, insert_point
+from .barcodes import inversion_matrix
+from .process import MarkedPoint, PointConfiguration, id_rows, insert_point
 
 __all__ = [
     "PairScore",
@@ -36,9 +37,10 @@ class PairScore:
     """A symmetric pair score with declared column-type locality.
 
     ``build_context(cfg)`` prepares whatever the score needs; ``pair_value(a,
-    b, ctx)`` evaluates the score between point ids a and b.  ``total``,
-    ``compound_all`` and ``snapshot`` are optional optimized routes; the
-    contract functions fall back to the generic double loop without them.
+    b, ctx)`` evaluates the score between point ids a and b, and ``total(ctx)``
+    the sum over ordered pairs.  ``compound_all(ctx)`` maps every point id to
+    its compound score G and is required by the sum-log-sum; ``snapshot``
+    captures the pair scores for stabilization measurements.
     """
 
     name: str
@@ -46,11 +48,11 @@ class PairScore:
     locality_cutoff: float
     build_context: Callable[[PointConfiguration], Any]
     pair_value: Callable[[int, int, Any], float]
+    total: Callable[[Any], float]
     symmetric: bool = True
     integer_valued: bool = True
-    total: Callable[[Any], float] | None = None
     compound_all: Callable[[Any], dict[int, float]] | None = None
-    snapshot: Callable[[Any], "ScoreSnapshot"] | None = None
+    snapshot: Callable[[Any], "BarPairSnapshot | SparsePairSnapshot"] | None = None
 
 
 @dataclass(frozen=True)
@@ -69,22 +71,18 @@ class AdmissibilityRule:
         return cls("tree_realization")
 
     def mask(self, cfg: PointConfiguration, ctx) -> dict[int, bool]:
+        """Admissibility of every point, keyed by id in configuration row order."""
+        ids = cfg.ids.tolist()
         if self.kind == "all":
-            return {p.id: True for p in cfg.points}
+            return dict.fromkeys(ids, True)
         shrunk = cfg.window.shrunk()
-        lifetimes = _context_lifetimes(ctx)
-        out = {}
-        for p in cfg.points:
-            life = lifetimes.get(p.id, 0.0)
-            out[p.id] = shrunk.contains(p.position) and 0.0 < life < 1.0
-        return out
-
-
-def _context_lifetimes(ctx) -> dict[int, float]:
-    barcode = getattr(ctx, "barcode", None)
-    if barcode is None:
-        raise ValueError("admissibility rule needs a barcode-bearing context")
-    return {bar.owner: bar.lifetime for bar in barcode.bars}
+        lifetimes = getattr(ctx, "lifetimes", None)
+        if lifetimes is None:
+            raise ValueError("admissibility rule needs a barcode-bearing context")
+        pos = cfg.positions
+        inside = ((pos >= np.array(shrunk.lower)) & (pos <= np.array(shrunk.upper))).all(axis=1)
+        keep = inside & (lifetimes > 0.0) & (lifetimes < 1.0)
+        return dict(zip(ids, keep.tolist()))
 
 
 @dataclass(frozen=True)
@@ -126,30 +124,23 @@ class FunctionalValue:
 
 def double_sum(cfg: PointConfiguration, score: PairScore) -> float:
     """Sum of the pair score over ordered pairs of configuration points."""
-    ctx = score.build_context(cfg)
-    if score.total is not None:
-        return score.total(ctx)
-    ids = [p.id for p in cfg.points]
-    acc = 0.0
-    for a in ids:
-        for b in ids:
-            if a != b:
-                acc += score.pair_value(a, b, ctx)
-    return acc
+    return score.total(score.build_context(cfg))
+
+
+def _require_compound(score: PairScore) -> None:
+    if score.compound_all is None:
+        raise ValueError(f"score {score.name!r} provides no compound scores")
 
 
 def compound_score(cfg: PointConfiguration, z, score: PairScore, ctx=None) -> float:
     """G(Z): total score between Z and every other point."""
     z_id = z.id if isinstance(z, MarkedPoint) else int(z)
-    if all(p.id != z_id for p in cfg.points):
+    if not (cfg.ids == z_id).any():
         raise KeyError(f"unknown point id {z_id}")
+    _require_compound(score)
     if ctx is None:
         ctx = score.build_context(cfg)
-    if score.compound_all is not None:
-        return score.compound_all(ctx)[z_id]
-    return sum(
-        score.pair_value(z_id, p.id, ctx) for p in cfg.points if p.id != z_id
-    )
+    return score.compound_all(ctx)[z_id]
 
 
 def sum_log_sum(
@@ -159,25 +150,18 @@ def sum_log_sum(
     admissible points were dropped for G = 0."""
     if not score.integer_valued:
         raise ValueError("sum-log-sum requires an integer-valued pair score")
+    _require_compound(score)
     ctx = score.build_context(cfg)
     mask = rule.mask(cfg, ctx)
-    if score.compound_all is not None:
-        G = score.compound_all(ctx)
-    else:
-        G = {
-            p.id: sum(
-                score.pair_value(p.id, q.id, ctx) for q in cfg.points if q.id != p.id
-            )
-            for p in cfg.points
-        }
+    G = score.compound_all(ctx)
     total = 0.0
     admissible = 0
     dropped = 0
-    for p in cfg.points:
-        if not mask[p.id]:
+    for pid, ok in mask.items():  # configuration order keeps the fold byte-stable
+        if not ok:
             continue
         admissible += 1
-        g = G[p.id]
+        g = G[pid]
         if g > 0:
             total += math.log(g)
         else:
@@ -199,14 +183,7 @@ def diff_second(cfg: PointConfiguration, x, y, functional: Callable[[PointConfig
     return functional(cfg_xy) - functional(cfg_x) - functional(cfg_y) + functional(cfg)
 
 
-class ScoreSnapshot:
-    """Pair scores of a configuration, comparable after an insertion."""
-
-    def changed_pairs(self, other: "ScoreSnapshot"):
-        raise NotImplementedError
-
-
-class SparsePairSnapshot(ScoreSnapshot):
+class SparsePairSnapshot:
     """Scores stored as a sparse map (id_min, id_max) -> value."""
 
     def __init__(self, scores: dict[tuple[int, int], float], ids: set[int]):
@@ -222,41 +199,24 @@ class SparsePairSnapshot(ScoreSnapshot):
                 yield a, b
 
 
-class BarPairSnapshot(ScoreSnapshot):
+class BarPairSnapshot:
     """Scores determined by per-point (birth, lifetime) rows; changed pairs are
     found with one vectorized comparison restricted to the original ids."""
 
-    def __init__(self, ids: list[int], births: np.ndarray, lifetimes: np.ndarray):
+    def __init__(self, ids: np.ndarray, births: np.ndarray, lifetimes: np.ndarray):
         self.ids = ids
         self.births = births
         self.lifetimes = lifetimes
 
-    def _matrix(self, keep: np.ndarray) -> np.ndarray:
-        b = self.births[keep]
-        l = self.lifetimes[keep]
-        ok = (l > 0) & (l < 1)
-        d = np.where(ok, b + np.where(ok, l, 0.0), 0.0)
-        bb = b[:, None] - b[None, :]
-        dd = d[:, None] - d[None, :]
-        inv = ((bb < 0) & (dd > 0)) | ((bb > 0) & (dd < 0))
-        return inv & ok[:, None] & ok[None, :]
-
     def changed_pairs(self, other: "BarPairSnapshot"):
-        common = [i for i in self.ids if i in set(other.ids)]
-        pos_self = {pid: k for k, pid in enumerate(self.ids)}
-        pos_other = {pid: k for k, pid in enumerate(other.ids)}
-        keep_self = np.array([pos_self[i] for i in common], dtype=np.int64)
-        keep_other = np.array([pos_other[i] for i in common], dtype=np.int64)
-        before = self._matrix(keep_self)
-        after = other._matrix(keep_other)
-        ii, jj = np.nonzero(before != after)
-        for i, j in zip(ii, jj):
-            if i < j:
-                yield common[i], common[j]
-
-
-def _chebyshev(p: tuple[float, ...], q: tuple[float, ...]) -> float:
-    return max(abs(a - b) for a, b in zip(p, q))
+        keep_self = np.flatnonzero(np.isin(self.ids, other.ids))
+        common = self.ids[keep_self]
+        keep_other = id_rows(other.ids, common)
+        before = inversion_matrix(self.births[keep_self], self.lifetimes[keep_self])
+        after = inversion_matrix(other.births[keep_other], other.lifetimes[keep_other])
+        ii, jj = np.nonzero(np.triu(before != after, 1))
+        for i, j in zip(ii.tolist(), jj.tolist()):
+            yield int(common[i]), int(common[j])
 
 
 def empirical_stabilization_radius(
@@ -280,26 +240,19 @@ def empirical_stabilization_radius(
     ctx_after = score.build_context(cfg2)
     before = score.snapshot(ctx_before)
     after = score.snapshot(ctx_after)
-    positions = {p.id: p.position for p in cfg.points}
-    worst = 0.0
-    for a, b in before.changed_pairs(after):
-        worst = max(worst, min(_chebyshev(positions[a], x_pos), _chebyshev(positions[b], x_pos)))
+    dist = np.abs(cfg.positions - np.array(x_pos)).max(axis=1)  # Chebyshev, per row
+    changed = np.array(list(before.changed_pairs(after)), dtype=np.int64).reshape(-1, 2)
+    worst = float(np.minimum(*dist[id_rows(cfg.ids, changed)].T).max(initial=0.0))
     if rule is not None:
         members_before = _positive_membership(cfg, ctx_before, score, rule)
         members_after = _positive_membership(cfg2, ctx_after, score, rule)
-        for pid, pos in positions.items():
-            if members_before[pid] != members_after.get(pid):
-                worst = max(worst, _chebyshev(pos, x_pos))
+        moved = [pid for pid, m in members_before.items() if m != members_after[pid]]
+        worst = max(worst, float(dist[id_rows(cfg.ids, moved)].max(initial=0.0)))
     return max(1, math.ceil(worst))
 
 
 def _positive_membership(cfg, ctx, score: PairScore, rule: AdmissibilityRule) -> dict[int, bool]:
+    _require_compound(score)
     mask = rule.mask(cfg, ctx)
-    if score.compound_all is not None:
-        G = score.compound_all(ctx)
-    else:
-        G = {
-            p.id: sum(score.pair_value(p.id, q.id, ctx) for q in cfg.points if q.id != p.id)
-            for p in cfg.points
-        }
-    return {p.id: bool(mask[p.id] and G[p.id] > 0) for p in cfg.points}
+    G = score.compound_all(ctx)
+    return {pid: bool(ok and G[pid] > 0) for pid, ok in mask.items()}

@@ -15,7 +15,7 @@ from typing import Union
 import numpy as np
 
 from .geometry import orientation, segments_properly_cross
-from .process import MarkedPoint, PointConfiguration
+from .process import MarkedPoint, PointConfiguration, id_rows
 
 __all__ = [
     "FixedRadius",
@@ -69,10 +69,6 @@ def kernel_needs_marks(kernel: ConnectivityKernel) -> bool:
     return not isinstance(kernel, FixedRadius)
 
 
-def kernel_is_directed(kernel: ConnectivityKernel) -> bool:
-    return isinstance(kernel, DirectedRandom)
-
-
 def kernel_from_flag(flag: str) -> ConnectivityKernel:
     """Parse a --kernel flag: fixed | directed | max | localized:<cap>."""
     if flag == "fixed":
@@ -120,8 +116,8 @@ def build_edges(
     if kernel_needs_marks(kernel) and not cfg.mark_model.has_marks:
         raise ValueError(f"kernel {type(kernel).__name__} requires radius marks")
     n = len(cfg)
-    ids = cfg.ids_array()
-    pos = cfg.positions_array()
+    ids = cfg.ids
+    pos = cfg.positions
     edges: list[tuple[int, int]] = []
     if n >= 2:
         diff = pos[:, None, :] - pos[None, :, :]
@@ -135,13 +131,13 @@ def build_edges(
                 for i, j in zip(iu[keep], ju[keep])
             ]
         elif isinstance(kernel, DirectedRandom):
-            radii = cfg.marks_array()
+            radii = cfg.marks
             mat = dist <= radii[:, None]
             np.fill_diagonal(mat, False)
             src, dst = np.nonzero(mat)
             edges = [(int(ids[i]), int(ids[j])) for i, j in zip(src, dst)]
         elif isinstance(kernel, (MaxKernel, Localized)):
-            radii = cfg.marks_array()
+            radii = cfg.marks
             if isinstance(kernel, Localized) and kernel.cap is not None:
                 counts = (dist <= radii[:, None]).sum(axis=1)  # includes the point itself
                 radii = np.where(counts <= kernel.cap, radii, 0.0)
@@ -157,14 +153,9 @@ def build_edges(
             raise TypeError(f"unsupported kernel {kernel!r}")
     edges.sort()
     segments = sorted({(min(a, b), max(a, b)) for a, b in edges})
-    index = {int(i): k for k, i in enumerate(ids)}
-    retained = []
-    for a, b in segments:
-        pa, pb = pos[index[a]], pos[index[b]]
-        ok = all(
-            abs(pa[j] - pb[j]) <= slab_cutoff for j in range(min(locality_order, cfg.window.dim))
-        )
-        retained.append(ok)
+    ends = id_rows(ids, np.array(segments, dtype=np.int64).reshape(-1, 2))
+    k = min(locality_order, cfg.window.dim)
+    retained = (np.abs(pos[ends[:, 0], :k] - pos[ends[:, 1], :k]) <= slab_cutoff).all(axis=1)
     return GeometricGraph(
         cfg,
         kernel,
@@ -172,25 +163,16 @@ def build_edges(
         slab_cutoff,
         locality_order,
         tuple(segments),
-        tuple(retained),
+        tuple(retained.tolist()),
     )
 
 
 def _segment_geometry(graph: GeometricGraph):
     """Projected endpoints and endpoint ids of the retained segments."""
-    cfg = graph.cfg
-    pos = cfg.positions_array()
-    index = {int(i): k for k, i in enumerate(cfg.ids_array())}
-    segs = graph.retained_segments()
-    if not segs:
-        return np.empty((0, 4)), np.empty((0, 2), dtype=np.int64)
-    coords = np.empty((len(segs), 4))
-    ends = np.empty((len(segs), 2), dtype=np.int64)
-    for k, (a, b) in enumerate(segs):
-        pa, pb = pos[index[a]], pos[index[b]]
-        coords[k] = (pa[0], pa[1], pb[0], pb[1])
-        ends[k] = (a, b)
-    return coords, ends
+    ends = np.array(graph.retained_segments(), dtype=np.int64).reshape(-1, 2)
+    rows = id_rows(graph.cfg.ids, ends)
+    pos = graph.cfg.positions
+    return np.hstack([pos[rows[:, 0], :2], pos[rows[:, 1], :2]]), ends
 
 
 _PAIR_CHUNK = 1_000_000
@@ -296,15 +278,14 @@ def crossing_score(Z, V, graph: GeometricGraph) -> float:
     whose segments properly cross; 0 on the diagonal."""
     z_id = Z.id if isinstance(Z, MarkedPoint) else int(Z)
     v_id = V.id if isinstance(V, MarkedPoint) else int(V)
-    known = {p.id for p in graph.cfg.points}
-    if z_id not in known or v_id not in known:
+    if not np.isin([z_id, v_id], graph.cfg.ids).all():
         raise KeyError(f"unknown point ids ({z_id}, {v_id})")
     if z_id == v_id:
         return 0.0
     coords, ends = _segment_geometry(graph)
     count = 0
-    inc_z = [k for k in range(len(ends)) if z_id in ends[k]]
-    inc_v = [k for k in range(len(ends)) if v_id in ends[k]]
+    inc_z = np.flatnonzero((ends == z_id).any(axis=1)).tolist()
+    inc_v = np.flatnonzero((ends == v_id).any(axis=1)).tolist()
     for i in inc_z:
         for j in inc_v:
             if i == j:

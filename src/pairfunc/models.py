@@ -7,9 +7,8 @@ treelog-uniform | treelog-tree                             (sum-log-sum, k = 1)
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
-
-import numpy as np
 
 from . import barcodes, graphs
 from .functionals import (
@@ -50,14 +49,19 @@ class CrossingContext:
 
 
 class BarcodeContext:
+    """A barcode whose bars are aligned with the configuration's rows, with
+    its births and lifetimes as columns."""
+
     def __init__(self, cfg: PointConfiguration, barcode: barcodes.Barcode):
         self.cfg = cfg
         self.barcode = barcode
-        order = sorted(barcode.bars, key=lambda b: b.owner)
-        self.ids = [b.owner for b in order]
-        self.births = np.array([b.birth for b in order], dtype=float)
-        self.lifetimes = np.array([b.lifetime for b in order], dtype=float)
-        self._index = {pid: k for k, pid in enumerate(self.ids)}
+        self.ids = cfg.ids
+        self.births = barcode.births()
+        self.lifetimes = barcode.lifetimes()
+
+    @cached_property
+    def _index(self) -> dict[int, int]:
+        return dict(zip(self.ids.tolist(), range(len(self.ids))))
 
     def bar(self, pid: int) -> barcodes.Bar:
         k = self._index[pid]
@@ -76,7 +80,7 @@ def _crossing_total(ctx: CrossingContext) -> float:
 
 
 def _crossing_snapshot(ctx: CrossingContext) -> SparsePairSnapshot:
-    ids = {p.id for p in ctx.graph.cfg.points}
+    ids = set(ctx.graph.cfg.ids.tolist())
     scores = {k: v / 8.0 for k, v in ctx.pair_scores.items()}
     return SparsePairSnapshot(scores, ids)
 
@@ -93,11 +97,11 @@ def _inversion_total(ctx: BarcodeContext) -> float:
 
 def _inversion_compound(ctx: BarcodeContext) -> dict[int, float]:
     G = barcodes.inversion_compound_counts(ctx.births, ctx.lifetimes)
-    return {pid: int(g) for pid, g in zip(ctx.ids, G)}
+    return dict(zip(ctx.ids.tolist(), G.tolist()))
 
 
 def _inversion_snapshot(ctx: BarcodeContext) -> BarPairSnapshot:
-    return BarPairSnapshot(list(ctx.ids), ctx.births.copy(), ctx.lifetimes.copy())
+    return BarPairSnapshot(ctx.ids, ctx.births, ctx.lifetimes)
 
 
 @dataclass(frozen=True)

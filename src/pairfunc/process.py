@@ -1,5 +1,12 @@
 """Marked Poisson point processes: sampling, insertion, counting, serialization.
 
+A ``PointConfiguration`` stores its points as columns: a positions array, a
+marks array and an ids array, sorted once by (position, id) and validated with
+vectorized checks.  Library code reads the columns or row indices
+(``id_rows`` maps ids to rows); the ``points`` tuple of ``MarkedPoint`` is a
+read-only view built on first access for callers that want one object per
+point.
+
 Reproducibility contract: every random quantity is a pure function of a master
 seed and a tuple of stream keys.  Streams are derived with numpy's splittable
 ``SeedSequence([master, *keys])`` construction; replication r of experiment e
@@ -10,9 +17,9 @@ stream (key 1).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -22,6 +29,7 @@ __all__ = [
     "MarkModel",
     "MarkedPoint",
     "PointConfiguration",
+    "id_rows",
     "derive_rng",
     "sample_ppp",
     "insert_point",
@@ -94,16 +102,18 @@ class MarkModel:
             return rng.exponential(1.0 / self.rate, size)
         return rng.uniform(self.lower, self.upper, size)
 
-    def validate_mark(self, mark) -> None:
+    def validate_marks(self, marks: np.ndarray | None) -> None:
+        """Check a column of marks; ``None`` stands for no mark column."""
         if self.kind == "none":
-            if mark is not None:
+            if marks is not None:
                 raise ValueError("mark model 'none' admits no marks")
             return
-        if mark is None or not math.isfinite(mark):
+        if marks is None or not np.isfinite(marks).all():
             raise ValueError("this mark model requires a finite real mark")
-        if self.kind == "uniform01" and not 0.0 <= mark <= 1.0:
-            raise ValueError(f"uniform01 mark outside [0, 1]: {mark}")
-        if mark < 0:
+        if self.kind == "uniform01" and not ((marks >= 0.0) & (marks <= 1.0)).all():
+            bad = marks[(marks < 0.0) | (marks > 1.0)][0]
+            raise ValueError(f"uniform01 mark outside [0, 1]: {bad}")
+        if (marks < 0).any():
             raise ValueError("radius marks must be nonnegative")
 
     def to_record(self) -> dict:
@@ -125,6 +135,9 @@ class MarkModel:
 
 @dataclass(frozen=True)
 class MarkedPoint:
+    """One marked point: the argument type of ``insert_point`` and the row type
+    of the ``PointConfiguration.points`` view."""
+
     position: tuple[float, ...]
     mark: float | None
     id: int
@@ -133,80 +146,92 @@ class MarkedPoint:
         object.__setattr__(self, "position", tuple(float(v) for v in self.position))
 
 
-def _sort_key(p: MarkedPoint):
-    return (p.position, p.id)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointConfiguration:
-    """Finite multiset of marked points in a window.
+    """Finite multiset of marked points in a window, stored as columns.
 
-    Points are stored sorted by coordinate 1, ties broken by the remaining
-    coordinates and then by id, so iteration order is deterministic.
-    Configurations are immutable snapshots; insertion and removal return new
-    values.
+    ``positions`` is an (N, d) float64 array, ``marks`` an (N,) float64 array
+    (``None`` under the ``none`` mark model) and ``ids`` an (N,) int64 array of
+    unique point ids (``arange(N)`` when not given).  Rows are sorted by
+    coordinate 1, ties broken by the remaining coordinates and then by id, so
+    row order is deterministic.  The columns are read-only; insertion and
+    removal return new configurations.  ``points`` is a tuple of
+    ``MarkedPoint`` views of the rows, built on first access.
     """
 
     window: Window
     mark_model: MarkModel
-    points: tuple[MarkedPoint, ...]
+    positions: np.ndarray
+    marks: np.ndarray | None = None
+    ids: np.ndarray | None = None
     seed: int | None = None
 
     def __post_init__(self):
-        pts = tuple(sorted(self.points, key=_sort_key))
-        ids = [p.id for p in pts]
-        if len(set(ids)) != len(ids):
+        dim = self.window.dim
+        pos = np.asarray(self.positions, dtype=np.float64)
+        if pos.ndim == 1 and pos.size == 0:
+            pos = np.empty((0, dim))
+        if pos.ndim != 2 or pos.shape[1] != dim:
+            raise ValueError("point dimension does not match the window")
+        count = len(pos)
+        ids = np.arange(count) if self.ids is None else self.ids
+        ids = np.asarray(ids, dtype=np.int64)
+        marks = None if self.marks is None else np.asarray(self.marks, dtype=np.float64)
+        if marks is None and count == 0 and self.mark_model.has_marks:
+            marks = np.empty(0)
+        if ids.shape != (count,) or (marks is not None and marks.shape != (count,)):
+            raise ValueError("positions, marks and ids must have one row per point")
+        if len(np.unique(ids)) != count:
             raise ValueError("point ids must be unique")
-        for p in pts:
-            if len(p.position) != self.window.dim:
-                raise ValueError("point dimension does not match the window")
-            if not self.window.contains(p.position):
-                raise ValueError(f"point {p.id} lies outside the window")
-            self.mark_model.validate_mark(p.mark)
-        object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def from_arrays(
-        cls,
-        window: Window,
-        mark_model: MarkModel,
-        positions: Sequence[Sequence[float]],
-        marks: Sequence[float] | None = None,
-        seed: int | None = None,
-    ) -> "PointConfiguration":
-        pts = []
-        for i, pos in enumerate(positions):
-            mark = None if marks is None else float(marks[i])
-            pts.append(MarkedPoint(tuple(pos), mark, i))
-        return cls(window, mark_model, tuple(pts), seed)
+        outside = ~((pos >= 0.0) & (pos <= np.array(self.window.sides))).all(axis=1)
+        if outside.any():
+            raise ValueError(f"point {ids[outside][0]} lies outside the window")
+        self.mark_model.validate_marks(marks)
+        order = np.lexsort((ids, *pos.T[::-1]))
+        for name, column in (("positions", pos), ("marks", marks), ("ids", ids)):
+            if column is not None:
+                column = column[order]
+                column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.ids)
 
-    def __iter__(self):
-        return iter(self.points)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PointConfiguration):
+            return NotImplemented
+        return (
+            self.window == other.window
+            and self.mark_model == other.mark_model
+            and self.seed == other.seed
+            and np.array_equal(self.positions, other.positions)
+            and np.array_equal(self.ids, other.ids)
+            and (self.marks is None) == (other.marks is None)
+            and (self.marks is None or np.array_equal(self.marks, other.marks))
+        )
 
-    def positions_array(self) -> np.ndarray:
-        if not self.points:
-            return np.empty((0, self.window.dim))
-        return np.array([p.position for p in self.points], dtype=float)
-
-    def marks_array(self) -> np.ndarray:
-        if not self.mark_model.has_marks:
-            raise ValueError("configuration has no marks")
-        return np.array([p.mark for p in self.points], dtype=float)
-
-    def ids_array(self) -> np.ndarray:
-        return np.array([p.id for p in self.points], dtype=np.int64)
-
-    def by_id(self, point_id: int) -> MarkedPoint:
-        for p in self.points:
-            if p.id == point_id:
-                return p
-        raise KeyError(f"no point with id {point_id}")
+    @cached_property
+    def points(self) -> tuple[MarkedPoint, ...]:
+        marks = [None] * len(self) if self.marks is None else self.marks.tolist()
+        return tuple(
+            MarkedPoint(tuple(pos), mark, pid)
+            for pos, mark, pid in zip(self.positions.tolist(), marks, self.ids.tolist())
+        )
 
     def next_id(self) -> int:
-        return 1 + max((p.id for p in self.points), default=-1)
+        return int(self.ids.max()) + 1 if len(self) else 0
+
+
+def id_rows(ids: np.ndarray, query) -> np.ndarray:
+    """Row index in the id column ``ids`` of every id in ``query`` (same
+    shape); KeyError on an id the column lacks."""
+    query = np.asarray(query, dtype=np.int64)
+    order = np.argsort(ids)
+    sorted_ids = ids[order]
+    k = np.minimum(np.searchsorted(sorted_ids, query), max(len(ids) - 1, 0))
+    if query.size and (len(ids) == 0 or not np.array_equal(sorted_ids[k], query)):
+        raise KeyError(f"unknown point ids in {query.ravel().tolist()[:8]}")
+    return order[k]
 
 
 def sample_ppp(
@@ -227,15 +252,10 @@ def sample_ppp(
     pos_rng = derive_rng(keys[0], *keys[1:], 0)
     mark_rng = derive_rng(keys[0], *keys[1:], 1)
     count = int(pos_rng.poisson(intensity * vol))
-    sides = window.sides
-    positions = pos_rng.uniform(0.0, 1.0, (count, window.dim)) * np.array(sides)
+    positions = pos_rng.uniform(0.0, 1.0, (count, window.dim)) * np.array(window.sides)
     mark_values = marks.sample(mark_rng, count)
-    pts = []
-    for i in range(count):
-        mark = None if mark_values is None else float(mark_values[i])
-        pts.append(MarkedPoint(tuple(positions[i]), mark, i))
     base_seed = int(keys[0]) if isinstance(seed, (int, np.integer)) else None
-    return PointConfiguration(window, marks, tuple(pts), seed=base_seed)
+    return PointConfiguration(window, marks, positions, mark_values, seed=base_seed)
 
 
 def insert_point(cfg: PointConfiguration, x: MarkedPoint | Sequence[float], mark=None) -> PointConfiguration:
@@ -246,21 +266,31 @@ def insert_point(cfg: PointConfiguration, x: MarkedPoint | Sequence[float], mark
         position = tuple(float(v) for v in x)
     if not cfg.window.contains(position):
         raise ValueError("inserted position lies outside the window")
-    cfg.mark_model.validate_mark(mark)
-    new = MarkedPoint(position, mark, cfg.next_id())
-    return PointConfiguration(cfg.window, cfg.mark_model, cfg.points + (new,), cfg.seed)
+    new_mark = None if mark is None else np.array([mark], dtype=np.float64)
+    cfg.mark_model.validate_marks(new_mark)
+    return PointConfiguration(
+        cfg.window,
+        cfg.mark_model,
+        np.vstack([cfg.positions, [position]]),
+        None if new_mark is None else np.concatenate([cfg.marks, new_mark]),
+        np.append(cfg.ids, cfg.next_id()),
+        cfg.seed,
+    )
 
 
 def remove_point(cfg: PointConfiguration, point_id: int) -> PointConfiguration:
-    kept = tuple(p for p in cfg.points if p.id != point_id)
-    if len(kept) == len(cfg.points):
+    kept = cfg.ids != point_id
+    if kept.all():
         raise KeyError(f"no point with id {point_id}")
-    return PointConfiguration(cfg.window, cfg.mark_model, kept, cfg.seed)
+    marks = None if cfg.marks is None else cfg.marks[kept]
+    return PointConfiguration(
+        cfg.window, cfg.mark_model, cfg.positions[kept], marks, cfg.ids[kept], cfg.seed
+    )
 
 
 def count_in(cfg: PointConfiguration, region) -> int:
     """Number of configuration points whose position lies in the region."""
-    return sum(1 for p in cfg.points if region.contains(p.position))
+    return sum(1 for pos in cfg.positions.tolist() if region.contains(pos))
 
 
 def dump_configuration(cfg: PointConfiguration) -> str:
@@ -272,26 +302,40 @@ def dump_configuration(cfg: PointConfiguration) -> str:
         "seed": cfg.seed,
     }
     lines = [json.dumps(header, sort_keys=True)]
-    for p in cfg.points:
-        coords = " ".join(_g17(v) for v in p.position)
-        mark = "-" if p.mark is None else _g17(p.mark)
-        lines.append(f"{p.id} {coords} {mark}")
+    marks = ["-"] * len(cfg) if cfg.marks is None else [_g17(m) for m in cfg.marks.tolist()]
+    for pid, pos, mark in zip(cfg.ids.tolist(), cfg.positions.tolist(), marks):
+        coords = " ".join(_g17(v) for v in pos)
+        lines.append(f"{pid} {coords} {mark}")
     return "\n".join(lines) + "\n"
 
 
 def load_configuration(text: str) -> PointConfiguration:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Parse a ``dump_configuration`` text.  Every point line must hold an id,
+    d coordinates and a mark (``-`` for none); a malformed line raises
+    ValueError naming its line number."""
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("empty configuration dump")
-    header = json.loads(lines[0])
+    header = json.loads(lines[0][1])
     window = window_from_text(json.dumps(header["window"]))
     mark_model = MarkModel.from_record(header["markmodel"])
-    pts = []
-    for ln in lines[1:]:
+    d = window.dim
+    ids, positions, marks = [], [], []
+    for lineno, ln in lines[1:]:
         fields = ln.split()
-        pid = int(fields[0])
-        coords = tuple(float(v) for v in fields[1 : 1 + header["d"]])
-        raw_mark = fields[1 + header["d"]]
-        mark = None if raw_mark == "-" else float(raw_mark)
-        pts.append(MarkedPoint(coords, mark, pid))
-    return PointConfiguration(window, mark_model, tuple(pts), header.get("seed"))
+        if len(fields) != d + 2:
+            raise ValueError(
+                f"line {lineno}: expected {d + 2} fields (id, {d} coordinates, mark), "
+                f"got {len(fields)}"
+            )
+        try:
+            ids.append(int(fields[0]))
+            positions.append([float(v) for v in fields[1 : 1 + d]])
+            marks.append(None if fields[-1] == "-" else float(fields[-1]))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    # a '-' among numeric marks becomes NaN and fails the mark check
+    mark_column = None if all(m is None for m in marks) else np.array(marks, dtype=np.float64)
+    return PointConfiguration(
+        window, mark_model, np.array(positions), mark_column, ids, header.get("seed")
+    )

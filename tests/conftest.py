@@ -21,17 +21,31 @@ def make_configuration(window, positions, marks=None, mark_model=None):
     mark_model = mark_model or (
         MarkModel.none() if marks is None else MarkModel.uniform_radius(0.0, 2.0)
     )
-    return PointConfiguration.from_arrays(window, mark_model, positions, marks)
+    return PointConfiguration(window, mark_model, positions, marks)
 
 
 def random_configuration(rng, window, count, mark_model=MarkModel.none()):
     sides = np.array(window.sides)
     positions = rng.uniform(0.0, 1.0, (count, window.dim)) * sides
     marks = mark_model.sample(rng, count)
-    return PointConfiguration.from_arrays(window, mark_model, positions, marks)
+    return PointConfiguration(window, mark_model, positions, marks)
 
 
 # ---------------------------------------------------------------- oracles --
+
+def double_sum_oracle(cfg, score) -> float:
+    """Ordered double loop over the pair score."""
+    ctx = score.build_context(cfg)
+    ids = cfg.ids.tolist()
+    return sum(score.pair_value(a, b, ctx) for a in ids for b in ids if a != b)
+
+
+def compound_scores_oracle(cfg, score) -> dict[int, float]:
+    """G(Z) for every point id: the pair score summed over all partners."""
+    ctx = score.build_context(cfg)
+    ids = cfg.ids.tolist()
+    return {a: sum(score.pair_value(a, b, ctx) for b in ids if b != a) for a in ids}
+
 
 def inversion_count_quadratic(barcode: Barcode) -> int:
     """Ordered double loop over the displayed inversion indicator."""

@@ -342,7 +342,7 @@ def test_property_checker_detects_changes_without_shield():
         (15.3, 17.2), (15.9, 16.4), (16.3, 15.5), (16.45, 14.7),  # older chain into the merge
         (16.2, 5.2), (16.25, 4.0), (16.4, 4.4), (17.3, 4.5),      # far-below cluster: bar (16.25, 0.15)
     ]
-    cfg = PointConfiguration.from_arrays(W24, MarkModel.none(), pts)
+    cfg = PointConfiguration(W24, MarkModel.none(), pts)
     ok = shield_property_check(cfg, CENTER, (12.0, 12.6), require_membership=False)
     assert ok is False
     with pytest.raises(ValueError):

@@ -55,7 +55,7 @@ def test_evaluate_inversion_fixture(tmp_path, capsys):
     rng = np.random.default_rng(8)
     pts = rng.uniform(0, 10, (30, 2))
     marks = rng.uniform(0, 1, 30)
-    cfg = PointConfiguration.from_arrays(w, MarkModel.uniform01(), pts, marks)
+    cfg = PointConfiguration(w, MarkModel.uniform01(), pts, marks)
     path = tmp_path / "points.txt"
     path.write_text(dump_configuration(cfg))
     expected = inversion_count_quadratic(uniform_lifetimes(cfg))
@@ -71,6 +71,35 @@ def test_evaluate_snowflake_with_kernel_flag(capsys):
     )
     assert code == 0
     assert int(out.strip()) == 3
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda rows: rows[:1] + [rows[1].rsplit(" ", 1)[0]] + rows[2:], "line 3: expected 4 fields"),
+        (lambda rows: rows[:1] + [rows[1] + " 7"] + rows[2:], "line 3: expected 4 fields"),
+        (lambda rows: rows[:1] + ["2 abc 4.0 -"] + rows[2:], "line 3: could not convert"),
+        (lambda rows: rows[:1] + ["2 2.0 99.0 -"] + rows[2:], "outside the window"),
+        (lambda rows: rows[:1] + ["0 2.0 4.0 -"] + rows[2:], "ids must be unique"),
+    ],
+    ids=["missing-field", "extra-field", "non-numeric", "outside-window", "duplicate-id"],
+)
+def test_evaluate_malformed_point_file(tmp_path, capsys, edit, message):
+    from pairfunc.geometry import Window
+    from pairfunc.process import MarkModel, PointConfiguration, dump_configuration
+
+    cfg = PointConfiguration(
+        Window(n=5.0, dim=2), MarkModel.none(), [(1.0, 1.0), (3.0, 1.5), (2.0, 4.0)]
+    )
+    header, *rows = dump_configuration(cfg).splitlines()
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join([header] + edit(rows)) + "\n")
+    code, out, err = run_cli(["evaluate", "--points", str(path), "--kernel", "fixed"], capsys)
+    assert code == 3
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("PAIRFUNC_ERROR code=3 kind=runtime")
+    assert message in lines[0]
 
 
 def test_shield_check_fixture(capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,10 +17,12 @@ from pairfunc.functionals import (
 )
 from pairfunc.geometry import Window
 from pairfunc.graphs import FixedRadius, build_edges, crossing_number
-from pairfunc.models import get_model
+from pairfunc.models import MODEL_NAMES, get_model
 from pairfunc.process import MarkModel, MarkedPoint, PointConfiguration, insert_point
 
 from conftest import (
+    compound_scores_oracle,
+    double_sum_oracle,
     inversion_count_quadratic,
     make_configuration,
     random_configuration,
@@ -63,14 +66,34 @@ def test_double_sum_crossing_equals_direct_count():
         total = double_sum(cfg, CROSS.score)
         g = build_edges(cfg, FixedRadius())
         assert total == crossing_number(g)
-        # the 1/8-weighted ordered sum collapses to the same integer
-        ordered = sum(
-            CROSS.score.pair_value(a.id, b.id, CROSS.score.build_context(cfg))
-            for a in cfg.points
-            for b in cfg.points
-            if a.id != b.id
-        )
-        assert ordered == pytest.approx(total)
+
+
+@pytest.mark.parametrize("model_id", MODEL_NAMES)
+def test_double_sum_equals_ordered_pair_loop(model_id):
+    # crossing scores carry the 1/8 weight, so their ordered sum is a float
+    # that collapses to the integer total
+    model = get_model(model_id)
+    rng = np.random.default_rng(5)
+    for window in (Window(n=6.0, dim=2), Window(n=4.0, dim=3)):
+        for _ in range(3):
+            cfg = random_configuration(rng, window, 80, model.mark_model)
+            assert double_sum(cfg, model.score) == pytest.approx(
+                double_sum_oracle(cfg, model.score)
+            )
+            if model.score.compound_all is not None:
+                ctx = model.score.build_context(cfg)
+                assert model.score.compound_all(ctx) == compound_scores_oracle(cfg, model.score)
+
+
+def test_compound_routes_need_compound_scores():
+    cfg = random_configuration(np.random.default_rng(6), Window(n=4.0, dim=3), 20)
+    with pytest.raises(ValueError, match="no compound scores"):
+        compound_score(cfg, 0, CROSS.score)
+    with pytest.raises(ValueError, match="no compound scores"):
+        empirical_stabilization_radius(cfg, (2.0, 2.0, 2.0), CROSS.score, AdmissibilityRule.all())
+    no_compound = replace(TREELOG.score, compound_all=None)
+    with pytest.raises(ValueError, match="no compound scores"):
+        sum_log_sum(cfg, no_compound, AdmissibilityRule.all())
 
 
 def test_compound_score_examples():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from pairfunc.geometry import Cube, Slab, Window
@@ -107,14 +109,14 @@ def test_count_in_regions():
     empty = PointConfiguration(w, MarkModel.none(), ())
     cube = Cube((5.0, 5.0), 1.0)
     assert count_in(empty, cube) == 0
-    cfg = PointConfiguration.from_arrays(
+    cfg = PointConfiguration(
         w, MarkModel.none(), [(5.0, 5.0), (5.5, 4.5), (4.2, 5.9)]
     )
     assert count_in(cfg, cube) == 3
     # random configuration equals a naive membership scan
     rng = np.random.default_rng(11)
     pts = rng.uniform(0, 10, (200, 2))
-    cfg2 = PointConfiguration.from_arrays(w, MarkModel.none(), pts)
+    cfg2 = PointConfiguration(w, MarkModel.none(), pts)
     naive = sum(1 for p in pts if max(abs(p[0] - 5.0), abs(p[1] - 5.0)) <= 1.0)
     assert count_in(cfg2, cube) == naive
 
@@ -165,3 +167,66 @@ def test_dump_load_no_marks():
     w = Window(n=4.0, dim=2)
     cfg = sample_ppp(w, 1.0, seed=9)
     assert load_configuration(dump_configuration(cfg)) == cfg
+
+
+# -- column store invariants ---------------------------------------------------
+
+# few distinct coordinate values, so that ties and duplicate positions are common
+_COORD = st.sampled_from([0.0, 0.5, 1.25, 1.25 + 2**-40, 3.0, 5.0])
+
+
+@st.composite
+def _columns(draw):
+    dim = draw(st.sampled_from([1, 2, 3]))
+    count = draw(st.integers(0, 12))
+    positions = draw(st.lists(st.tuples(*[_COORD] * dim), min_size=count, max_size=count))
+    ids = draw(st.lists(st.integers(-50, 50), min_size=count, max_size=count, unique=True))
+    marks = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]), min_size=count, max_size=count))
+    return dim, positions, ids, marks
+
+
+@settings(max_examples=200, deadline=None)
+@given(_columns(), st.booleans())
+def test_columnar_invariants(columns, with_marks):
+    dim, positions, ids, marks = columns
+    w = Window(n=5.0, dim=dim)
+    mm = MarkModel.uniform01() if with_marks else MarkModel.none()
+    mark_col = marks if with_marks else None
+    cfg = PointConfiguration(w, mm, np.array(positions).reshape(len(ids), dim), mark_col, ids)
+    rows = sorted(zip(positions, ids, marks if with_marks else [None] * len(ids)))
+    stored = list(zip(map(tuple, cfg.positions.tolist()), cfg.ids.tolist()))
+    assert stored == [(pos, pid) for pos, pid, _ in rows]
+    assert [(p.position, p.id, p.mark) for p in cfg.points] == rows
+    # same points in reversed input order build an equal configuration
+    again = PointConfiguration(
+        w, mm, [p.position for p in cfg.points][::-1],
+        None if not with_marks else [p.mark for p in cfg.points][::-1],
+        [p.id for p in cfg.points][::-1],
+    )
+    assert again == cfg
+    assert load_configuration(dump_configuration(cfg)) == cfg
+    wide = np.zeros((len(ids), dim + 1))
+    with pytest.raises(ValueError):
+        PointConfiguration(w, mm, wide, mark_col, ids)
+
+
+def test_empty_configuration_dump_round_trip():
+    for mm in (MarkModel.none(), MarkModel.uniform01()):
+        empty = PointConfiguration(Window(n=3.0, dim=2), mm, ())
+        assert len(empty) == 0 and empty.points == ()
+        assert load_configuration(dump_configuration(empty)) == empty
+
+
+def test_configuration_columns_reject_bad_input():
+    w = Window(n=5.0, dim=2)
+    with pytest.raises(ValueError, match="unique"):
+        PointConfiguration(w, MarkModel.none(), [(1.0, 1.0), (2.0, 2.0)], ids=[3, 3])
+    with pytest.raises(ValueError, match="outside"):
+        PointConfiguration(w, MarkModel.none(), [(1.0, 1.0), (2.0, 5.5)])
+    with pytest.raises(ValueError, match="one row per point"):
+        PointConfiguration(w, MarkModel.uniform01(), [(1.0, 1.0)], [0.5, 0.5])
+    with pytest.raises(ValueError, match="finite"):
+        PointConfiguration(w, MarkModel.uniform01(), [(1.0, 1.0)])
+    cfg = PointConfiguration(w, MarkModel.none(), [(1.0, 1.0)])
+    with pytest.raises(ValueError):
+        cfg.positions[0, 0] = 2.0  # columns are read-only
