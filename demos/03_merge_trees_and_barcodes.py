@@ -24,7 +24,9 @@ from pairfunc.fixtures import poisson_tree_figure_configuration
 # 8; the Elder rule gives branch lifetimes 2, 7 and +inf.
 cfg = poisson_tree_figure_configuration()
 forest = build_merge_forest(cfg)
-print("leaves:", forest.leaves, "merge points:", forest.merge_points)
+# The forest is indexed by configuration row; cfg.ids turns rows into point ids.
+print("leaf ids:", cfg.ids[forest.leaves].tolist(),
+      "merge point ids:", cfg.ids[forest.merge_points].tolist())
 barcode = elder_lifetimes(forest)
 print(barcode_to_text(barcode))
 

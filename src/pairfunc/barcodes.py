@@ -4,12 +4,15 @@ counts, and shield configurations for insertion-insensitive boxes.
 Coordinate 1 plays the role of time throughout.  A bar is (birth, lifetime);
 lifetime +inf encodes a branch that never dies inside the window, and such
 bars are never admissible (admissibility requires a lifetime in the open
-interval (0, 1)).
+interval (0, 1)).  Barcodes and merge forests are stored as arrays aligned
+with the rows of their configuration; ``Bar`` is the scalar form that the
+literal definitions (``inversion_score``) take.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -49,24 +52,52 @@ class Bar:
         return 0.0 < self.lifetime < 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Barcode:
-    bars: tuple[Bar, ...]
+    """Bars stored as three read-only columns of equal length: ``owners``
+    (int64 point ids, unique), ``births`` (finite float64) and ``lifetimes``
+    (float64, nonnegative or +inf).  ``bars`` is a tuple of ``Bar`` views of
+    the rows, built on first access."""
 
-    def __len__(self):
-        return len(self.bars)
+    owners: np.ndarray
+    births: np.ndarray
+    lifetimes: np.ndarray
 
-    def __iter__(self):
-        return iter(self.bars)
+    def __post_init__(self):
+        # views, so that freezing them leaves the caller's arrays writeable
+        owners = np.asarray(self.owners, dtype=np.int64).view()
+        births = np.asarray(self.births, dtype=np.float64).view()
+        lifetimes = np.asarray(self.lifetimes, dtype=np.float64).view()
+        n = len(owners)
+        if not owners.shape == births.shape == lifetimes.shape == (n,):
+            raise ValueError("owners, births and lifetimes must be 1-D columns of equal length")
+        if not np.isfinite(births).all():
+            raise ValueError("births must be finite")
+        if not (lifetimes >= 0.0).all():
+            raise ValueError("lifetimes are nonnegative (NaN is not a lifetime)")
+        if len(np.unique(owners)) != n:
+            raise ValueError("bar owners must be unique")
+        for name, column in (("owners", owners), ("births", births), ("lifetimes", lifetimes)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
-    def births(self) -> np.ndarray:
-        return np.array([b.birth for b in self.bars], dtype=float)
+    def __len__(self) -> int:
+        return len(self.owners)
 
-    def lifetimes(self) -> np.ndarray:
-        return np.array([b.lifetime for b in self.bars], dtype=float)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Barcode):
+            return NotImplemented
+        return (
+            np.array_equal(self.owners, other.owners)
+            and np.array_equal(self.births, other.births)
+            and np.array_equal(self.lifetimes, other.lifetimes)
+        )
 
-    def owners(self) -> np.ndarray:
-        return np.array([b.owner for b in self.bars], dtype=np.int64)
+    @cached_property
+    def bars(self) -> tuple[Bar, ...]:
+        return tuple(
+            map(Bar, self.owners.tolist(), self.births.tolist(), self.lifetimes.tolist())
+        )
 
 
 def uniform_lifetimes(cfg: PointConfiguration) -> Barcode:
@@ -74,8 +105,7 @@ def uniform_lifetimes(cfg: PointConfiguration) -> Barcode:
     follow the configuration's row order."""
     if cfg.mark_model.kind != "uniform01":
         raise ValueError("uniform lifetimes need the uniform01 mark model")
-    bars = map(Bar, cfg.ids.tolist(), cfg.positions[:, 0].tolist(), cfg.marks.tolist())
-    return Barcode(tuple(bars))
+    return Barcode(cfg.ids, cfg.positions[:, 0], cfg.marks)
 
 
 def _ancestor_indices(positions: np.ndarray, cylinder_radius: float) -> np.ndarray:
@@ -96,74 +126,61 @@ def _ancestor_indices(positions: np.ndarray, cylinder_radius: float) -> np.ndarr
     return anc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MergeForest:
     """Forest built by linking each point to its earliest later neighbor inside
     a unit cylinder, with Elder-rule survivor bookkeeping.
 
-    Maps are keyed by point id.  ``ancestor`` maps a point to itself when no
-    ancestor exists; ``survivor`` is defined on merge points (tree degree >= 3);
-    ``death`` maps each dying leaf to the merge point that kills it.
+    Every field is indexed by configuration row.  ``ancestor`` (N,) holds the
+    ancestor's row, or the point's own row when it has none; ``leaves`` and
+    ``merge_points`` (tree degree >= 3) are ascending row arrays;
+    ``survivor`` is aligned with ``merge_points`` and holds the leaf row that
+    survives each merge; ``death`` (N,) holds the row of the merge point that
+    kills a leaf, or -1.
     """
 
     cfg: PointConfiguration
     cylinder_radius: float
-    ancestor: dict[int, int]
-    children: dict[int, tuple[int, ...]]
-    leaves: tuple[int, ...]
-    merge_points: tuple[int, ...]
-    survivor: dict[int, int]
-    death: dict[int, int]
+    ancestor: np.ndarray
+    leaves: np.ndarray
+    merge_points: np.ndarray
+    survivor: np.ndarray
+    death: np.ndarray
 
 
 def build_merge_forest(cfg: PointConfiguration, cylinder_radius: float = 1.0) -> MergeForest:
     if cfg.window.dim < 2:
         raise ValueError("merge forests need dimension >= 2")
     n = len(cfg)
-    anc_idx = _ancestor_indices(cfg.positions, cylinder_radius)
+    rows = np.arange(n)
+    anc = _ancestor_indices(cfg.positions, cylinder_radius)
+    linked = anc >= 0
+    children = np.bincount(anc[linked], minlength=n)
+    merge = children + linked >= 3
 
-    ids = cfg.ids.tolist()
-    ancestor = {ids[i]: (ids[anc_idx[i]] if anc_idx[i] >= 0 else ids[i]) for i in range(n)}
-    children: dict[int, list[int]] = {pid: [] for pid in ids}
-    for i in range(n):
-        if anc_idx[i] >= 0:
-            children[ids[anc_idx[i]]].append(ids[i])
+    # Children come before their ancestor in row order, so one forward pass
+    # leaves in ``carried`` the smallest row of every subtree.  That row is a
+    # leaf (a non-leaf has an earlier child), and the smallest leaf row is the
+    # birth-minimal leaf: the one the Elder rule keeps alive.
+    carried = list(range(n))
+    for i, j in enumerate(anc.tolist()):
+        if j >= 0 and carried[i] < carried[j]:
+            carried[j] = carried[i]
+    carried = np.array(carried, dtype=np.int64)
 
-    leaves = tuple(pid for pid in ids if not children[pid])
-    degree = {
-        pid: len(children[pid]) + (1 if ancestor[pid] != pid else 0) for pid in ids
-    }
-    merge_points = tuple(pid for pid in ids if degree[pid] >= 3)
-
-    # One pass in time order; each branch carries the birth-minimal leaf that is
-    # still alive on it.  Children sort before their ancestor, so carried values
-    # are ready when a point is processed.
-    order = {pid: i for i, pid in enumerate(ids)}
-    carried: dict[int, int] = {}
-    survivor: dict[int, int] = {}
-    death: dict[int, int] = {}
-    for i, pid in enumerate(ids):
-        kids = children[pid]
-        if not kids:
-            carried[pid] = pid
-            continue
-        arrivals = [carried[c] for c in kids]
-        s = min(arrivals, key=lambda leaf: order[leaf])
-        if degree[pid] >= 3:
-            survivor[pid] = s
-            for a in arrivals:
-                if a != s:
-                    death[a] = pid
-        carried[pid] = s
-
+    # At a merge point every arriving branch but the survivor's dies.
+    kids = np.flatnonzero(linked)
+    kids = kids[merge[anc[kids]] & (carried[kids] != carried[anc[kids]])]
+    death = np.full(n, -1, dtype=np.int64)
+    death[carried[kids]] = anc[kids]
+    merge_points = np.flatnonzero(merge)
     return MergeForest(
         cfg,
         cylinder_radius,
-        ancestor,
-        {k: tuple(v) for k, v in children.items()},
-        leaves,
+        np.where(linked, anc, rows),
+        np.flatnonzero(children == 0),
         merge_points,
-        survivor,
+        carried[merge_points],
         death,
     )
 
@@ -172,20 +189,11 @@ def elder_lifetimes(forest: MergeForest) -> Barcode:
     """Branch lifetimes: death time minus birth time for dying leaves, +inf for
     leaves that never lose a merge, 0 for non-leaves.  Bars follow the
     configuration's row order."""
-    ids = forest.cfg.ids.tolist()
-    births = forest.cfg.positions[:, 0].tolist()
-    times = dict(zip(ids, births))
-    leaves = set(forest.leaves)
-    bars = []
-    for pid, birth in zip(ids, births):
-        if pid not in leaves:
-            life = 0.0
-        elif pid in forest.death:
-            life = times[forest.death[pid]] - birth
-        else:
-            life = math.inf
-        bars.append(Bar(pid, birth, life))
-    return Barcode(tuple(bars))
+    t = forest.cfg.positions[:, 0]
+    leaf = np.zeros(len(t), dtype=bool)
+    leaf[forest.leaves] = True
+    life = np.where(forest.death >= 0, t[forest.death] - t, np.where(leaf, math.inf, 0.0))
+    return Barcode(forest.cfg.ids, t, life)
 
 
 def inversion_score(x_bar: Bar, y_bar: Bar) -> int:
@@ -235,8 +243,8 @@ def inversion_count(barcode: Barcode) -> int:
     strictly larger death via a Fenwick tree; ties in birth or death never
     count, matching the strict sign condition.
     """
-    births = barcode.births()
-    lifetimes = barcode.lifetimes()
+    births = barcode.births
+    lifetimes = barcode.lifetimes
     ok = (lifetimes > 0.0) & (lifetimes < 1.0)
     if ok.sum() < 2:
         return 0
@@ -279,23 +287,22 @@ def inversion_compound_counts(births: np.ndarray, lifetimes: np.ndarray) -> np.n
 
 
 def barcode_to_text(barcode: Barcode) -> str:
-    lines = []
-    for b in barcode.bars:
-        life = "inf" if math.isinf(b.lifetime) else _g17(b.lifetime)
-        lines.append(f"{b.owner} {_g17(b.birth)} {life}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    """One ``owner birth lifetime`` line per bar, floats in lossless 17-digit
+    form (+inf as ``inf``)."""
+    columns = (barcode.owners.tolist(), barcode.births.tolist(), barcode.lifetimes.tolist())
+    return "".join(f"{o} {_g17(b)} {_g17(life)}\n" for o, b, life in zip(*columns))
 
 
 def barcode_from_text(text: str) -> Barcode:
-    bars = []
-    for ln in text.splitlines():
-        if not ln.strip():
-            continue
-        owner, birth, life = ln.split()
-        bars.append(
-            Bar(int(owner), float(birth), math.inf if life == "inf" else float(life))
-        )
-    return Barcode(tuple(bars))
+    """Parse a ``barcode_to_text`` text; a malformed line or an invalid
+    barcode raises ValueError."""
+    rows = [ln.split() for ln in text.splitlines() if ln.strip()]
+    if any(len(fields) != 3 for fields in rows):
+        raise ValueError("every bar line needs three fields: owner, birth, lifetime")
+    owners, births, lifetimes = zip(*rows) if rows else ((), (), ())
+    return Barcode(
+        [int(o) for o in owners], [float(b) for b in births], [float(v) for v in lifetimes]
+    )
 
 
 # -- Shield configurations ---------------------------------------------------
@@ -477,7 +484,7 @@ def _tree_pair_scores(cfg: PointConfiguration, ids: list[int], cylinder_radius: 
     """Tree-lifetime inversion scores between the points with the given ids."""
     barcode = elder_lifetimes(build_merge_forest(cfg, cylinder_radius))
     rows = id_rows(cfg.ids, ids)
-    return inversion_matrix(barcode.births()[rows], barcode.lifetimes()[rows])
+    return inversion_matrix(barcode.births[rows], barcode.lifetimes[rows])
 
 
 def outside_pair_scores(cfg: PointConfiguration, center, cylinder_radius: float = 1.0):

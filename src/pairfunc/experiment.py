@@ -54,8 +54,7 @@ class ExperimentConfig:
     alpha: tuple[float, ...] | None = None
     margin: float = 0.2
     cutoff: float = 1.0
-    beta3: float | None = None
-    jobs: int | None = None
+    jobs: int | None = None  # execution only: outside hash() and meta.json
 
     def __post_init__(self):
         try:
@@ -87,8 +86,15 @@ class ExperimentConfig:
         rec["alpha"] = list(self.alpha) if self.alpha else None
         return rec
 
+    def result_record(self) -> dict:
+        """The keys that determine the results: ``canonical()`` without the
+        execution setting ``jobs``."""
+        rec = self.canonical()
+        del rec["jobs"]
+        return rec
+
     def hash(self) -> str:
-        payload = json.dumps(self.canonical(), sort_keys=True)
+        payload = json.dumps(self.result_record(), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     @classmethod
@@ -103,7 +109,7 @@ class ExperimentConfig:
     def from_record(cls, rec: dict) -> "ExperimentConfig":
         known = {
             "model", "n_grid", "reps", "seed", "d", "intensity",
-            "a", "alpha", "margin", "cutoff", "beta3", "jobs",
+            "a", "alpha", "margin", "cutoff", "jobs",
         }
         unknown = set(rec) - known
         if unknown:
@@ -120,7 +126,6 @@ class ExperimentConfig:
                 alpha=tuple(rec["alpha"]) if rec.get("alpha") else None,
                 margin=float(rec.get("margin", 0.2)),
                 cutoff=float(rec.get("cutoff", 1.0)),
-                beta3=rec.get("beta3"),
                 jobs=rec.get("jobs"),
             )
         except KeyError as exc:
@@ -283,7 +288,7 @@ def write_outputs(record: RunRecord, out_dir: str | Path, fmt: str = "csv") -> l
         )
     meta = {
         "schema": SCHEMA_VERSION,
-        "config": record.config.canonical(),
+        "config": record.config.result_record(),
         "config_hash": record.config_hash,
         "version": record.version,
         "standardization": "sample mean/variance (self-standardized)",

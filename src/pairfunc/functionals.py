@@ -38,20 +38,19 @@ class PairScore:
 
     ``build_context(cfg)`` prepares whatever the score needs; ``pair_value(a,
     b, ctx)`` evaluates the score between point ids a and b, and ``total(ctx)``
-    the sum over ordered pairs.  ``compound_all(ctx)`` maps every point id to
-    its compound score G and is required by the sum-log-sum; ``snapshot``
-    captures the pair scores for stabilization measurements.
+    the sum over ordered pairs.  ``compound_all(ctx)`` returns the compound
+    score G of every point as an (N,) array aligned with the configuration's
+    rows and is required by the sum-log-sum; ``snapshot`` captures the pair
+    scores for stabilization measurements.
     """
 
     name: str
-    locality_order: int
     locality_cutoff: float
     build_context: Callable[[PointConfiguration], Any]
     pair_value: Callable[[int, int, Any], float]
     total: Callable[[Any], float]
-    symmetric: bool = True
     integer_valued: bool = True
-    compound_all: Callable[[Any], dict[int, float]] | None = None
+    compound_all: Callable[[Any], np.ndarray] | None = None
     snapshot: Callable[[Any], "BarPairSnapshot | SparsePairSnapshot"] | None = None
 
 
@@ -70,19 +69,19 @@ class AdmissibilityRule:
     def tree_realization(cls) -> "AdmissibilityRule":
         return cls("tree_realization")
 
-    def mask(self, cfg: PointConfiguration, ctx) -> dict[int, bool]:
-        """Admissibility of every point, keyed by id in configuration row order."""
-        ids = cfg.ids.tolist()
+    def mask(self, cfg: PointConfiguration, ctx) -> np.ndarray:
+        """Admissibility of every point: a boolean (N,) array aligned with the
+        configuration's rows.  The tree-realization rule reads the lifetimes
+        of a barcode context."""
         if self.kind == "all":
-            return dict.fromkeys(ids, True)
-        shrunk = cfg.window.shrunk()
+            return np.ones(len(cfg), dtype=bool)
         lifetimes = getattr(ctx, "lifetimes", None)
         if lifetimes is None:
             raise ValueError("admissibility rule needs a barcode-bearing context")
+        shrunk = cfg.window.shrunk()
         pos = cfg.positions
         inside = ((pos >= np.array(shrunk.lower)) & (pos <= np.array(shrunk.upper))).all(axis=1)
-        keep = inside & (lifetimes > 0.0) & (lifetimes < 1.0)
-        return dict(zip(ids, keep.tolist()))
+        return inside & (lifetimes > 0.0) & (lifetimes < 1.0)
 
 
 @dataclass(frozen=True)
@@ -135,12 +134,11 @@ def _require_compound(score: PairScore) -> None:
 def compound_score(cfg: PointConfiguration, z, score: PairScore, ctx=None) -> float:
     """G(Z): total score between Z and every other point."""
     z_id = z.id if isinstance(z, MarkedPoint) else int(z)
-    if not (cfg.ids == z_id).any():
-        raise KeyError(f"unknown point id {z_id}")
+    row = id_rows(cfg.ids, [z_id])[0]  # KeyError on an unknown id
     _require_compound(score)
     if ctx is None:
         ctx = score.build_context(cfg)
-    return score.compound_all(ctx)[z_id]
+    return score.compound_all(ctx)[row].item()
 
 
 def sum_log_sum(
@@ -153,20 +151,12 @@ def sum_log_sum(
     _require_compound(score)
     ctx = score.build_context(cfg)
     mask = rule.mask(cfg, ctx)
-    G = score.compound_all(ctx)
+    G = score.compound_all(ctx)[mask].tolist()
+    positive = [g for g in G if g > 0]
     total = 0.0
-    admissible = 0
-    dropped = 0
-    for pid, ok in mask.items():  # configuration order keeps the fold byte-stable
-        if not ok:
-            continue
-        admissible += 1
-        g = G[pid]
-        if g > 0:
-            total += math.log(g)
-        else:
-            dropped += 1
-    return FunctionalValue("sum_log_sum", total, admissible, dropped)
+    for g in positive:  # a left fold in row order keeps the value byte-stable
+        total += math.log(g)
+    return FunctionalValue("sum_log_sum", total, len(G), len(G) - len(positive))
 
 
 def diff_first(cfg: PointConfiguration, x, functional: Callable[[PointConfiguration], float]) -> float:
@@ -246,13 +236,12 @@ def empirical_stabilization_radius(
     if rule is not None:
         members_before = _positive_membership(cfg, ctx_before, score, rule)
         members_after = _positive_membership(cfg2, ctx_after, score, rule)
-        moved = [pid for pid, m in members_before.items() if m != members_after[pid]]
-        worst = max(worst, float(dist[id_rows(cfg.ids, moved)].max(initial=0.0)))
+        moved = members_before != members_after[id_rows(cfg2.ids, cfg.ids)]
+        worst = max(worst, float(dist[moved].max(initial=0.0)))
     return max(1, math.ceil(worst))
 
 
-def _positive_membership(cfg, ctx, score: PairScore, rule: AdmissibilityRule) -> dict[int, bool]:
+def _positive_membership(cfg, ctx, score: PairScore, rule: AdmissibilityRule) -> np.ndarray:
+    """Row mask of the admissible points with positive compound score."""
     _require_compound(score)
-    mask = rule.mask(cfg, ctx)
-    G = score.compound_all(ctx)
-    return {pid: bool(ok and G[pid] > 0) for pid, ok in mask.items()}
+    return rule.mask(cfg, ctx) & (score.compound_all(ctx) > 0)

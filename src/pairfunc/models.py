@@ -7,8 +7,9 @@ treelog-uniform | treelog-tree                             (sum-log-sum, k = 1)
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable
+
+import numpy as np
 
 from . import barcodes, graphs
 from .functionals import (
@@ -20,7 +21,7 @@ from .functionals import (
     double_sum,
     sum_log_sum,
 )
-from .process import MarkModel, PointConfiguration, sample_ppp
+from .process import MarkModel, PointConfiguration, id_rows, sample_ppp
 from .geometry import Window
 
 __all__ = ["Model", "get_model", "MODEL_NAMES"]
@@ -48,26 +49,6 @@ class CrossingContext:
         return self._pair_scores
 
 
-class BarcodeContext:
-    """A barcode whose bars are aligned with the configuration's rows, with
-    its births and lifetimes as columns."""
-
-    def __init__(self, cfg: PointConfiguration, barcode: barcodes.Barcode):
-        self.cfg = cfg
-        self.barcode = barcode
-        self.ids = cfg.ids
-        self.births = barcode.births()
-        self.lifetimes = barcode.lifetimes()
-
-    @cached_property
-    def _index(self) -> dict[int, int]:
-        return dict(zip(self.ids.tolist(), range(len(self.ids))))
-
-    def bar(self, pid: int) -> barcodes.Bar:
-        k = self._index[pid]
-        return barcodes.Bar(pid, float(self.births[k]), float(self.lifetimes[k]))
-
-
 def _crossing_pair_value(a: int, b: int, ctx: CrossingContext) -> float:
     if a == b:
         return 0.0
@@ -85,23 +66,23 @@ def _crossing_snapshot(ctx: CrossingContext) -> SparsePairSnapshot:
     return SparsePairSnapshot(scores, ids)
 
 
-def _inversion_pair_value(a: int, b: int, ctx: BarcodeContext) -> float:
+def _inversion_pair_value(a: int, b: int, barcode: barcodes.Barcode) -> float:
     if a == b:
         return 0.0
-    return float(barcodes.inversion_score(ctx.bar(a), ctx.bar(b)))
+    ka, kb = id_rows(barcode.owners, (a, b)).tolist()  # the scalar view serves the oracles
+    return float(barcodes.inversion_score(barcode.bars[ka], barcode.bars[kb]))
 
 
-def _inversion_total(ctx: BarcodeContext) -> float:
-    return float(barcodes.inversion_count(ctx.barcode))
+def _inversion_total(barcode: barcodes.Barcode) -> float:
+    return float(barcodes.inversion_count(barcode))
 
 
-def _inversion_compound(ctx: BarcodeContext) -> dict[int, float]:
-    G = barcodes.inversion_compound_counts(ctx.births, ctx.lifetimes)
-    return dict(zip(ctx.ids.tolist(), G.tolist()))
+def _inversion_compound(barcode: barcodes.Barcode) -> np.ndarray:
+    return barcodes.inversion_compound_counts(barcode.births, barcode.lifetimes)
 
 
-def _inversion_snapshot(ctx: BarcodeContext) -> BarPairSnapshot:
-    return BarPairSnapshot(ctx.ids, ctx.births, ctx.lifetimes)
+def _inversion_snapshot(barcode: barcodes.Barcode) -> BarPairSnapshot:
+    return BarPairSnapshot(barcode.owners, barcode.births, barcode.lifetimes)
 
 
 @dataclass(frozen=True)
@@ -137,7 +118,6 @@ def _crossing_model(name: str, kernel, mark_model: MarkModel, cutoff: float) -> 
 
     score = PairScore(
         name=name,
-        locality_order=2,
         locality_cutoff=2.0 * cutoff,
         build_context=build,
         pair_value=_crossing_pair_value,
@@ -152,19 +132,18 @@ def _barcode_model(name: str, lifetime_model: str, functional_kind: str, cutoff:
     if lifetime_model == "uniform":
         mark_model = MarkModel.uniform01()
 
-        def build(cfg: PointConfiguration) -> BarcodeContext:
-            return BarcodeContext(cfg, barcodes.uniform_lifetimes(cfg))
+        def build(cfg: PointConfiguration) -> barcodes.Barcode:
+            return barcodes.uniform_lifetimes(cfg)
 
     else:
         mark_model = MarkModel.none()
 
-        def build(cfg: PointConfiguration) -> BarcodeContext:
+        def build(cfg: PointConfiguration) -> barcodes.Barcode:
             forest = barcodes.build_merge_forest(cfg, cylinder_radius=cutoff)
-            return BarcodeContext(cfg, barcodes.elder_lifetimes(forest))
+            return barcodes.elder_lifetimes(forest)
 
     score = PairScore(
         name=name,
-        locality_order=1,
         locality_cutoff=1.0,
         build_context=build,
         pair_value=_inversion_pair_value,

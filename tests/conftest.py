@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from pairfunc.barcodes import Bar, Barcode, inversion_score
+from pairfunc.barcodes import Barcode, inversion_score
 from pairfunc.functionals import AdmissibilityRule
 from pairfunc.geometry import Cube, Window
 from pairfunc.process import MarkModel, MarkedPoint, PointConfiguration, insert_point
@@ -40,11 +40,20 @@ def double_sum_oracle(cfg, score) -> float:
     return sum(score.pair_value(a, b, ctx) for a in ids for b in ids if a != b)
 
 
-def compound_scores_oracle(cfg, score) -> dict[int, float]:
-    """G(Z) for every point id: the pair score summed over all partners."""
+def compound_scores_oracle(cfg, score) -> list[float]:
+    """G(Z) for every point in row order: the pair score summed over all
+    partners."""
     ctx = score.build_context(cfg)
     ids = cfg.ids.tolist()
-    return {a: sum(score.pair_value(a, b, ctx) for b in ids if b != a) for a in ids}
+    return [sum(score.pair_value(a, b, ctx) for b in ids if b != a) for a in ids]
+
+
+def barcode_from_bars(bars) -> Barcode:
+    """The column barcode holding the given scalar bars, in order."""
+    bars = list(bars)
+    return Barcode(
+        [b.owner for b in bars], [b.birth for b in bars], [b.lifetime for b in bars]
+    )
 
 
 def inversion_count_quadratic(barcode: Barcode) -> int:
@@ -143,9 +152,9 @@ def stabilization_radius_oracle(cfg, x, score, rule: AdmissibilityRule | None = 
             return None
         mask = rule.mask(c, ctx)
         out = {}
-        for p in c.points:
+        for row, p in enumerate(c.points):
             g = sum(score.pair_value(p.id, q.id, ctx) for q in c.points if q.id != p.id)
-            out[p.id] = bool(mask[p.id] and g > 0)
+            out[p.id] = bool(mask[row] and g > 0)
         return out
 
     before_members = member_map(cfg, ctx0)

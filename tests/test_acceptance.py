@@ -17,7 +17,6 @@ from scipy import stats as sps
 
 from pairfunc.barcodes import (
     Bar,
-    Barcode,
     ShieldedBoxConfig,
     build_merge_forest,
     elder_lifetimes,
@@ -59,6 +58,7 @@ from pairfunc.stats import (
 )
 
 from conftest import (
+    barcode_from_bars,
     inversion_count_quadratic,
     random_configuration,
     w1_quadrature_oracle,
@@ -194,10 +194,10 @@ def test_e7_inversion_oracle():
     bad = 0
     for _ in range(500):
         count = int(rng.integers(0, 201))
-        bars = Barcode(tuple(
+        bars = barcode_from_bars(
             Bar(i, float(rng.uniform(0, 30)), float(rng.uniform(0, 1.25)))
             for i in range(count)
-        ))
+        )
         ordered = inversion_count(bars)
         brute = inversion_count_quadratic(bars)
         unordered = sum(
@@ -299,11 +299,8 @@ def test_e11_byte_determinism(tmp_path):
     for tag, config in (("a1", config_a), ("a2", config_a), ("b", config_b)):
         out = tmp_path / tag
         write_outputs(run_experiment(config), out)
-        files[tag] = {
-            p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "meta.json"
-        }
+        files[tag] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     rerun_identical = files["a1"] == files["a2"]
-    # meta.json echoes the jobs flag, so compare the numeric outputs only
     parallel_identical = files["a1"] == files["b"]
     ok = rerun_identical and parallel_identical
     report("E11", ok, f"rerun={rerun_identical} parallel-vs-serial={parallel_identical}")

@@ -28,9 +28,10 @@ from pairfunc.fixtures import (
     shield_template_points,
 )
 from pairfunc.geometry import Window
-from pairfunc.process import MarkModel, PointConfiguration, sample_ppp
+from pairfunc.process import MarkModel, PointConfiguration, id_rows, sample_ppp
 
 from conftest import (
+    barcode_from_bars,
     forest_oracle_lifetimes,
     inversion_count_quadratic,
     make_configuration,
@@ -66,7 +67,7 @@ def test_uniform_lifetimes_distribution():
     cfg = sample_ppp(w, 1.0, MarkModel.uniform01(), seed=2024)
     bc = uniform_lifetimes(cfg)
     assert len(bc) > 100_000 * 0.95
-    pvalue = sps.kstest(bc.lifetimes(), "uniform").pvalue
+    pvalue = sps.kstest(bc.lifetimes, "uniform").pvalue
     assert pvalue > 0.001
 
 
@@ -75,8 +76,8 @@ def test_uniform_lifetimes_distribution():
 def test_single_point_forest():
     cfg = make_configuration(W2, [(5.0, 5.0)])
     forest = build_merge_forest(cfg)
-    assert forest.leaves == (0,)
-    assert forest.merge_points == ()
+    assert forest.leaves.tolist() == [0]
+    assert forest.merge_points.tolist() == []
     bc = elder_lifetimes(forest)
     assert bc.bars[0].lifetime == math.inf
 
@@ -84,7 +85,7 @@ def test_single_point_forest():
 def test_far_apart_branches_never_meet():
     cfg = make_configuration(W2, [(1.0, 1.0), (2.0, 8.0)])
     forest = build_merge_forest(cfg)
-    assert forest.ancestor == {0: 0, 1: 1}
+    assert forest.ancestor.tolist() == [0, 1]
     bc = elder_lifetimes(forest)
     assert all(b.lifetime == math.inf for b in bc.bars)
 
@@ -106,7 +107,7 @@ def test_non_leaf_lifetime_is_zero_and_finite_lifetimes_positive():
     cfg = random_configuration(rng, Window(n=12.0, dim=2), 60)
     forest = build_merge_forest(cfg)
     bc = elder_lifetimes(forest)
-    leaves = set(forest.leaves)
+    leaves = set(cfg.ids[forest.leaves].tolist())
     for b in bc.bars:
         if b.owner not in leaves:
             assert b.lifetime == 0.0
@@ -118,14 +119,10 @@ def test_elder_rule_survivor_is_oldest():
     rng = np.random.default_rng(5)
     cfg = random_configuration(rng, Window(n=12.0, dim=2), 50)
     forest = build_merge_forest(cfg)
-    order = {p.id: i for i, p in enumerate(cfg.points)}
-    for m, s in forest.survivor.items():
-        assert s in forest.leaves
-        assert order[s] == min(
-            order[leaf]
-            for leaf in forest.leaves
-            if _reaches(forest, leaf, m)
-        )
+    leaves = forest.leaves.tolist()
+    for m, s in zip(forest.merge_points.tolist(), forest.survivor.tolist()):
+        assert s in leaves
+        assert s == min(leaf for leaf in leaves if _reaches(forest, leaf, m))
 
 
 def _reaches(forest, leaf, target):
@@ -144,18 +141,47 @@ def test_lifetimes_match_exhaustive_path_oracle():
     for _ in range(200):
         count = int(rng.integers(1, 60))
         cfg = random_configuration(rng, Window(n=12.0, dim=2), count)
-        got = {b.owner: b.lifetime for b in elder_lifetimes(build_merge_forest(cfg))}
+        got = {b.owner: b.lifetime for b in elder_lifetimes(build_merge_forest(cfg)).bars}
         assert got == forest_oracle_lifetimes(cfg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=0, max_size=40
+    )
+)
+def test_forest_on_lattice_matches_oracle_and_is_consistent(cells):
+    # a coarse lattice: times tie, positions repeat, cylinder boundaries are hit
+    cfg = make_configuration(W2, [(0.5 * t, 0.5 * h) for t, h in cells])
+    forest = build_merge_forest(cfg)
+    bc = elder_lifetimes(forest)
+    assert {b.owner: b.lifetime for b in bc.bars} == forest_oracle_lifetimes(cfg)
+
+    rows = np.arange(len(cfg))
+    assert forest.ancestor.shape == forest.death.shape == (len(cfg),)
+    assert (forest.ancestor >= rows).all()
+    leaves = forest.leaves.tolist()
+    assert leaves == sorted(leaves)
+    assert forest.merge_points.tolist() == sorted(forest.merge_points.tolist())
+    assert len(forest.survivor) == len(forest.merge_points)
+    for m, s in zip(forest.merge_points.tolist(), forest.survivor.tolist()):
+        assert s == min(leaf for leaf in leaves if _reaches(forest, leaf, m))
+    dying = np.flatnonzero(forest.death >= 0)
+    assert set(dying.tolist()) <= set(leaves)
+    assert set(forest.death[dying].tolist()) <= set(forest.merge_points.tolist())
+    bc_rows = id_rows(cfg.ids, bc.owners)
+    assert np.array_equal(cfg.ids[bc_rows], bc.owners)
+    assert np.array_equal(bc_rows, rows)  # bars follow the configuration's rows
 
 
 def test_ancestors_depend_only_on_later_points():
     rng = np.random.default_rng(19)
     cfg = random_configuration(rng, Window(n=12.0, dim=2), 40)
     forest = build_merge_forest(cfg)
-    order = {p.id: i for i, p in enumerate(cfg.points)}
-    for pid, anc in forest.ancestor.items():
-        if anc != pid:
-            assert order[anc] > order[pid]
+    for row, anc in enumerate(forest.ancestor.tolist()):
+        if anc != row:
+            assert anc > row
 
 
 # -- inversions -----------------------------------------------------------------
@@ -178,9 +204,9 @@ def test_inversion_score_symmetric(b1, l1, b2, l2):
 
 
 def test_inversion_count_small_cases():
-    assert inversion_count(Barcode(())) == 0
-    assert inversion_count(Barcode((Bar(0, 0.0, 0.5),))) == 0
-    nested = Barcode((Bar(0, 0.0, 0.9), Bar(1, 0.1, 0.5)))
+    assert inversion_count(Barcode((), (), ())) == 0
+    assert inversion_count(Barcode([0], [0.0], [0.5])) == 0
+    nested = Barcode([0, 1], [0.0, 0.1], [0.9, 0.5])
     assert inversion_count(nested) == 2
 
 
@@ -192,7 +218,7 @@ def test_inversion_count_matches_brute_force():
             Bar(i, float(rng.uniform(0, 20)), float(rng.uniform(0, 1.2)))
             for i in range(count)
         )
-        bc = Barcode(bars)
+        bc = barcode_from_bars(bars)
         assert inversion_count(bc) == inversion_count_quadratic(bc)
 
 
@@ -202,18 +228,18 @@ def test_inversion_count_with_ties_matches_brute_force():
         count = int(rng.integers(2, 60))
         births = rng.integers(0, 6, count) * 0.25     # many exact ties
         lifetimes = rng.integers(0, 5, count) * 0.2
-        bc = Barcode(tuple(Bar(i, float(b), float(l)) for i, (b, l) in enumerate(zip(births, lifetimes))))
+        bc = Barcode(np.arange(count), births, lifetimes)
         assert inversion_count(bc) == inversion_count_quadratic(bc)
 
 
 def test_inversion_count_invariances():
     rng = np.random.default_rng(31)
     bars = [Bar(i, float(rng.uniform(0, 5)), float(rng.uniform(0, 1))) for i in range(40)]
-    base = inversion_count(Barcode(tuple(bars)))
-    shifted = Barcode(tuple(Bar(b.owner, b.birth + 11.5, b.lifetime) for b in bars))
+    base = inversion_count(barcode_from_bars(bars))
+    shifted = barcode_from_bars(Bar(b.owner, b.birth + 11.5, b.lifetime) for b in bars)
     assert inversion_count(shifted) == base
     rng.shuffle(bars)
-    assert inversion_count(Barcode(tuple(bars))) == base
+    assert inversion_count(barcode_from_bars(bars)) == base
 
 
 def test_figure_1b_layout_counts_six_unordered_inversions():
@@ -223,14 +249,14 @@ def test_figure_1b_layout_counts_six_unordered_inversions():
     bars = tuple(
         Bar(i, lo / 5.0, (hi - lo) / 5.0) for i, (lo, hi) in enumerate(spans)
     )
-    assert inversion_count(Barcode(bars)) == 12  # 6 unordered inversions
+    assert inversion_count(barcode_from_bars(bars)) == 12  # 6 unordered inversions
 
 
 def test_compound_counts_match_scores():
     rng = np.random.default_rng(37)
     births = rng.uniform(0, 10, 80)
     lifetimes = rng.uniform(0, 1.2, 80)
-    bars = Barcode(tuple(Bar(i, float(b), float(l)) for i, (b, l) in enumerate(zip(births, lifetimes))))
+    bars = Barcode(np.arange(80), births, lifetimes)
     G = inversion_compound_counts(births, lifetimes)
     for i, bar in enumerate(bars.bars):
         naive = sum(inversion_score(bar, other) for other in bars.bars if other.owner != bar.owner)
@@ -238,8 +264,38 @@ def test_compound_counts_match_scores():
 
 
 def test_barcode_text_round_trip():
-    bars = Barcode((Bar(0, 0.1, 0.5), Bar(3, 1.0, math.inf), Bar(7, 2.0, 0.0)))
+    bars = Barcode([0, 3, 7], [0.1, 1.0, 2.0], [0.5, math.inf, 0.0])
     assert barcode_from_text(barcode_to_text(bars)) == bars
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0 0.1\n",                      # missing field
+        "0 0.1 0.5 7\n",                # extra field
+        "0 soon 0.5\n",                 # non-numeric birth
+        "0 inf 0.5\n",                  # non-finite birth
+        "0 0.1 -0.5\n",                 # negative lifetime
+        "0 0.1 nan\n",                  # NaN lifetime
+        "0 0.0 0.9\n0 0.1 0.5\n",      # duplicate owner
+    ],
+    ids=["missing-field", "extra-field", "non-numeric-birth", "non-finite-birth",
+         "negative-lifetime", "nan-lifetime", "duplicate-owner"],
+)
+def test_barcode_from_text_rejects_malformed_lines(text):
+    with pytest.raises(ValueError):
+        barcode_from_text(text)
+
+
+def test_barcode_columns_are_read_only_and_validated():
+    owners = np.array([4, 1])
+    bc = Barcode(owners, [0.5, 0.25], [0.2, math.inf])
+    assert owners.flags.writeable  # the caller's array is left alone
+    for column in (bc.owners, bc.births, bc.lifetimes):
+        assert not column.flags.writeable
+    assert [b.owner for b in bc.bars] == [4, 1]
+    with pytest.raises(ValueError, match="equal length"):
+        Barcode([0, 1], [0.0], [0.5, 0.5])
 
 
 # -- shields ---------------------------------------------------------------------

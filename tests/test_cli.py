@@ -194,6 +194,7 @@ def test_config_file_round_trip(tmp_path, capsys):
     meta = json.loads((tmp_path / "out" / "meta.json").read_text())
     assert meta["config"]["model"] == "inversion-uniform"
     assert meta["config"]["seed"] == 3
+    assert "jobs" not in meta["config"]  # an execution setting, not a result key
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -202,6 +203,17 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
                                 "seed": 3, "typo_key": 1}))
     code, _, err = run_cli(["clt", "--config", str(path)], capsys)
     assert code == 2
+
+
+def test_retired_beta3_config_key_rejected(tmp_path, capsys):
+    # no experiment reads beta3, so a config that carries it is refused
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": "inversion-uniform", "n_grid": [4, 6], "reps": 2,
+                                "seed": 3, "beta3": "banana"}))
+    code, _, err = run_cli(["clt", "--config", str(path)], capsys)
+    assert code == 2
+    assert "unknown config keys" in err
+    assert "beta3" in err
 
 
 def test_stabilization_subcommand(capsys):
