@@ -7,6 +7,13 @@ bars are never admissible (admissibility requires a lifetime in the open
 interval (0, 1)).  Barcodes and merge forests are stored as arrays aligned
 with the rows of their configuration; ``Bar`` is the scalar form that the
 literal definitions (``inversion_score``) take.
+
+The merge forest uses the column-type locality of the model: a point's
+ancestor lies within the cylinder radius in coordinates 2..d, so ancestors
+come from a cKDTree candidate-pair search with an exact recheck, and no
+N x N array is built on the tree-lifetime path.  Likewise the pairs whose
+inversion score changes between two bar tables are found among the pairs
+that touch a changed bar (``changed_inversion_pairs``).
 """
 from __future__ import annotations
 
@@ -111,19 +118,26 @@ def uniform_lifetimes(cfg: PointConfiguration) -> Barcode:
 def _ancestor_indices(positions: np.ndarray, cylinder_radius: float) -> np.ndarray:
     """For time-sorted positions, the index of each point's earliest strict
     successor within the cylinder (spatial distance in coordinates 2..d at
-    most the radius); -1 when none exists."""
+    most the radius); -1 when none exists.
+
+    A cKDTree over coordinates 2..d lists the candidate pairs within the
+    radius widened by a relative 1e-9, a superset of the cylinder pairs; each
+    candidate is then decided by the sum of squared coordinate differences
+    against the squared radius, so boundaries, ties and repeated positions
+    decide as in a dense all-pairs test while memory stays linear in the
+    number of candidate pairs.
+    """
+    if not (math.isfinite(cylinder_radius) and cylinder_radius > 0):
+        raise ValueError(f"cylinder radius must be finite and > 0, got {cylinder_radius}")
     n = len(positions)
-    anc = np.full(n, -1, dtype=np.int64)
-    if n < 2:
-        return anc
     rest = positions[:, 1:]
-    d2 = rest[:, None, :] - rest[None, :, :]
-    within = np.einsum("ijk,ijk->ij", d2, d2) <= cylinder_radius**2 + 0.0
-    later = np.triu(np.ones((n, n), dtype=bool), 1)  # strict (time, coords, id) order
-    cand = within & later
-    has = cand.any(axis=1)
-    anc[has] = np.argmax(cand[has], axis=1)
-    return anc
+    pairs = cKDTree(rest).query_pairs(cylinder_radius * (1.0 + 1e-9), output_type="ndarray")
+    i, j = pairs[:, 0], pairs[:, 1]  # i < j: j is later in row order
+    diff = rest[i] - rest[j]
+    within = np.einsum("ij,ij->i", diff, diff) <= cylinder_radius**2 + 0.0
+    earliest = np.full(n, n, dtype=np.int64)
+    np.minimum.at(earliest, i[within], j[within])
+    return np.where(earliest < n, earliest, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,12 +223,43 @@ def inversion_score(x_bar: Bar, y_bar: Bar) -> int:
 def inversion_matrix(births: np.ndarray, lifetimes: np.ndarray) -> np.ndarray:
     """``inversion_score`` between every pair of bars given as (birth,
     lifetime) columns: a symmetric boolean matrix with a false diagonal."""
+    return _inversion_rows(births, lifetimes, slice(None))
+
+
+def _inversion_rows(births: np.ndarray, lifetimes: np.ndarray, rows) -> np.ndarray:
+    """``inversion_score`` between the bars at ``rows`` and every bar: a
+    (len(rows), N) boolean matrix."""
     ok = (lifetimes > 0) & (lifetimes < 1)
     d = np.where(ok, births + np.where(ok, lifetimes, 0.0), 0.0)  # masked rows never compare
-    bb = births[:, None] - births[None, :]
-    dd = d[:, None] - d[None, :]
+    bb = births[rows, None] - births[None, :]
+    dd = d[rows, None] - d[None, :]
     inv = ((bb < 0) & (dd > 0)) | ((bb > 0) & (dd < 0))
-    return inv & ok[:, None] & ok[None, :]
+    return inv & ok[rows, None] & ok[None, :]
+
+
+def changed_inversion_pairs(
+    births0: np.ndarray, lifetimes0: np.ndarray, births1: np.ndarray, lifetimes1: np.ndarray
+) -> np.ndarray:
+    """Row pairs (i < j, ascending) whose inversion score differs between two
+    row-aligned bar tables, as a (P, 2) int64 array.
+
+    A score depends only on its two bars, so only the pairs that touch one of
+    the k rows whose birth or lifetime changed are evaluated: k x N scores per
+    table, in blocks of bounded size.
+    """
+    n = len(births0)
+    moved = np.flatnonzero((births0 != births1) | (lifetimes0 != lifetimes1))
+    found = [np.empty((0, 2), dtype=np.int64)]
+    block = max(1, 2_000_000 // max(1, n))
+    for start in range(0, len(moved), block):
+        rows = moved[start : start + block]
+        diff = _inversion_rows(births0, lifetimes0, rows) != _inversion_rows(
+            births1, lifetimes1, rows
+        )
+        k, j = np.nonzero(diff)
+        i = rows[k]
+        found.append(np.column_stack((np.minimum(i, j), np.maximum(i, j))))
+    return np.unique(np.concatenate(found), axis=0)  # a pair of two moved rows shows twice
 
 
 class _Fenwick:
@@ -422,26 +467,15 @@ def _pad_gaps_ok(rel_pad: np.ndarray, cylinder_radius: float, mode: str, half: f
     order = np.lexsort(tuple(rel_pad[:, k] for k in range(rel_pad.shape[1] - 1, -1, -1)))
     pad = rel_pad[order]
     anc = _ancestor_indices(pad, cylinder_radius)
-    n = len(pad)
     top = pad[:, -1] >= half - TOP_STRIP
     if mode == "successor":
-        for i in range(n):
-            if top[i] or anc[i] < 0:
-                continue
-            if pad[anc[i], 0] - pad[i, 0] > GAP:
-                return False
-        return True
-    earliest_child = np.full(n, -1, dtype=np.int64)
-    for i in range(n):
-        j = anc[i]
-        if j >= 0 and earliest_child[j] < 0:
-            earliest_child[j] = i  # children visited in time order
-    for j in range(n):
-        if top[j] or earliest_child[j] < 0:
-            continue
-        if pad[j, 0] - pad[earliest_child[j], 0] > GAP:
-            return False
-    return True
+        rows = np.flatnonzero(~top & (anc >= 0))
+        return not (pad[anc[rows], 0] - pad[rows, 0] > GAP).any()
+    kids = np.flatnonzero(anc >= 0)
+    # kid rows ascend in time, so each parent's first kid is its earliest child
+    parents, first = np.unique(anc[kids], return_index=True)
+    rows = ~top[parents]
+    return not (pad[parents[rows], 0] - pad[kids[first][rows], 0] > GAP).any()
 
 
 def shield_membership(box_cfg: ShieldedBoxConfig, cylinder_radius: float = 1.0) -> bool:
@@ -480,18 +514,18 @@ def _outside_box(cfg: PointConfiguration, center) -> np.ndarray:
     return np.abs(cfg.positions - np.array(center, dtype=float)).max(axis=1) > 4.0
 
 
-def _tree_pair_scores(cfg: PointConfiguration, ids: list[int], cylinder_radius: float) -> np.ndarray:
-    """Tree-lifetime inversion scores between the points with the given ids."""
+def _tree_barcode_rows(cfg: PointConfiguration, ids, cylinder_radius: float):
+    """Tree-lifetime (birth, lifetime) columns of the points with the given ids."""
     barcode = elder_lifetimes(build_merge_forest(cfg, cylinder_radius))
     rows = id_rows(cfg.ids, ids)
-    return inversion_matrix(barcode.births[rows], barcode.lifetimes[rows])
+    return barcode.births[rows], barcode.lifetimes[rows]
 
 
 def outside_pair_scores(cfg: PointConfiguration, center, cylinder_radius: float = 1.0):
     """Tree-lifetime inversion scores between all pairs of points outside the
     side-8 box at ``center``: returns (outside ids, boolean score matrix)."""
     outside = cfg.ids[_outside_box(cfg, center)].tolist()
-    return outside, _tree_pair_scores(cfg, outside, cylinder_radius)
+    return outside, inversion_matrix(*_tree_barcode_rows(cfg, outside, cylinder_radius))
 
 
 def _box_center(box) -> tuple[float, ...]:
@@ -529,7 +563,8 @@ def shield_property_check(
         box_cfg = ShieldedBoxConfig.from_configuration(cfg, center)
         if not shield_membership(box_cfg, cylinder_radius):
             raise ValueError("box content is not a shield configuration")
-    outside, before = outside_pair_scores(cfg, center, cylinder_radius)
+    outside = cfg.ids[_outside_box(cfg, center)]
     cfg2 = insert_point(cfg, pos, None if not cfg.mark_model.has_marks else x.mark)
-    after = _tree_pair_scores(cfg2, outside, cylinder_radius)
-    return bool(np.array_equal(before, after))
+    before = _tree_barcode_rows(cfg, outside, cylinder_radius)
+    after = _tree_barcode_rows(cfg2, outside, cylinder_radius)
+    return len(changed_inversion_pairs(*before, *after)) == 0

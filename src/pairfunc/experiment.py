@@ -57,8 +57,10 @@ class ExperimentConfig:
     jobs: int | None = None  # execution only: outside hash() and meta.json
 
     def __post_init__(self):
+        """Validate every key, so that a bad value exits as a configuration
+        error before any replication runs."""
         try:
-            get_model(self.model, self.cutoff)
+            model = get_model(self.model, self.cutoff)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         grid = tuple(float(n) for n in self.n_grid)
@@ -68,7 +70,20 @@ class ExperimentConfig:
             raise ConfigError("need at least 2 replications")
         if self.d < 1:
             raise ConfigError("dimension must be >= 1")
+        for key in ("intensity", "cutoff"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{key} must be finite and > 0, got {value}")
+        if self.jobs is not None and (type(self.jobs) is not int or self.jobs < 1):
+            raise ConfigError(f"jobs must be null or an integer >= 1, got {self.jobs!r}")
         object.__setattr__(self, "n_grid", grid)
+        for n in grid:
+            try:
+                window = self.window(n)
+                if model.admissibility.kind == "tree_realization":
+                    window.shrunk()
+            except ValueError as exc:
+                raise ConfigError(f"window at n={n:g}: {exc}") from exc
 
     def window(self, n: float) -> Window:
         return Window(
@@ -115,9 +130,9 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
-            return cls(
-                model=rec["model"],
-                n_grid=tuple(rec["n_grid"]),
+            fields = dict(
+                model=str(rec["model"]),
+                n_grid=tuple(float(n) for n in rec["n_grid"]),
                 reps=int(rec["reps"]),
                 seed=int(rec["seed"]),
                 d=int(rec.get("d", 2)),
@@ -130,6 +145,9 @@ class ExperimentConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"missing config key: {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed config value: {exc}") from exc
+        return cls(**fields)
 
 
 @dataclass(frozen=True)

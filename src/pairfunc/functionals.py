@@ -16,7 +16,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .barcodes import inversion_matrix
+from .barcodes import changed_inversion_pairs
 from .process import MarkedPoint, PointConfiguration, id_rows, insert_point
 
 __all__ = [
@@ -191,7 +191,8 @@ class SparsePairSnapshot:
 
 class BarPairSnapshot:
     """Scores determined by per-point (birth, lifetime) rows; changed pairs are
-    found with one vectorized comparison restricted to the original ids."""
+    found among the pairs touching a row that changed, restricted to the
+    original ids."""
 
     def __init__(self, ids: np.ndarray, births: np.ndarray, lifetimes: np.ndarray):
         self.ids = ids
@@ -202,11 +203,12 @@ class BarPairSnapshot:
         keep_self = np.flatnonzero(np.isin(self.ids, other.ids))
         common = self.ids[keep_self]
         keep_other = id_rows(other.ids, common)
-        before = inversion_matrix(self.births[keep_self], self.lifetimes[keep_self])
-        after = inversion_matrix(other.births[keep_other], other.lifetimes[keep_other])
-        ii, jj = np.nonzero(np.triu(before != after, 1))
-        for i, j in zip(ii.tolist(), jj.tolist()):
-            yield int(common[i]), int(common[j])
+        pairs = changed_inversion_pairs(
+            self.births[keep_self], self.lifetimes[keep_self],
+            other.births[keep_other], other.lifetimes[keep_other],
+        )
+        for a, b in common[pairs].tolist():
+            yield a, b
 
 
 def empirical_stabilization_radius(

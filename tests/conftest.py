@@ -84,6 +84,52 @@ def box_enumeration_oracle(partition, j):
     return boxes[j - 1]
 
 
+def ancestor_indices_oracle(positions, cylinder_radius):
+    """Dense all-pairs ancestor search: the earliest later row whose
+    coordinates 2..d lie within the cylinder radius, or -1."""
+    n = len(positions)
+    anc = np.full(n, -1, dtype=np.int64)
+    if n < 2:
+        return anc
+    rest = positions[:, 1:]
+    d2 = rest[:, None, :] - rest[None, :, :]
+    within = np.einsum("ijk,ijk->ij", d2, d2) <= cylinder_radius**2 + 0.0
+    later = np.triu(np.ones((n, n), dtype=bool), 1)
+    cand = within & later
+    has = cand.any(axis=1)
+    anc[has] = np.argmax(cand[has], axis=1)
+    return anc
+
+
+def pad_gaps_oracle(rel_pad, cylinder_radius, mode, half, gap=0.5, top_strip=0.5):
+    """Point-by-point gap clauses of one shield pad (see ``_pad_gaps_ok``)."""
+    if len(rel_pad) == 0:
+        return True
+    order = np.lexsort(tuple(rel_pad[:, k] for k in range(rel_pad.shape[1] - 1, -1, -1)))
+    pad = rel_pad[order]
+    anc = ancestor_indices_oracle(pad, cylinder_radius)
+    n = len(pad)
+    top = pad[:, -1] >= half - top_strip
+    if mode == "successor":
+        for i in range(n):
+            if top[i] or anc[i] < 0:
+                continue
+            if pad[anc[i], 0] - pad[i, 0] > gap:
+                return False
+        return True
+    earliest_child = np.full(n, -1, dtype=np.int64)
+    for i in range(n):
+        j = anc[i]
+        if j >= 0 and earliest_child[j] < 0:
+            earliest_child[j] = i  # children visited in time order
+    for j in range(n):
+        if top[j] or earliest_child[j] < 0:
+            continue
+        if pad[j, 0] - pad[earliest_child[j], 0] > gap:
+            return False
+    return True
+
+
 def forest_oracle_lifetimes(cfg, cylinder_radius=1.0):
     """Definition-literal merge forest lifetimes via exhaustive path scans."""
     pts = list(cfg.points)

@@ -20,6 +20,8 @@ from pairfunc.barcodes import (
     shield_membership,
     shield_property_check,
     uniform_lifetimes,
+    _ancestor_indices,
+    _pad_gaps_ok,
 )
 from pairfunc.fixtures import (
     POISSON_TREE_FIGURE_LIFETIMES,
@@ -31,10 +33,12 @@ from pairfunc.geometry import Window
 from pairfunc.process import MarkModel, PointConfiguration, id_rows, sample_ppp
 
 from conftest import (
+    ancestor_indices_oracle,
     barcode_from_bars,
     forest_oracle_lifetimes,
     inversion_count_quadratic,
     make_configuration,
+    pad_gaps_oracle,
     random_configuration,
 )
 
@@ -173,6 +177,75 @@ def test_forest_on_lattice_matches_oracle_and_is_consistent(cells):
     bc_rows = id_rows(cfg.ids, bc.owners)
     assert np.array_equal(cfg.ids[bc_rows], bc.owners)
     assert np.array_equal(bc_rows, rows)  # bars follow the configuration's rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 3),
+    st.sampled_from([0.5, 1.0, 2.0]),
+    st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20), st.integers(0, 20)),
+             min_size=0, max_size=40),
+)
+def test_sparse_ancestor_search_matches_dense_oracle(d, radius, cells):
+    # a 0.1-step lattice: offsets such as (0.3, 0.4), (0.6, 0.8) and (1.2, 1.6)
+    # land on the cylinder boundary up to rounding; positions repeat
+    positions = 0.1 * np.array(cells, dtype=float).reshape(-1, 3)[:, :d]
+    got = _ancestor_indices(positions, radius)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, ancestor_indices_oracle(positions, radius))
+
+
+@pytest.mark.parametrize(
+    "rest0, rest1, radius, linked",
+    [
+        ((0.0, 0.0), (0.6, 0.8), 1.0, True),        # squared offset exactly 1.0: closed boundary
+        ((0.0, 0.0), (1.2, 1.6), 2.0, True),        # exactly 4.0
+        ((0.0, 0.1), (0.0, 0.1 * 6), 0.5, False),   # rounds to 0.2500000000000001
+        ((0.0, 0.1 * 6), (0.1 * 3, 1.0), 0.5, True),  # rounds to 0.24999999999999994
+        ((0.0, 0.1 * 2), (0.0, 0.1 * 12), 1.0, False),  # rounds to 1.0000000000000004
+        ((0.0, 0.1 * 12), (0.1 * 6, 2.0), 1.0, True),   # rounds to 0.9999999999999998
+    ],
+)
+def test_sparse_ancestor_search_on_the_boundary(rest0, rest1, radius, linked):
+    # offsets on the cylinder boundary in exact arithmetic are decided by the
+    # rounded sum of squares, as in the dense all-pairs test
+    positions = np.array([(0.0, *rest0), (1.0, *rest1)])
+    got = _ancestor_indices(positions, radius)
+    assert got.tolist() == ([1, -1] if linked else [-1, -1])
+    assert np.array_equal(got, ancestor_indices_oracle(positions, radius))
+    assert _ancestor_indices(positions[:0], radius).tolist() == []
+    assert _ancestor_indices(positions[:1], radius).tolist() == [-1]
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan])
+def test_merge_forest_rejects_bad_cylinder_radius(radius):
+    cfg = make_configuration(W2, [(1.0, 1.0), (2.0, 1.5)])
+    with pytest.raises(ValueError, match="cylinder radius"):
+        build_merge_forest(cfg, radius)
+
+
+def test_lifetimes_match_exhaustive_path_oracle_in_three_dimensions():
+    rng = np.random.default_rng(29)
+    for _ in range(60):
+        count = int(rng.integers(1, 50))
+        cfg = random_configuration(rng, Window(n=6.0, dim=3), count)
+        got = {b.owner: b.lifetime for b in elder_lifetimes(build_merge_forest(cfg)).bars}
+        assert got == forest_oracle_lifetimes(cfg)
+
+
+def test_merge_forest_memory_stays_sparse_at_scale():
+    # n = 128 holds ~16k points: a dense N x N search would need ~6 GB
+    import tracemalloc
+
+    cfg = sample_ppp(Window(n=128.0, dim=2), 1.0, MarkModel.none(), seed=128)
+    assert len(cfg) > 15_000
+    tracemalloc.start()
+    try:
+        build_merge_forest(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
 
 
 def test_ancestors_depend_only_on_later_points():
@@ -353,6 +426,22 @@ def test_inner_cube_points_do_not_affect_membership():
 def test_malformed_box_rejected():
     with pytest.raises(ValueError):
         ShieldedBoxConfig(CENTER, ((20.0, 12.0),))
+
+
+def test_pad_gap_clauses_match_pointwise_oracle():
+    # time spans wider than a pad, so that both clauses can fail
+    rng = np.random.default_rng(37)
+    outcomes = set()
+    for _ in range(300):
+        count = int(rng.integers(0, 30))
+        t = rng.uniform(-4.0, -4.0 + float(rng.choice([0.5, 1.5, 3.0])), count)
+        h = np.round(rng.uniform(-4.0, 4.0, count) * 4) / 4  # ties on a 1/4 grid
+        pad = np.column_stack((t, h))
+        for mode in ("successor", "child"):
+            got = _pad_gaps_ok(pad, 1.0, mode, 4.0)
+            assert got == pad_gaps_oracle(pad, 1.0, mode, 4.0)
+            outcomes.add((mode, got))
+    assert len(outcomes) == 4  # each clause both holds and fails
 
 
 def test_shield_property_on_template():

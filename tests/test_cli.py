@@ -216,6 +216,46 @@ def test_retired_beta3_config_key_rejected(tmp_path, capsys):
     assert "beta3" in err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"cutoff": -1}, "cutoff must be finite and > 0"),
+        ({"cutoff": 0}, "cutoff must be finite and > 0"),
+        ({"intensity": -1}, "intensity must be finite and > 0"),
+        ({"jobs": "x"}, "jobs must be null or an integer >= 1"),
+        ({"jobs": 0}, "jobs must be null or an integer >= 1"),
+        ({"jobs": 1.5}, "jobs must be null or an integer >= 1"),
+        ({"margin": 1.5}, "boundary_margin must lie in (0, 1)"),
+        ({"a": [-1.0]}, "coefficients and exponents must be positive"),
+        ({"alpha": [1.0, 1.0]}, "need one coefficient and one exponent per axis"),
+        ({"reps": "x"}, "malformed config value"),
+        ({"model": "treelog-uniform", "margin": 0.9}, "shrunk window is empty"),
+    ],
+)
+def test_invalid_config_value_rejected_up_front(tmp_path, capsys, edit, message):
+    rec = {"model": "inversion-tree", "n_grid": [4, 6], "reps": 2, "seed": 3, **edit}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(rec))
+    code, out, err = run_cli(["clt", "--config", str(path), "--out", str(tmp_path / "out")],
+                             capsys)
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("PAIRFUNC_ERROR code=2 kind=config")
+    assert message in lines[0]
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_jobs_flag_validated_up_front(capsys):
+    code, _, err = run_cli(
+        ["clt", "--model", "inversion-uniform", "--n-grid", "4,6", "--reps", "2",
+         "--seed", "1", "--jobs", "0"],
+        capsys,
+    )
+    assert code == 2
+    assert err.count("PAIRFUNC_ERROR") == 1 and "jobs must be" in err
+
+
 def test_stabilization_subcommand(capsys):
     code, out, _ = run_cli(
         ["stabilization", "--model", "crossing-fixed", "--n", "4", "--d", "3",

@@ -4,9 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pairfunc.barcodes import Bar, inversion_score
 from pairfunc.functionals import (
     AdmissibilityRule,
+    BarPairSnapshot,
     FunctionalValue,
     compound_score,
     diff_first,
@@ -291,3 +295,50 @@ def test_stabilization_radius_with_admissibility_matches_oracle():
             cfg, x, treelog_tree.score, treelog_tree.admissibility
         )
         assert got == oracle
+
+
+# a lifetime lattice with ties, zeros, ones and +inf (never admissible)
+_LIFE = st.sampled_from([0.5, 0.25, 0.75, 0.0, 1.0, math.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # per row: birth, lifetime, new birth (None keeps it), new lifetime, changed in "some"
+    st.lists(
+        st.tuples(st.integers(0, 4), _LIFE, st.none() | st.integers(0, 4), _LIFE, st.booleans()),
+        max_size=14,
+    ),
+    st.sampled_from(["none", "one", "some", "all"]),
+    st.integers(0, 13),
+)
+def test_local_changed_pairs_match_dense_comparison(rows, how, pick):
+    n = len(rows)
+    moved = {
+        "none": [False] * n,
+        "one": [k == pick % max(n, 1) for k in range(n)],
+        "some": [row[-1] for row in rows],
+        "all": [True] * n,
+    }[how]
+    ids = np.arange(10, 10 + n, dtype=np.int64)
+    births = 0.25 * np.array([row[0] for row in rows], dtype=float)
+    lifetimes = np.array([row[1] for row in rows], dtype=float)
+    births2 = 0.25 * np.array(
+        [b if nb is None or not m else nb for (b, _, nb, _, _), m in zip(rows, moved)], dtype=float
+    )
+    lifetimes2 = np.array([l2 if m else l for (_, l, _, l2, _), m in zip(rows, moved)], dtype=float)
+    # the rebuilt snapshot carries one extra id (the inserted point), first in row order
+    after = BarPairSnapshot(
+        np.concatenate(([-1], ids)), np.concatenate(([0.5], births2)),
+        np.concatenate(([0.5], lifetimes2)),
+    )
+    got = list(BarPairSnapshot(ids, births, lifetimes).changed_pairs(after))
+
+    def score(b, life, i, j):
+        return inversion_score(Bar(0, b[i], life[i]), Bar(1, b[j], life[j]))
+
+    expected = [
+        (int(ids[i]), int(ids[j]))
+        for i in range(n) for j in range(i + 1, n)
+        if score(births, lifetimes, i, j) != score(births2, lifetimes2, i, j)
+    ]
+    assert got == expected
