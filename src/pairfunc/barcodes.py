@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import Cube, _g17
+from .geometry import AxisBox, Cube, _g17
 from .process import MarkedPoint, PointConfiguration, id_rows, insert_point
 
 __all__ = [
@@ -362,26 +362,28 @@ GAP = 0.5                # successor / earliest-child gap bound inside pads
 TOP_STRIP = 0.5          # exempt strip at the top of the last axis
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShieldedBoxConfig:
     """A side-8 box (half-side 4), its side-4 inner cube, and the points that
-    fall inside the box.  Pad membership is decided on coordinates relative to
-    the box center."""
+    fall inside the box, stored as a read-only (N, d) float64 array.  Pad
+    membership is decided on coordinates relative to the box center."""
 
     center: tuple[float, ...]
-    points: tuple[tuple[float, ...], ...]
+    points: np.ndarray
     half_side: float = 4.0
     inner_half_side: float = 2.0
     coverage_grid: float = 0.02
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(v) for v in self.center))
-        pts = tuple(tuple(float(v) for v in p) for p in self.points)
-        for p in pts:
-            if len(p) != len(self.center):
-                raise ValueError("point dimension does not match the box center")
-            if any(abs(a - c) > self.half_side for a, c in zip(p, self.center)):
-                raise ValueError("malformed box geometry: point outside the box")
+        pts = np.array(self.points, dtype=np.float64)
+        if pts.size == 0:
+            pts = pts.reshape(0, self.dim)
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise ValueError("point dimension does not match the box center")
+        if not Cube(self.center, self.half_side).mask(pts).all():
+            raise ValueError("malformed box geometry: point outside the box")
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     @property
@@ -389,13 +391,9 @@ class ShieldedBoxConfig:
         return len(self.center)
 
     def relative(self) -> np.ndarray:
-        if not self.points:
-            return np.empty((0, self.dim))
-        return np.asarray(self.points, dtype=float) - np.asarray(self.center)
+        return self.points - np.array(self.center)
 
     def _pad_box(self, t_lo: float, t_hi: float, top_only: bool):
-        from .geometry import AxisBox
-
         lower = [self.center[0] + t_lo] + [c - self.half_side for c in self.center[1:]]
         upper = [self.center[0] + t_hi] + [c + self.half_side for c in self.center[1:]]
         if top_only:
@@ -425,8 +423,7 @@ class ShieldedBoxConfig:
     def from_configuration(
         cls, cfg: PointConfiguration, center, **kw
     ) -> "ShieldedBoxConfig":
-        inside = ~_outside_box(cfg, center)
-        return cls(tuple(center), tuple(map(tuple, cfg.positions[inside].tolist())), **kw)
+        return cls(tuple(center), cfg.positions[~_outside_box(cfg, center)], **kw)
 
 
 def _pad_masks(rel: np.ndarray, half: float):
@@ -485,12 +482,8 @@ def shield_membership(box_cfg: ShieldedBoxConfig, cylinder_radius: float = 1.0) 
     if box_cfg.dim != 2:
         raise ValueError("shield membership is implemented for dimension 2")
     half = box_cfg.half_side
-    rel = box_cfg.relative()
-    if len(rel):
-        cheb = np.abs(rel).max(axis=1)
-        annulus = rel[cheb > box_cfg.inner_half_side]
-    else:
-        annulus = rel
+    inner = Cube(box_cfg.center, box_cfg.inner_half_side)
+    annulus = box_cfg.relative()[~inner.mask(box_cfg.points)]
     if len(annulus) == 0:
         return False  # empty pads can never be covered
     minus, plus, _ = _pad_masks(annulus, half)
@@ -511,7 +504,7 @@ def shield_membership(box_cfg: ShieldedBoxConfig, cylinder_radius: float = 1.0) 
 
 def _outside_box(cfg: PointConfiguration, center) -> np.ndarray:
     """Row mask of the points outside the side-8 box at ``center``."""
-    return np.abs(cfg.positions - np.array(center, dtype=float)).max(axis=1) > 4.0
+    return ~Cube(tuple(center), 4.0).mask(cfg.positions)
 
 
 def _tree_barcode_rows(cfg: PointConfiguration, ids, cylinder_radius: float):

@@ -20,6 +20,7 @@ from .barcodes import ShieldedBoxConfig, shield_membership, shield_property_chec
 from .experiment import (
     ConfigError,
     ExperimentConfig,
+    read_config_file,
     run_experiment,
     stabilization_survey,
     write_outputs,
@@ -56,12 +57,14 @@ def _resolve_model(model_id: str, cutoff: float = 1.0):
         raise ConfigError(str(exc)) from exc
 
 
-def _load_experiment_config(args, defaults: dict) -> ExperimentConfig:
+_DEFAULT_GRIDS = {"clt": [8, 16, 32], "scaling": [8, 12, 16, 24, 32]}
+
+
+def _load_experiment_config(args) -> ExperimentConfig:
     if args.config:
-        config = ExperimentConfig.from_file(args.config)
-        rec = config.canonical()
+        rec = ExperimentConfig.from_file(args.config).canonical()
     else:
-        rec = dict(defaults)
+        rec = {"model": "inversion-uniform", "n_grid": _DEFAULT_GRIDS[args.command], "reps": 200}
     if args.model:
         rec["model"] = args.model
     if args.n_grid:
@@ -70,7 +73,7 @@ def _load_experiment_config(args, defaults: dict) -> ExperimentConfig:
         rec["reps"] = args.reps
     if args.seed is not None:
         rec["seed"] = args.seed
-    if getattr(args, "jobs", None) is not None:
+    if args.jobs is not None:
         rec["jobs"] = args.jobs
     seed = _seed_override(rec.get("seed"))
     if seed is None:
@@ -79,19 +82,9 @@ def _load_experiment_config(args, defaults: dict) -> ExperimentConfig:
     return ExperimentConfig.from_record(rec)
 
 
-
 def _config_defaults(args) -> dict:
     """Shared keys (model, seed, d, cutoff, ...) from --config, when given."""
-    config = getattr(args, "config", None)
-    if not config:
-        return {}
-    try:
-        rec = json.loads(Path(config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {config}: {exc}") from exc
-    if not isinstance(rec, dict):
-        raise ConfigError("config file must hold a JSON object")
-    return rec
+    return read_config_file(args.config) if args.config else {}
 
 
 def _cmd_sample(args) -> int:
@@ -148,25 +141,15 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _cmd_clt(args) -> int:
-    config = _load_experiment_config(
-        args, {"model": "inversion-uniform", "n_grid": [8, 16, 32], "reps": 200, "seed": None}
-    )
-    record = run_experiment(config)
-    paths = write_outputs(record, args.out or "clt-out", args.format)
-    for s in record.summaries:
-        print(f"n={s.n:g} M={s.count} w1={s.w1:.6f} ks={s.ks:.6f}")
-    print(f"written: {', '.join(str(p) for p in paths)}")
-    return 0
-
-
-def _cmd_scaling(args) -> int:
-    config = _load_experiment_config(
-        args, {"model": "inversion-uniform", "n_grid": [8, 12, 16, 24, 32], "reps": 200, "seed": None}
-    )
-    record = run_experiment(config)
-    paths = write_outputs(record, args.out or "scaling-out", args.format)
-    if record.scaling:
+def _cmd_experiment(args) -> int:
+    """``clt`` and ``scaling``: one experiment run, differing only in the
+    default grid, the output directory and the printed report."""
+    record = run_experiment(_load_experiment_config(args))
+    paths = write_outputs(record, args.out or f"{args.command}-out", args.format)
+    if args.command == "clt":
+        for s in record.summaries:
+            print(f"n={s.n:g} M={s.count} w1={s.w1:.6f} ks={s.ks:.6f}")
+    elif record.scaling:
         print(f"slope={record.scaling.slope:.6f} stderr={record.scaling.stderr:.6f}")
     print(f"written: {', '.join(str(p) for p in paths)}")
     return 0
@@ -278,14 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_evaluate)
 
-    for name, fn in (("clt", _cmd_clt), ("scaling", _cmd_scaling)):
+    for name in _DEFAULT_GRIDS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--model", default=None)
         p.add_argument("--n-grid", default=None, help="comma-separated scales")
         p.add_argument("--reps", type=int, default=None)
         p.add_argument("--jobs", type=int, default=None)
         _add_common(p)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("stabilization", help="survey empirical stabilization radii")
     p.add_argument("--model", default=None)
@@ -321,6 +304,8 @@ def main(argv=None) -> int:
         return _error("config", str(exc))
     except (ValueError, KeyError, OSError) as exc:
         return _error("runtime", str(exc))
+    except MemoryError as exc:
+        return _error("runtime", "out of memory" + (f": {exc}" if str(exc) else ""))
 
 
 if __name__ == "__main__":

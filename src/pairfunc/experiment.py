@@ -14,14 +14,14 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .geometry import Window
-from .models import Model, get_model
+from .models import get_model
 from .stats import (
     ScalingFit,
     kolmogorov_to_standard_normal,
@@ -30,7 +30,8 @@ from .stats import (
     wasserstein1_to_standard_normal,
 )
 
-__all__ = ["ExperimentConfig", "RunRecord", "run_experiment", "write_outputs", "ConfigError"]
+__all__ = ["ExperimentConfig", "RunRecord", "run_experiment", "write_outputs", "ConfigError",
+           "read_config_file"]
 
 SCHEMA_VERSION = "pairfunc-v1"
 RESULTS_HEADER = "model,n,rep,value,admissible,dropped_zero_g"
@@ -40,6 +41,18 @@ LONG_HEADER = "n,metric,value"
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+def read_config_file(path: str | Path) -> dict:
+    """The JSON object held by a config file; ConfigError when the file cannot
+    be read or parsed or holds anything but an object."""
+    try:
+        rec = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(rec, dict):
+        raise ConfigError("config file must hold a JSON object")
+    return rec
 
 
 @dataclass(frozen=True)
@@ -114,11 +127,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        try:
-            rec = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_record(rec)
+        return cls.from_record(read_config_file(path))
 
     @classmethod
     def from_record(cls, rec: dict) -> "ExperimentConfig":
@@ -352,6 +361,8 @@ def stabilization_survey(
 ) -> StabilizationSurvey:
     """Draw (configuration, insertion point) pairs and measure the empirical
     stabilization radius of the model's pair score at each insertion."""
+    if draws < 1:
+        raise ConfigError(f"draws must be >= 1, got {draws}")
     from .functionals import empirical_stabilization_radius
     from .process import MarkedPoint, derive_rng
     from .stats import loglinear_fit

@@ -13,7 +13,7 @@ import numpy as np
 
 from .geometry import Cube, Window
 from .graphs import DirectedRandom
-from .process import MarkModel, MarkedPoint, PointConfiguration, derive_rng
+from .process import MarkModel, PointConfiguration, derive_rng
 
 __all__ = [
     "poisson_tree_figure_configuration",
@@ -135,19 +135,13 @@ def sample_shielded_configuration(
     if window.dim != 2:
         raise ValueError("shield sampling is implemented for dimension 2")
     rng = derive_rng(seed, 7)
-    pts = shield_template_points(center, rng)
-    box = Cube(tuple(center), 4.0)
-    inner = Cube(tuple(center), 2.0)
+    parts = [np.array(shield_template_points(center, rng))]
     n_outside = rng.poisson(intensity * window.volume)
-    sides = np.array(window.sides)
-    draws = rng.uniform(0.0, 1.0, (n_outside, 2)) * sides
-    for p in draws:
-        if not box.contains(p):
-            pts.append((float(p[0]), float(p[1])))
+    draws = rng.uniform(0.0, 1.0, (n_outside, 2)) * np.array(window.sides)
+    parts.append(draws[~Cube(tuple(center), 4.0).mask(draws)])
     if inner_points:
         n_inner = rng.poisson(intensity * 16.0)
-        lo = np.array(center) - 2.0
-        for p in lo + rng.uniform(0.0, 4.0, (n_inner, 2)):
-            if inner.contains(p):
-                pts.append((float(p[0]), float(p[1])))
-    return PointConfiguration(window, MarkModel.none(), pts)
+        draws = np.array(center) - 2.0 + rng.uniform(0.0, 4.0, (n_inner, 2))
+        parts.append(draws[Cube(tuple(center), 2.0).mask(draws)])
+    # ids are assigned in draw order: template, outside draws, inner draws
+    return PointConfiguration(window, MarkModel.none(), np.vstack(parts))

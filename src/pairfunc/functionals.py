@@ -78,9 +78,7 @@ class AdmissibilityRule:
         lifetimes = getattr(ctx, "lifetimes", None)
         if lifetimes is None:
             raise ValueError("admissibility rule needs a barcode-bearing context")
-        shrunk = cfg.window.shrunk()
-        pos = cfg.positions
-        inside = ((pos >= np.array(shrunk.lower)) & (pos <= np.array(shrunk.upper))).all(axis=1)
+        inside = cfg.window.shrunk().mask(cfg.positions)
         return inside & (lifetimes > 0.0) & (lifetimes < 1.0)
 
 

@@ -34,8 +34,24 @@ def _g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
+class _Region:
+    """A closed region of dimension ``dim``.  ``mask(positions)`` maps an
+    (N, dim) array to the (N,) boolean membership array: a shape check, then
+    the region's one vectorized test ``_mask``.  ``contains(y)`` is its
+    one-row form (False for a point of another dimension)."""
+
+    def mask(self, positions) -> np.ndarray:
+        pos = np.asarray(positions, dtype=np.float64)
+        if pos.ndim != 2 or pos.shape[1] != self.dim:
+            raise ValueError(f"positions must be an (N, {self.dim}) array, got shape {pos.shape}")
+        return self._mask(pos)
+
+    def contains(self, y: Sequence[float]) -> bool:
+        return len(y) == self.dim and bool(self.mask(np.asarray(y, dtype=np.float64)[None])[0])
+
+
 @dataclass(frozen=True)
-class Window:
+class Window(_Region):
     """Rectangle [0, n] x [0, a_2 n^alpha_2] x ... x [0, a_d n^alpha_d].
 
     ``boundary_margin`` is the exponent of the margin n^boundary_margin used by
@@ -74,8 +90,8 @@ class Window:
     def volume(self) -> float:
         return float(np.prod(self.sides))
 
-    def contains(self, y: Sequence[float]) -> bool:
-        return len(y) == self.dim and all(0.0 <= v <= s for v, s in zip(y, self.sides))
+    def _mask(self, pos: np.ndarray) -> np.ndarray:
+        return ((pos >= 0.0) & (pos <= np.array(self.sides))).all(axis=1)
 
     def shrunk(self) -> "AxisBox":
         """Window trimmed by n^boundary_margin on every face; raises when empty."""
@@ -88,7 +104,7 @@ class Window:
 
 
 @dataclass(frozen=True)
-class AxisBox:
+class AxisBox(_Region):
     """Closed axis-aligned box given by lower and upper corners."""
 
     lower: tuple[float, ...]
@@ -112,14 +128,12 @@ class AxisBox:
     def volume(self) -> float:
         return float(np.prod([u - l for l, u in zip(self.lower, self.upper)]))
 
-    def contains(self, y: Sequence[float]) -> bool:
-        return len(y) == self.dim and all(
-            l <= v <= u for v, l, u in zip(y, self.lower, self.upper)
-        )
+    def _mask(self, pos: np.ndarray) -> np.ndarray:
+        return ((pos >= np.array(self.lower)) & (pos <= np.array(self.upper))).all(axis=1)
 
 
 @dataclass(frozen=True)
-class Slab:
+class Slab(_Region):
     """Column around ``center``: all window points within ``half_width`` of the
     center in each of the first ``order`` coordinates, unconstrained in the rest."""
 
@@ -135,12 +149,14 @@ class Slab:
         if not 1 <= self.order <= self.window.dim:
             raise ValueError("locality order must lie in [1, d]")
 
-    def contains(self, y: Sequence[float]) -> bool:
-        if not self.window.contains(y):
-            return False
-        return all(
-            abs(self.center[j] - y[j]) <= self.half_width for j in range(self.order)
-        )
+    @property
+    def dim(self) -> int:
+        return self.window.dim
+
+    def _mask(self, pos: np.ndarray) -> np.ndarray:
+        k = self.order
+        near = np.abs(np.array(self.center[:k]) - pos[:, :k]) <= self.half_width
+        return self.window.mask(pos) & near.all(axis=1)
 
     @property
     def volume_bound(self) -> float:
@@ -149,7 +165,7 @@ class Slab:
 
 
 @dataclass(frozen=True)
-class Cube:
+class Cube(_Region):
     """Chebyshev ball: center + [-m, m]^d."""
 
     center: tuple[float, ...]
@@ -160,10 +176,12 @@ class Cube:
         if self.half_side <= 0:
             raise ValueError("half_side must be positive")
 
-    def contains(self, y: Sequence[float]) -> bool:
-        return len(y) == len(self.center) and all(
-            abs(c - v) <= self.half_side for c, v in zip(self.center, y)
-        )
+    @property
+    def dim(self) -> int:
+        return len(self.center)
+
+    def _mask(self, pos: np.ndarray) -> np.ndarray:
+        return (np.abs(np.array(self.center) - pos) <= self.half_side).all(axis=1)
 
 
 def reference_slab_volume(window: Window, order: int, half_width: float = 1.0) -> float:

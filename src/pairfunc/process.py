@@ -174,16 +174,15 @@ class PointConfiguration:
         if pos.ndim != 2 or pos.shape[1] != dim:
             raise ValueError("point dimension does not match the window")
         count = len(pos)
-        ids = np.arange(count) if self.ids is None else self.ids
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = np.arange(count) if self.ids is None else np.asarray(self.ids, dtype=np.int64)
         marks = None if self.marks is None else np.asarray(self.marks, dtype=np.float64)
         if marks is None and count == 0 and self.mark_model.has_marks:
             marks = np.empty(0)
         if ids.shape != (count,) or (marks is not None and marks.shape != (count,)):
             raise ValueError("positions, marks and ids must have one row per point")
-        if len(np.unique(ids)) != count:
+        if self.ids is not None and len(np.unique(ids)) != count:  # arange is unique
             raise ValueError("point ids must be unique")
-        outside = ~((pos >= 0.0) & (pos <= np.array(self.window.sides))).all(axis=1)
+        outside = ~self.window.mask(pos)
         if outside.any():
             raise ValueError(f"point {ids[outside][0]} lies outside the window")
         self.mark_model.validate_marks(marks)
@@ -289,8 +288,9 @@ def remove_point(cfg: PointConfiguration, point_id: int) -> PointConfiguration:
 
 
 def count_in(cfg: PointConfiguration, region) -> int:
-    """Number of configuration points whose position lies in the region."""
-    return sum(1 for pos in cfg.positions.tolist() if region.contains(pos))
+    """Number of configuration points whose position lies in the region (any
+    object with a vectorized ``mask(positions)``)."""
+    return int(region.mask(cfg.positions).sum())
 
 
 def dump_configuration(cfg: PointConfiguration) -> str:

@@ -57,7 +57,6 @@ class SampleSummary:
     mean: float
     variance: float
     standardized: np.ndarray
-    values: np.ndarray
 
     def __post_init__(self):
         z = self.standardized
@@ -74,7 +73,7 @@ def summarize_sample(values) -> SampleSummary:
     if not var > 0:
         raise ValueError("sample variance must be positive")
     z = np.sort((v - mean) / math.sqrt(var))
-    return SampleSummary(len(v), mean, var, z, v.copy())
+    return SampleSummary(len(v), mean, var, z)
 
 
 def wasserstein1_to_standard_normal(sample) -> float:

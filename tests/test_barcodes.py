@@ -428,6 +428,21 @@ def test_malformed_box_rejected():
         ShieldedBoxConfig(CENTER, ((20.0, 12.0),))
 
 
+def test_shield_box_points_are_a_validated_array():
+    # six numbers must not pass as three 2-d rows
+    with pytest.raises(ValueError, match="point dimension does not match the box center"):
+        ShieldedBoxConfig(CENTER, ((12.0, 12.0, 12.0), (12.5, 12.5, 12.5)))
+    with pytest.raises(ValueError, match="point dimension does not match the box center"):
+        ShieldedBoxConfig(CENTER, (12.0, 12.0))
+    with pytest.raises(ValueError, match="outside the box"):
+        ShieldedBoxConfig(CENTER, ((16.0, 12.0), (12.0, np.nextafter(8.0, 0.0))))
+    box = ShieldedBoxConfig(CENTER, [(16.0, 8.0), (12.0, 12.5)])  # a corner lies in the box
+    assert box.points.dtype == np.float64 and box.points.shape == (2, 2)
+    assert not box.points.flags.writeable
+    assert box.relative().tolist() == [[4.0, -4.0], [0.0, 0.5]]
+    assert ShieldedBoxConfig(CENTER, ()).relative().shape == (0, 2)
+
+
 def test_pad_gap_clauses_match_pointwise_oracle():
     # time spans wider than a pad, so that both clauses can fail
     rng = np.random.default_rng(37)

@@ -267,6 +267,53 @@ def test_stabilization_subcommand(capsys):
     assert all(s == 0 for s in rec["survival"]) or rec["survival"] == []
 
 
+def test_stabilization_zero_draws_is_config_error(capsys):
+    code, out, err = run_cli(
+        ["stabilization", "--model", "inversion-tree", "--n", "4", "--draws", "0", "--seed", "3"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("PAIRFUNC_ERROR code=2 kind=config")
+    assert "draws must be >= 1" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["clt"],
+        ["scaling"],
+        ["sample", "--n", "4"],
+        ["stabilization", "--n", "4", "--draws", "2"],
+    ],
+)
+@pytest.mark.parametrize("content", ["[1, 2]", '"text"', "3", "null"])
+def test_config_file_must_hold_an_object(tmp_path, capsys, command, content):
+    path = tmp_path / "config.json"
+    path.write_text(content)
+    code, out, err = run_cli(command + ["--config", str(path), "--seed", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err == 'PAIRFUNC_ERROR code=2 kind=config message="config file must hold a JSON object"\n'
+
+
+def test_memory_error_is_one_runtime_line(monkeypatch, tmp_path, capsys):
+    def exhausted(config):
+        raise MemoryError("Unable to allocate 64.0 GiB for an array")
+
+    monkeypatch.setattr("pairfunc.cli.run_experiment", exhausted)
+    code, out, err = run_cli(
+        ["clt", "--model", "inversion-uniform", "--n-grid", "4,6", "--reps", "2", "--seed", "1",
+         "--out", str(tmp_path / "out")],
+        capsys,
+    )
+    assert code == 3 and out == ""
+    assert err == (
+        'PAIRFUNC_ERROR code=3 kind=runtime '
+        'message="out of memory: Unable to allocate 64.0 GiB for an array"\n'
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_common_flags_on_every_subcommand(tmp_path, capsys):
     # --format json
     code, out, _ = run_cli(["bounds", "poisson", "10", "--format", "json"], capsys)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -77,6 +78,65 @@ def test_cube_is_chebyshev_ball():
     c = Cube((0.0, 0.0), 1.5)
     assert c.contains((1.5, -1.5))
     assert not c.contains((1.6, 0.0))
+
+
+def _corners(lower, upper):
+    return list(itertools.product(*zip(lower, upper)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_region_mask_matches_contains_and_literal_comparisons(data):
+    # a coarse 1/2 lattice, on which window sides, box corners, cube faces and
+    # slab faces all lie, so boundary points come up in almost every example
+    d = data.draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(-2, 10).map(lambda k: k * 0.5)] * d)
+    n = data.draw(st.sampled_from([2.0, 4.0]))
+    coeffs = tuple(data.draw(st.sampled_from([0.5, 1.0])) for _ in range(d - 1))
+    window = Window(n=n, dim=d, coefficients=coeffs)
+    sides = window.sides
+    lower, upper = data.draw(point), data.draw(point)  # lower > upper gives an empty box
+    center = data.draw(point)
+    half = data.draw(st.sampled_from([0.5, 1.0, 1.5]))
+    order = data.draw(st.integers(1, d))
+    cube_corners = _corners([c - half for c in center], [c + half for c in center])
+    pts = (
+        data.draw(st.lists(point, max_size=30))
+        + _corners([0.0] * d, sides) + _corners(lower, upper) + cube_corners
+    )
+
+    def in_window(y):
+        return all(0.0 <= v <= s for v, s in zip(y, sides))
+
+    regions = [
+        (window, in_window),
+        (
+            AxisBox(lower, upper),
+            lambda y: all(lo <= v <= up for v, lo, up in zip(y, lower, upper)),
+        ),
+        (Cube(center, half), lambda y: all(abs(c - v) <= half for c, v in zip(center, y))),
+        (
+            Slab(center, half, order, window),
+            lambda y: in_window(y) and all(abs(center[j] - y[j]) <= half for j in range(order)),
+        ),
+    ]
+    positions = np.array(pts, dtype=float).reshape(len(pts), d)
+    for region, literal in regions:
+        got = region.mask(positions)
+        assert got.dtype == bool and got.shape == (len(pts),)
+        assert got.tolist() == [region.contains(p) for p in pts] == [literal(p) for p in pts]
+        assert region.mask(np.empty((0, d))).shape == (0,)
+        assert not region.contains(center + (0.0,))  # a point of another dimension
+    assert all(Cube(center, half).mask(np.array(cube_corners)))  # closed faces
+
+
+def test_region_mask_rejects_wrong_column_count():
+    for region in (Window(n=4.0, dim=2), AxisBox((0.0, 0.0), (1.0, 1.0)), Cube((0.0, 0.0), 1.0),
+                   Slab((1.0, 1.0), 1.0, 1, Window(n=4.0, dim=2))):
+        with pytest.raises(ValueError, match="positions must be an"):
+            region.mask(np.zeros((3, 1)))  # would broadcast silently against 2 columns
+        with pytest.raises(ValueError, match="positions must be an"):
+            region.mask(np.zeros(2))
 
 
 # -- box partition -----------------------------------------------------------

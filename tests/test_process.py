@@ -128,8 +128,8 @@ def test_count_additive_over_disjoint_regions():
     b = Cube((8.0, 8.0), 1.0)
 
     class Union:
-        def contains(self, p):
-            return a.contains(p) or b.contains(p)
+        def mask(self, positions):
+            return a.mask(positions) | b.mask(positions)
 
     assert count_in(cfg, a) + count_in(cfg, b) == count_in(cfg, Union())
 
