@@ -82,9 +82,23 @@ def _load_experiment_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_record(rec)
 
 
+_SHARED_KEYS = {"model": str, "seed": int, "d": int, "cutoff": float}
+
+
 def _config_defaults(args) -> dict:
-    """Shared keys (model, seed, d, cutoff, ...) from --config, when given."""
-    return read_config_file(args.config) if args.config else {}
+    """The shared keys (model, seed, d, cutoff) of --config, when given,
+    converted to their types; ConfigError on a value that does not convert.
+    Other keys are not read."""
+    rec = read_config_file(args.config) if args.config else {}
+    out = {}
+    for key, kind in _SHARED_KEYS.items():
+        if rec.get(key) is None:
+            continue
+        try:
+            out[key] = kind(rec[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed config value for {key!r}: {exc}") from exc
+    return out
 
 
 def _cmd_sample(args) -> int:
@@ -94,7 +108,7 @@ def _cmd_sample(args) -> int:
         raise ConfigError("sample needs --seed, a config seed, or PAIRFUNC_SEED")
     model_id = args.model or defaults.get("model")
     model = _resolve_model(model_id) if model_id else None
-    window = Window(n=args.n, dim=args.d if args.d is not None else int(defaults.get("d", 2)))
+    window = Window(n=args.n, dim=args.d if args.d is not None else defaults.get("d", 2))
     marks = model.mark_model if model else MarkModel.none()
     cfg = sample_ppp(window, args.intensity, marks, seed)
     text = dump_configuration(cfg)
@@ -110,7 +124,7 @@ def _cmd_sample(args) -> int:
 def _cmd_evaluate(args) -> int:
     defaults = _config_defaults(args)
     cfg = load_configuration(Path(args.points).read_text())
-    cutoff = args.cutoff if args.cutoff is not None else float(defaults.get("cutoff", 1.0))
+    cutoff = args.cutoff if args.cutoff is not None else defaults.get("cutoff", 1.0)
     if args.kernel:
         graph = build_edges(cfg, kernel_from_flag(args.kernel), slab_cutoff=cutoff)
         value = crossing_number(graph)
@@ -162,7 +176,7 @@ def _cmd_stabilization(args) -> int:
         raise ConfigError("stabilization needs --seed, a config seed, or PAIRFUNC_SEED")
     model_id = args.model or defaults.get("model") or "inversion-tree"
     _resolve_model(model_id)
-    d = args.d if args.d is not None else int(defaults.get("d", 2))
+    d = args.d if args.d is not None else defaults.get("d", 2)
     survey = stabilization_survey(
         model_id, args.n, args.draws, seed, d=d, with_admissibility=args.admissibility
     )
@@ -184,6 +198,7 @@ def _cmd_stabilization(args) -> int:
 
 
 def _cmd_shield_check(args) -> int:
+    _config_defaults(args)  # no key applies, but a bad --config is still an error
     rec = json.loads(Path(args.fixture).read_text())
     cfg = load_configuration(rec["configuration"]) if isinstance(
         rec.get("configuration"), str
@@ -210,6 +225,7 @@ def _cmd_shield_check(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    _config_defaults(args)  # no key applies, but a bad --config is still an error
     if args.family == "binomial":
         if len(args.params) != 2:
             raise ConfigError("bounds binomial needs: m p")

@@ -81,8 +81,8 @@ class ExperimentConfig:
             raise ConfigError("n_grid must be non-empty and strictly increasing")
         if self.reps < 2:
             raise ConfigError("need at least 2 replications")
-        if self.d < 1:
-            raise ConfigError("dimension must be >= 1")
+        if self.d < model.locality_order:
+            raise ConfigError(f"model {self.model} needs dimension >= {model.locality_order}")
         for key in ("intensity", "cutoff"):
             value = getattr(self, key)
             if not (math.isfinite(value) and value > 0):
@@ -368,6 +368,8 @@ def stabilization_survey(
     from .stats import loglinear_fit
 
     model = get_model(model_id, cutoff)
+    if d < model.locality_order:
+        raise ConfigError(f"model {model_id} needs dimension >= {model.locality_order}")
     window = Window(n=n, dim=d, boundary_margin=margin)
     rule = model.admissibility if with_admissibility else None
     radii = []

@@ -2,19 +2,21 @@
 
 The crossing number is a purely combinatorial quantity and is kept as an exact
 integer unordered-pair count; the 1/8-weighted ordered form only appears in
-``crossing_score``.  ``crossing_number`` uses a vectorized pair sweep,
-``crossing_number_direct`` a plain double loop over edge pairs; the two must
-agree exactly.
+``crossing_score``.  Edges and crossings are found through cKDTree queries,
+so the work grows with the number of nearby pairs, not with N^2;
+``crossing_number_direct`` is a plain double loop over edge pairs, and the two
+must agree exactly.
 """
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .geometry import orientation, segments_properly_cross
+from .geometry import segments_properly_cross
 from .process import MarkedPoint, PointConfiguration, id_rows
 
 __all__ = [
@@ -90,108 +92,138 @@ class GeometricGraph:
     ``edges`` are id pairs: ordered (src, dst) for the directed kernel,
     (min, max) otherwise.  ``segments`` is the undirected support used for
     crossing counts, and ``retained`` flags segments whose endpoints stay
-    within ``slab_cutoff`` of each other in the first ``locality_order``
-    coordinates.
+    within ``slab_cutoff`` of each other in the first two coordinates.
     """
 
     cfg: PointConfiguration
     kernel: ConnectivityKernel
     edges: tuple[tuple[int, int], ...]
     slab_cutoff: float = 1.0
-    locality_order: int = 2
     segments: tuple[tuple[int, int], ...] = field(default=())
     retained: tuple[bool, ...] = field(default=())
 
-    def retained_segments(self) -> tuple[tuple[int, int], ...]:
-        return tuple(s for s, keep in zip(self.segments, self.retained) if keep)
+
+# Tree queries are widened by a relative 1e-9; every candidate is then decided
+# by the float expressions below, never by the tree's own distance arithmetic,
+# which may differ from them in the last ulp.
+_WIDEN = 1.0 + 1e-9
+
+
+def _distances(pos: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """|pos[i] - pos[j]| row by row, in the float expression every edge
+    decision uses."""
+    diff = pos[i] - pos[j]
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def _ball_pairs(pos: np.ndarray, radii: np.ndarray):
+    """Rows (i, j, |pos[i] - pos[j]|) of every j within the widened radius
+    of i, the pair (i, i) included."""
+    hits = cKDTree(pos).query_ball_point(pos, radii * _WIDEN, return_sorted=False)
+    lens = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
+    i = np.repeat(np.arange(len(hits)), lens)
+    j = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp, count=int(lens.sum()))
+    return i, j, _distances(pos, i, j)
+
+
+def _pair_tuples(pairs: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """An (E, 2) int array as a tuple of builtin-int pairs."""
+    return tuple(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
 
 
 def build_edges(
     cfg: PointConfiguration,
     kernel: ConnectivityKernel,
     slab_cutoff: float = 1.0,
-    locality_order: int = 2,
 ) -> GeometricGraph:
-    """Complete edge list for the kernel; deterministic given the configuration."""
+    """Complete edge list for the kernel; deterministic given the configuration.
+
+    Candidate pairs come from a cKDTree over the positions; each is decided by
+    the float distance sqrt(sum((pos_i - pos_j)**2)) against the kernel's
+    limit: ``radius``, ``R_i`` (directed) or ``min(R_i, R_j)`` (max and
+    localized).  Localized crowding counts come from the same decisions.
+    """
     if kernel_needs_marks(kernel) and not cfg.mark_model.has_marks:
         raise ValueError(f"kernel {type(kernel).__name__} requires radius marks")
-    n = len(cfg)
+    if cfg.window.dim < 2:
+        raise ValueError(f"crossing graphs need points of dimension >= 2, got {cfg.window.dim}")
     ids = cfg.ids
     pos = cfg.positions
-    edges: list[tuple[int, int]] = []
-    if n >= 2:
-        diff = pos[:, None, :] - pos[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        if isinstance(kernel, FixedRadius):
-            mat = dist <= kernel.radius
-            iu, ju = np.triu_indices(n, 1)
-            keep = mat[iu, ju]
-            edges = [
-                (min(int(ids[i]), int(ids[j])), max(int(ids[i]), int(ids[j])))
-                for i, j in zip(iu[keep], ju[keep])
-            ]
-        elif isinstance(kernel, DirectedRandom):
-            radii = cfg.marks
-            mat = dist <= radii[:, None]
-            np.fill_diagonal(mat, False)
-            src, dst = np.nonzero(mat)
-            edges = [(int(ids[i]), int(ids[j])) for i, j in zip(src, dst)]
-        elif isinstance(kernel, (MaxKernel, Localized)):
-            radii = cfg.marks
-            if isinstance(kernel, Localized) and kernel.cap is not None:
-                counts = (dist <= radii[:, None]).sum(axis=1)  # includes the point itself
-                radii = np.where(counts <= kernel.cap, radii, 0.0)
-            limit = np.minimum(radii[:, None], radii[None, :])
-            mat = dist <= limit
-            iu, ju = np.triu_indices(n, 1)
-            keep = mat[iu, ju]
-            edges = [
-                (min(int(ids[i]), int(ids[j])), max(int(ids[i]), int(ids[j])))
-                for i, j in zip(iu[keep], ju[keep])
-            ]
-        else:
-            raise TypeError(f"unsupported kernel {kernel!r}")
-    edges.sort()
-    segments = sorted({(min(a, b), max(a, b)) for a, b in edges})
-    ends = id_rows(ids, np.array(segments, dtype=np.int64).reshape(-1, 2))
-    k = min(locality_order, cfg.window.dim)
-    retained = (np.abs(pos[ends[:, 0], :k] - pos[ends[:, 1], :k]) <= slab_cutoff).all(axis=1)
+    if isinstance(kernel, FixedRadius):
+        i, j = cKDTree(pos).query_pairs(kernel.radius * _WIDEN, output_type="ndarray").T
+        keep = _distances(pos, i, j) <= kernel.radius
+    elif isinstance(kernel, DirectedRandom):
+        radii = cfg.marks
+        i, j, dist = _ball_pairs(pos, radii)
+        keep = (i != j) & (dist <= radii[i])
+    elif isinstance(kernel, (MaxKernel, Localized)):
+        radii = cfg.marks
+        i, j, dist = _ball_pairs(pos, radii)
+        if isinstance(kernel, Localized) and kernel.cap is not None:
+            # crowding counts include the point itself
+            counts = np.bincount(i[dist <= radii[i]], minlength=len(pos))
+            radii = np.where(counts <= kernel.cap, radii, 0.0)
+        keep = (i < j) & (dist <= np.minimum(radii[i], radii[j]))
+    else:
+        raise TypeError(f"unsupported kernel {kernel!r}")
+    a, b = ids[i[keep]], ids[j[keep]]
+    if not isinstance(kernel, DirectedRandom):
+        a, b = np.minimum(a, b), np.maximum(a, b)
+    edges = np.stack([a, b], axis=1)[np.lexsort((b, a))]
+    segments = np.unique(np.sort(edges, axis=1), axis=0)
+    ends = id_rows(ids, segments)
+    retained = (np.abs(pos[ends[:, 0], :2] - pos[ends[:, 1], :2]) <= slab_cutoff).all(axis=1)
     return GeometricGraph(
         cfg,
         kernel,
-        tuple(edges),
+        _pair_tuples(edges),
         slab_cutoff,
-        locality_order,
-        tuple(segments),
+        _pair_tuples(segments),
         tuple(retained.tolist()),
     )
 
 
 def _segment_geometry(graph: GeometricGraph):
-    """Projected endpoints and endpoint ids of the retained segments."""
-    ends = np.array(graph.retained_segments(), dtype=np.int64).reshape(-1, 2)
+    """Projected endpoints (x0, y0, x1, y1) and endpoint ids of the retained
+    segments."""
+    segments = np.array(graph.segments, dtype=np.int64).reshape(-1, 2)
+    ends = segments[np.array(graph.retained, dtype=bool)]
     rows = id_rows(graph.cfg.ids, ends)
     pos = graph.cfg.positions
     return np.hstack([pos[rows[:, 0], :2], pos[rows[:, 1], :2]]), ends
 
 
-_PAIR_CHUNK = 1_000_000
+_PAIR_CHUNK = 1 << 16
+_ERRBOUND = 3.3306690621773724e-16
 
 
-def _crossing_pairs(graph: GeometricGraph) -> list[tuple[int, int]]:
-    """Indices (into the retained-segment list) of properly crossing,
-    non-adjacent segment pairs.  Vectorized with a float filter; borderline
+def _orient_block(ox, oy, ex, ey, px, py):
+    left = (ex - ox) * (py - oy)
+    right = (ey - oy) * (px - ox)
+    det = left - right
+    uncertain = np.abs(det) <= _ERRBOUND * (np.abs(left) + np.abs(right))
+    return np.sign(det), uncertain
+
+
+def _crossing_pairs(coords: np.ndarray, ends: np.ndarray, slab_cutoff: float) -> np.ndarray:
+    """(K, 2) rows (i, j), i < j, in lexicographic order: the properly
+    crossing, non-adjacent pairs of retained segments.
+
+    A retained segment spans at most ``slab_cutoff`` on each projected axis,
+    so two segments that properly cross have midpoints within Chebyshev
+    distance ``slab_cutoff``; only those candidate pairs are tested.  The
+    query is widened by a relative 1e-9 plus the midpoints' rounding error.
+    Each candidate goes through a float orientation filter; borderline
     determinants fall back to the exact scalar predicate."""
-    coords, ends = _segment_geometry(graph)
-    m = len(coords)
-    if m < 2:
-        return []
-    out: list[tuple[int, int]] = []
-    iu, ju = np.triu_indices(m, 1)
-    errbound = 3.3306690621773724e-16
-    for start in range(0, len(iu), _PAIR_CHUNK):
-        ii = iu[start : start + _PAIR_CHUNK]
-        jj = ju[start : start + _PAIR_CHUNK]
+    if len(coords) < 2:
+        return np.empty((0, 2), dtype=np.intp)
+    mid = (coords[:, :2] + coords[:, 2:]) / 2.0
+    reach = slab_cutoff * _WIDEN + 4.0 * np.finfo(float).eps * np.abs(mid).max()
+    cand = cKDTree(mid).query_pairs(reach, p=np.inf, output_type="ndarray")
+    cand = cand[np.lexsort((cand[:, 1], cand[:, 0]))]
+    crosses = np.zeros(len(cand), dtype=bool)
+    for start in range(0, len(cand), _PAIR_CHUNK):
+        ii, jj = cand[start : start + _PAIR_CHUNK].T
         adjacent = (
             (ends[ii, 0] == ends[jj, 0])
             | (ends[ii, 0] == ends[jj, 1])
@@ -200,39 +232,26 @@ def _crossing_pairs(graph: GeometricGraph) -> list[tuple[int, int]]:
         )
         a = coords[ii]
         b = coords[jj]
-
-        def _orient_block(ox, oy, ex, ey, px, py):
-            left = (ex - ox) * (py - oy)
-            right = (ey - oy) * (px - ox)
-            det = left - right
-            uncertain = np.abs(det) <= errbound * (np.abs(left) + np.abs(right))
-            return np.sign(det), uncertain
-
         s1, u1 = _orient_block(b[:, 0], b[:, 1], b[:, 2], b[:, 3], a[:, 0], a[:, 1])
         s2, u2 = _orient_block(b[:, 0], b[:, 1], b[:, 2], b[:, 3], a[:, 2], a[:, 3])
         s3, u3 = _orient_block(a[:, 0], a[:, 1], a[:, 2], a[:, 3], b[:, 0], b[:, 1])
         s4, u4 = _orient_block(a[:, 0], a[:, 1], a[:, 2], a[:, 3], b[:, 2], b[:, 3])
         certain = ~(u1 | u2 | u3 | u4)
         crossing = (s1 * s2 < 0) & (s3 * s4 < 0) & ~adjacent
-        sure = crossing & certain
-        for i, j in zip(ii[sure], jj[sure]):
-            out.append((int(i), int(j)))
+        crosses[start : start + len(ii)] = crossing & certain
         # unresolved determinants: decide exactly one pair at a time
-        shaky = np.nonzero(~certain & ~adjacent)[0]
-        for k in shaky:
-            i, j = int(ii[k]), int(jj[k])
+        for k in np.flatnonzero(~certain & ~adjacent):
+            i, j = ii[k], jj[k]
             p1, q1 = (coords[i, 0], coords[i, 1]), (coords[i, 2], coords[i, 3])
             p2, q2 = (coords[j, 0], coords[j, 1]), (coords[j, 2], coords[j, 3])
-            if segments_properly_cross(p1, q1, p2, q2):
-                out.append((i, j))
-    out.sort()
-    return out
+            crosses[start + k] = segments_properly_cross(p1, q1, p2, q2)
+    return cand[crosses]
 
 
 def crossing_number(graph: GeometricGraph) -> int:
     """Number of unordered pairs of distinct, non-adjacent slab-retained edges
     whose plane projections properly cross."""
-    return len(_crossing_pairs(graph))
+    return len(_crossing_pairs(*_segment_geometry(graph), graph.slab_cutoff))
 
 
 def crossing_number_direct(graph: GeometricGraph) -> int:
@@ -263,14 +282,13 @@ def crossing_pair_scores(graph: GeometricGraph) -> dict[tuple[int, int], int]:
     separate the two points (one endpoint in each segment).  The pair score of
     (Z, V) is this count divided by 8 after the ordered sum collapses."""
     coords, ends = _segment_geometry(graph)
-    pairs = _crossing_pairs(graph)
-    scores: dict[tuple[int, int], int] = {}
-    for i, j in pairs:
-        for a in ends[i]:
-            for b in ends[j]:
-                key = (int(min(a, b)), int(max(a, b)))
-                scores[key] = scores.get(key, 0) + 1
-    return scores
+    pairs = _crossing_pairs(coords, ends, graph.slab_cutoff)
+    first, second = ends[pairs[:, 0]], ends[pairs[:, 1]]
+    keys = np.concatenate(
+        [np.stack([first[:, p], second[:, q]], axis=1) for p in (0, 1) for q in (0, 1)]
+    )
+    keys, counts = np.unique(np.sort(keys, axis=1), axis=0, return_counts=True)
+    return dict(zip(_pair_tuples(keys), counts.tolist()))
 
 
 def crossing_score(Z, V, graph: GeometricGraph) -> float:

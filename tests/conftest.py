@@ -84,6 +84,47 @@ def box_enumeration_oracle(partition, j):
     return boxes[j - 1]
 
 
+def build_edges_oracle(cfg, kernel, slab_cutoff=1.0):
+    """Dense all-pairs edge builder: (edges, segments, retained) as the
+    tuples ``GeometricGraph`` holds, from the full N x N distance matrix."""
+    from pairfunc.graphs import DirectedRandom, FixedRadius, Localized, MaxKernel
+    from pairfunc.process import id_rows
+
+    n = len(cfg)
+    ids = cfg.ids
+    pos = cfg.positions
+    edges = []
+    if n >= 2:
+        diff = pos[:, None, :] - pos[None, :, :]
+        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        if isinstance(kernel, DirectedRandom):
+            mat = dist <= cfg.marks[:, None]
+            np.fill_diagonal(mat, False)
+            src, dst = np.nonzero(mat)
+            edges = [(int(ids[i]), int(ids[j])) for i, j in zip(src, dst)]
+        else:
+            if isinstance(kernel, FixedRadius):
+                mat = dist <= kernel.radius
+            else:
+                assert isinstance(kernel, (MaxKernel, Localized))
+                radii = cfg.marks
+                if isinstance(kernel, Localized) and kernel.cap is not None:
+                    counts = (dist <= radii[:, None]).sum(axis=1)  # includes the point itself
+                    radii = np.where(counts <= kernel.cap, radii, 0.0)
+                mat = dist <= np.minimum(radii[:, None], radii[None, :])
+            iu, ju = np.triu_indices(n, 1)
+            keep = mat[iu, ju]
+            edges = [
+                (min(int(ids[i]), int(ids[j])), max(int(ids[i]), int(ids[j])))
+                for i, j in zip(iu[keep], ju[keep])
+            ]
+    edges.sort()
+    segments = sorted({(min(a, b), max(a, b)) for a, b in edges})
+    ends = id_rows(ids, np.array(segments, dtype=np.int64).reshape(-1, 2))
+    retained = (np.abs(pos[ends[:, 0], :2] - pos[ends[:, 1], :2]) <= slab_cutoff).all(axis=1)
+    return tuple(edges), tuple(segments), tuple(retained.tolist())
+
+
 def ancestor_indices_oracle(positions, cylinder_radius):
     """Dense all-pairs ancestor search: the earliest later row whose
     coordinates 2..d lie within the cylinder radius, or -1."""

@@ -7,8 +7,13 @@ would make every benchmark process die at start-up fails here instead.
 ``bench/worker.py`` is left out: it starts a timer signal on import.
 """
 import importlib
+import json
 import sys
 from pathlib import Path
+
+from pairfunc import graphs
+from pairfunc.geometry import Window
+from pairfunc.models import get_model
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -26,5 +31,24 @@ def test_bench_modules_import_and_tracer_installs():
             pass
         # leaving the block restores every rebound library attribute
         assert [getattr(owner, attr) for owner, attr, *_ in tracing._TARGETS] == originals
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def test_traced_graph_counters_are_builtin_ints():
+    # the tracer sums graph fields and pair scores into counters that it
+    # writes with json.dumps; numpy integers there would fail the dump
+    sys.path.insert(0, str(BENCH))
+    try:
+        tracing = importlib.import_module("tracing")
+        cfg = get_model("crossing-fixed").sample(Window(n=12.0, dim=2), (7, 0, 0))
+        with tracing.Tracer() as tracer:
+            graph = graphs.build_edges(cfg, graphs.FixedRadius())
+            crossings = graphs.crossing_number(graph)
+            graphs.crossing_pair_scores(graph)
+        assert crossings > 0
+        json.dumps(dict(tracer.counts))
+        assert tracer.counts["graphs.crossings"] == 2 * crossings
+        assert all(type(v) is int for v in tracer.counts.values())
     finally:
         sys.path.remove(str(BENCH))

@@ -296,6 +296,75 @@ def test_config_file_must_hold_an_object(tmp_path, capsys, command, content):
     assert err == 'PAIRFUNC_ERROR code=2 kind=config message="config file must hold a JSON object"\n'
 
 
+def _one_error_line(err: str, code: int) -> str:
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "Traceback" not in err
+    assert lines[0].startswith(f"PAIRFUNC_ERROR code={code} ")
+    return lines[0]
+
+
+def test_crossing_experiment_below_two_dimensions_is_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": "crossing-fixed", "n_grid": [4, 6], "reps": 2,
+                                "seed": 3, "d": 1}))
+    code, out, err = run_cli(["clt", "--config", str(path), "--out", str(tmp_path / "out")],
+                             capsys)
+    assert code == 2 and out == ""
+    assert "needs dimension >= 2" in _one_error_line(err, 2)
+    assert not (tmp_path / "out").exists()
+
+
+def test_crossing_stabilization_below_two_dimensions_is_config_error(capsys):
+    code, out, err = run_cli(
+        ["stabilization", "--model", "crossing-fixed", "--n", "4", "--d", "1",
+         "--draws", "2", "--seed", "3"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert "needs dimension >= 2" in _one_error_line(err, 2)
+
+
+def test_kernel_on_one_dimensional_points_is_runtime_error(tmp_path, capsys):
+    points = tmp_path / "p.txt"
+    code, _, _ = run_cli(["sample", "--n", "6", "--d", "1", "--seed", "2", "--out", str(points)],
+                         capsys)
+    assert code == 0
+    code, out, err = run_cli(["evaluate", "--points", str(points), "--kernel", "fixed"], capsys)
+    assert code == 3 and out == ""
+    assert "dimension >= 2" in _one_error_line(err, 3)
+
+
+@pytest.mark.parametrize("key, value", [("d", "x"), ("d", [2]), ("seed", "x"), ("cutoff", "x")])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["sample", "--n", "4"],
+        ["evaluate", "--points", str(FIXTURES / "snowflake.txt"), "--kernel", "fixed"],
+        ["stabilization", "--model", "inversion-tree", "--n", "4", "--draws", "2"],
+    ],
+)
+def test_malformed_shared_config_key_is_config_error(tmp_path, capsys, command, key, value):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"seed": 1, key: value}))
+    code, out, err = run_cli(command + ["--config", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert f"malformed config value for '{key}'" in _one_error_line(err, 2)
+
+
+@pytest.mark.parametrize("content", [None, "[1, 2]", "{not json"])
+@pytest.mark.parametrize(
+    "command",
+    [["bounds", "poisson", "10"], ["shield-check", "--fixture", str(FIXTURES / "shield_ok.txt")]],
+)
+def test_bounds_and_shield_check_read_their_config(tmp_path, capsys, command, content):
+    path = tmp_path / "c.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run_cli(command + ["--config", str(path)], capsys)
+    assert code == 2 and out == ""
+    _one_error_line(err, 2)
+
+
 def test_memory_error_is_one_runtime_line(monkeypatch, tmp_path, capsys):
     def exhausted(config):
         raise MemoryError("Unable to allocate 64.0 GiB for an array")

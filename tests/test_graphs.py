@@ -1,13 +1,16 @@
-import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairfunc.fixtures import SNOWFLAKE_KERNEL, snowflake_configuration
 from pairfunc.geometry import Window
 from pairfunc.graphs import (
     DirectedRandom,
     FixedRadius,
+    GeometricGraph,
     Localized,
     MaxKernel,
     build_edges,
@@ -17,9 +20,10 @@ from pairfunc.graphs import (
     crossing_score,
     kernel_from_flag,
 )
+from pairfunc.models import get_model
 from pairfunc.process import MarkModel, PointConfiguration, insert_point
 
-from conftest import make_configuration, random_configuration
+from conftest import build_edges_oracle, make_configuration, random_configuration
 
 
 W2 = Window(n=10.0, dim=2)
@@ -219,3 +223,96 @@ def test_kernel_flag_parsing():
     assert kernel_from_flag("localized:5") == Localized(5)
     with pytest.raises(ValueError):
         kernel_from_flag("bogus")
+
+
+def test_one_dimensional_points_rejected():
+    cfg = make_configuration(Window(n=4.0, dim=1), [(1.0,), (1.5,)])
+    with pytest.raises(ValueError, match="dimension >= 2"):
+        build_edges(cfg, FixedRadius())
+
+
+# -- sparse paths against the dense oracles ------------------------------------
+
+_QUARTER = st.integers(0, 8).map(lambda k: k / 4.0)  # a 1/4-step lattice on [0, 2]
+_RADII = st.sampled_from([0.5, 1.0, 1.5])
+_KERNELS = [
+    FixedRadius(0.5), FixedRadius(1.0), FixedRadius(1.5), DirectedRandom(), MaxKernel(),
+    Localized(None), Localized(1), Localized(4), Localized(16),
+]
+
+
+@st.composite
+def lattice_configurations(draw, max_size=30):
+    """Lattice points in d = 2 or 3 with radius marks from {0.5, 1, 1.5}, so
+    that many distances equal a radius or the cutoff exactly; duplicate
+    positions, empty and one-point sets included."""
+    d = draw(st.integers(2, 3))
+    rows = draw(st.lists(st.tuples(st.tuples(*[_QUARTER] * d), _RADII), max_size=max_size))
+    positions = np.array([p for p, _ in rows], dtype=float).reshape(-1, d)
+    marks = np.array([m for _, m in rows], dtype=float)
+    return make_configuration(Window(n=2.0, dim=d), positions, marks=marks)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lattice_configurations(), st.sampled_from(_KERNELS), _RADII)
+def test_edges_match_dense_oracle_on_lattice(cfg, kernel, cutoff):
+    g = build_edges(cfg, kernel, slab_cutoff=cutoff)
+    assert (g.edges, g.segments, g.retained) == build_edges_oracle(cfg, kernel, cutoff)
+
+
+def test_edges_match_dense_oracle_on_random_marks():
+    rng = np.random.default_rng(43)
+    for trial in range(40):
+        window = Window(n=4.0, dim=2 + trial % 2)
+        cfg = random_configuration(rng, window, 60, MarkModel.uniform_radius(0.0, 1.5))
+        for kernel in _KERNELS:
+            g = build_edges(cfg, kernel)
+            assert (g.edges, g.segments, g.retained) == build_edges_oracle(cfg, kernel)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lattice_configurations(), st.sampled_from(_KERNELS), _RADII)
+def test_crossing_number_matches_direct_on_lattice(cfg, kernel, cutoff):
+    # lattice segments are often collinear, touch, share an endpoint, span
+    # exactly the cutoff or have midpoints exactly the cutoff apart
+    g = build_edges(cfg, kernel, slab_cutoff=cutoff)
+    count = crossing_number(g)
+    assert count == crossing_number_direct(g)
+    assert sum(crossing_pair_scores(g).values()) == 4 * count
+
+
+def test_crossings_at_the_midpoint_bound():
+    # every segment spans exactly the cutoff on some axis
+    pts = [(0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 0.5), (1.0, 1.5), (0.25, 0.5), (1.25, 1.5)]
+    cfg = make_configuration(W2, pts)
+    segments = ((0, 1), (1, 2), (3, 4), (5, 6))
+    g = GeometricGraph(cfg, FixedRadius(), segments, 1.0, segments, (True,) * 4)
+    # (0, 1)-(1, 2): collinear, touching, midpoints exactly 1 apart: no crossing;
+    # (3, 4) passes through the endpoint that (0, 1) and (1, 2) share: no crossing;
+    # (5, 6) properly crosses (0, 1) and (3, 4)
+    assert crossing_number(g) == crossing_number_direct(g) == 2
+    assert crossing_pair_scores(g) == {
+        (0, 5): 1, (0, 6): 1, (1, 5): 1, (1, 6): 1,
+        (3, 5): 1, (3, 6): 1, (4, 5): 1, (4, 6): 1,
+    }
+
+
+def test_borderline_orientation_is_decided_exactly():
+    # (2, 3) starts one ulp above the diagonal (0, 1) and crosses it: the float
+    # determinant is within its error bound, the exact predicate decides
+    cfg = make_configuration(W2, [(0.0, 0.0), (1.0, 1.0), (0.5, 0.5 + 2.0**-53), (0.75, 0.25)])
+    segments = ((0, 1), (2, 3))
+    g = GeometricGraph(cfg, FixedRadius(), segments, 1.0, segments, (True, True))
+    assert crossing_number(g) == crossing_number_direct(g) == 1
+
+
+def test_crossing_pipeline_memory_stays_sparse_at_scale():
+    cfg = get_model("crossing-fixed").sample(Window(n=128.0, dim=2), (128, 0, 0))
+    assert len(cfg) > 15_000
+    tracemalloc.start()
+    try:
+        crossing_number(build_edges(cfg, FixedRadius()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
