@@ -14,6 +14,16 @@ come from a cKDTree candidate-pair search with an exact recheck, and no
 N x N array is built on the tree-lifetime path.  Likewise the pairs whose
 inversion score changes between two bar tables are found among the pairs
 that touch a changed bar (``changed_inversion_pairs``).
+
+Inversions are local in time, too.  Only admissible bars invert, so
+0 < l < 1, and a bar dies at the rounded sum d = fl(b + l).  If
+b_j >= fl(b_i + 1), then, because rounding is monotone,
+d_i = fl(b_i + l_i) <= fl(b_i + 1) <= b_j <= fl(b_j + l_j) = d_j, and the two
+bars cannot invert.  With the admissible bars sorted by birth, every partner
+of a bar lies in its unit band: among the bars born later but before
+fl(b + 1), or among the bars whose own band reaches it.  So the compound
+counts and the inversion count take one banded pass (``_inversion_partners``)
+instead of an all-pairs comparison.
 """
 from __future__ import annotations
 
@@ -22,6 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import cKDTree
 
 from .geometry import AxisBox, Cube, _g17
@@ -262,73 +273,53 @@ def changed_inversion_pairs(
     return np.unique(np.concatenate(found), axis=0)  # a pair of two moved rows shows twice
 
 
-class _Fenwick:
-    def __init__(self, size: int):
-        self.tree = [0] * (size + 1)
+def _inversion_partners(births: np.ndarray, lifetimes: np.ndarray) -> np.ndarray:
+    """G for every bar: how many bars invert with it (0 if inadmissible).
 
-    def add(self, i: int) -> None:
-        i += 1
-        while i < len(self.tree):
-            self.tree[i] += 1
-            i += i & (-i)
-
-    def count_le(self, i: int) -> int:
-        i += 1
-        total = 0
-        while i > 0:
-            total += self.tree[i]
-            i -= i & (-i)
-        return total
+    The admissible bars are sorted by (birth, death), so a later row with a
+    tied birth never has a smaller death, and one strict death comparison
+    decides whether two rows invert.  A bar's partners lie in its unit band
+    (module docstring), so each row is compared with the ``width`` rows on
+    either side only, ``width`` the widest band, through sliding windows
+    padded with infinities, in row chunks of about 1M cells.
+    """
+    G = np.zeros(len(births), dtype=np.int64)
+    idx = np.flatnonzero((lifetimes > 0.0) & (lifetimes < 1.0))
+    idx = idx[np.lexsort((births[idx] + lifetimes[idx], births[idx]))]
+    b = births[idx]
+    d = b + lifetimes[idx]
+    n = len(b)
+    width = int((np.searchsorted(b, b + 1.0) - np.arange(n)).max(initial=1)) - 1
+    if width <= 0:
+        return G
+    pad = np.full(width, np.inf)
+    later = sliding_window_view(np.concatenate((d[1:], pad)), width)
+    earlier = sliding_window_view(np.concatenate((-pad, d[:-1])), width)
+    counts = np.empty(n, dtype=np.int64)
+    step = max(1, 2**20 // width)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        own = d[rows, None]
+        counts[rows] = np.count_nonzero(later[rows] < own, axis=1) + np.count_nonzero(
+            earlier[rows] > own, axis=1
+        )
+    G[idx] = counts
+    return G
 
 
 def inversion_count(barcode: Barcode) -> int:
-    """Ordered inversion pairs (each unordered inversion counted twice).
-
-    Sweep over bars sorted by (birth, death), counting earlier bars with a
-    strictly larger death via a Fenwick tree; ties in birth or death never
-    count, matching the strict sign condition.
-    """
-    births = barcode.births
-    lifetimes = barcode.lifetimes
-    ok = (lifetimes > 0.0) & (lifetimes < 1.0)
-    if ok.sum() < 2:
-        return 0
-    b = births[ok]
-    d = b + lifetimes[ok]
-    order = np.lexsort((d, b))
-    d_sorted = d[order]
-    ranks = np.searchsorted(np.unique(d_sorted), d_sorted)
-    tree = _Fenwick(int(ranks.max()) + 1)
-    unordered = 0
-    for i, r in enumerate(ranks):
-        unordered += i - tree.count_le(int(r))
-        tree.add(int(r))
-    return 2 * unordered
+    """Ordered inversion pairs: each unordered inversion is counted once at
+    each of its bars, so this is the sum of the compound counts."""
+    return int(_inversion_partners(barcode.births, barcode.lifetimes).sum())
 
 
 def inversion_compound_counts(births: np.ndarray, lifetimes: np.ndarray) -> np.ndarray:
     """G(Z) for every bar: the number of partners forming an inversion with it.
 
-    Vectorized over blocks; exact (sign comparisons only).  Bars with a
-    lifetime outside (0, 1) get G = 0.
+    Exact (sign comparisons only).  Bars with a lifetime outside (0, 1) get
+    G = 0.
     """
-    n = len(births)
-    G = np.zeros(n, dtype=np.int64)
-    ok = (lifetimes > 0.0) & (lifetimes < 1.0)
-    idx = np.nonzero(ok)[0]
-    if len(idx) < 2:
-        return G
-    b = births[idx]
-    d = b + lifetimes[idx]
-    block = max(1, 2_000_000 // max(1, len(idx)))
-    for start in range(0, len(idx), block):
-        bb = b[start : start + block, None]
-        dd = d[start : start + block, None]
-        inv = ((bb < b[None, :]) & (dd > d[None, :])) | (
-            (bb > b[None, :]) & (dd < d[None, :])
-        )
-        G[idx[start : start + block]] = inv.sum(axis=1)
-    return G
+    return _inversion_partners(births, lifetimes)
 
 
 def barcode_to_text(barcode: Barcode) -> str:

@@ -20,12 +20,13 @@ from .barcodes import ShieldedBoxConfig, shield_membership, shield_property_chec
 from .experiment import (
     ConfigError,
     ExperimentConfig,
+    checked_window,
     read_config_file,
+    require_positive,
     run_experiment,
     stabilization_survey,
     write_outputs,
 )
-from .geometry import Window
 from .graphs import build_edges, crossing_number, graph_to_text, kernel_from_flag
 from .models import get_model
 from .process import MarkModel, dump_configuration, load_configuration, sample_ppp
@@ -108,9 +109,9 @@ def _cmd_sample(args) -> int:
         raise ConfigError("sample needs --seed, a config seed, or PAIRFUNC_SEED")
     model_id = args.model or defaults.get("model")
     model = _resolve_model(model_id) if model_id else None
-    window = Window(n=args.n, dim=args.d if args.d is not None else defaults.get("d", 2))
+    window = checked_window(n=args.n, dim=args.d if args.d is not None else defaults.get("d", 2))
     marks = model.mark_model if model else MarkModel.none()
-    cfg = sample_ppp(window, args.intensity, marks, seed)
+    cfg = sample_ppp(window, require_positive("intensity", args.intensity), marks, seed)
     text = dump_configuration(cfg)
     if args.format == "json":
         text = json.dumps({"points": len(cfg), "configuration": text}) + "\n"
@@ -124,7 +125,9 @@ def _cmd_sample(args) -> int:
 def _cmd_evaluate(args) -> int:
     defaults = _config_defaults(args)
     cfg = load_configuration(Path(args.points).read_text())
-    cutoff = args.cutoff if args.cutoff is not None else defaults.get("cutoff", 1.0)
+    cutoff = require_positive(
+        "cutoff", args.cutoff if args.cutoff is not None else defaults.get("cutoff", 1.0)
+    )
     if args.kernel:
         graph = build_edges(cfg, kernel_from_flag(args.kernel), slab_cutoff=cutoff)
         value = crossing_number(graph)
@@ -160,6 +163,10 @@ def _cmd_experiment(args) -> int:
     default grid, the output directory and the printed report."""
     record = run_experiment(_load_experiment_config(args))
     paths = write_outputs(record, args.out or f"{args.command}-out", args.format)
+    degenerate = [f"{s.n:g}" for s in record.summaries if s.degenerate]
+    if degenerate:
+        print(f"{len(degenerate)} degenerate grid cell(s) left out of the scaling fit: "
+              f"n = {', '.join(degenerate)}", file=sys.stderr)
     if args.command == "clt":
         for s in record.summaries:
             print(f"n={s.n:g} M={s.count} w1={s.w1:.6f} ks={s.ks:.6f}")

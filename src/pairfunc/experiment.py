@@ -24,6 +24,7 @@ from .geometry import Window
 from .models import get_model
 from .stats import (
     ScalingFit,
+    is_degenerate,
     kolmogorov_to_standard_normal,
     summarize_sample,
     variance_scaling_fit,
@@ -55,6 +56,22 @@ def read_config_file(path: str | Path) -> dict:
     return rec
 
 
+def require_positive(key: str, value: float) -> float:
+    """``value`` when it is finite and > 0; a ConfigError naming ``key``
+    otherwise."""
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{key} must be finite and > 0, got {value}")
+    return value
+
+
+def checked_window(**kw) -> Window:
+    """``Window(**kw)``; a ConfigError when the window rejects a value."""
+    try:
+        return Window(**kw)
+    except ValueError as exc:
+        raise ConfigError(f"window at n={kw['n']:g}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: str
@@ -84,22 +101,20 @@ class ExperimentConfig:
         if self.d < model.locality_order:
             raise ConfigError(f"model {self.model} needs dimension >= {model.locality_order}")
         for key in ("intensity", "cutoff"):
-            value = getattr(self, key)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{key} must be finite and > 0, got {value}")
+            require_positive(key, getattr(self, key))
         if self.jobs is not None and (type(self.jobs) is not int or self.jobs < 1):
             raise ConfigError(f"jobs must be null or an integer >= 1, got {self.jobs!r}")
         object.__setattr__(self, "n_grid", grid)
         for n in grid:
-            try:
-                window = self.window(n)
-                if model.admissibility.kind == "tree_realization":
+            window = self.window(n)
+            if model.admissibility.kind == "tree_realization":
+                try:
                     window.shrunk()
-            except ValueError as exc:
-                raise ConfigError(f"window at n={n:g}: {exc}") from exc
+                except ValueError as exc:
+                    raise ConfigError(f"window at n={n:g}: {exc}") from exc
 
     def window(self, n: float) -> Window:
-        return Window(
+        return checked_window(
             n=n,
             dim=self.d,
             coefficients=self.a or (),
@@ -170,6 +185,9 @@ class ReplicationRow:
 
 @dataclass(frozen=True)
 class GridSummary:
+    """One grid cell's summary.  A degenerate cell (``stats.is_degenerate``)
+    carries variance 0.0, NaN distances and an empty standardized sample."""
+
     n: float
     count: int
     mean: float
@@ -177,6 +195,7 @@ class GridSummary:
     w1: float
     ks: float
     standardized: np.ndarray
+    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -218,9 +237,18 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
         rows = [_one_replication(t) for t in tasks]
     rows.sort(key=lambda r: (r.n, r.rep))
 
+    cells = [np.array([r.value for r in rows if r.n == n]) for n in config.n_grid]
+    degenerate = [is_degenerate(values) for values in cells]
     summaries = []
-    for n in config.n_grid:
-        values = np.array([r.value for r in rows if r.n == n])
+    for n, values, skip in zip(config.n_grid, cells, degenerate):
+        if skip and not all(degenerate):
+            summaries.append(
+                GridSummary(n, len(values), float(values.mean()), 0.0, math.nan, math.nan,
+                            np.empty(0), degenerate=True)
+            )
+            continue
+        # when every cell is degenerate this raises "sample variance must be
+        # positive": no cell is left to summarize or fit
         summary = summarize_sample(values)
         summaries.append(
             GridSummary(
@@ -233,11 +261,10 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
                 summary.standardized,
             )
         )
+    kept = [s for s in summaries if not s.degenerate]
     scaling = None
-    if len(config.n_grid) >= 3:
-        scaling = variance_scaling_fit(
-            [s.n for s in summaries], [s.variance for s in summaries]
-        )
+    if len(kept) >= 3:
+        scaling = variance_scaling_fit([s.n for s in kept], [s.variance for s in kept])
     return RunRecord(
         config,
         config.hash(),
@@ -288,6 +315,8 @@ def write_outputs(record: RunRecord, out_dir: str | Path, fmt: str = "csv") -> l
                 ("mean", s.mean), ("var", s.variance), ("w1", s.w1), ("ks", s.ks)
             ):
                 lines.append(f"{_fmt(s.n)},{metric},{_fmt(value)}")
+            if s.degenerate:
+                lines.append(f"{_fmt(s.n)},degenerate,1")
         written.append(_write(out / "long.csv", "\n".join(lines) + "\n"))
     elif fmt == "json":
         results = [
@@ -301,7 +330,8 @@ def write_outputs(record: RunRecord, out_dir: str | Path, fmt: str = "csv") -> l
         summaries = [
             {
                 "model": cfg.model, "n": s.n, "M": s.count, "mean": s.mean,
-                "var": s.variance, "w1": s.w1, "ks": s.ks, "seed": cfg.seed,
+                "var": s.variance, "w1": None if s.degenerate else s.w1,
+                "ks": None if s.degenerate else s.ks, "seed": cfg.seed,
             }
             for s in record.summaries
         ]
@@ -310,9 +340,11 @@ def write_outputs(record: RunRecord, out_dir: str | Path, fmt: str = "csv") -> l
         raise ConfigError(f"unknown output format {fmt!r}")
 
     if record.scaling is not None:
-        written.append(
-            _write(out / "scaling.json", json.dumps(record.scaling.to_record(), indent=1) + "\n")
-        )
+        fit = record.scaling.to_record()
+        excluded = [s.n for s in record.summaries if s.degenerate]
+        if excluded:
+            fit["excluded_n"] = excluded
+        written.append(_write(out / "scaling.json", json.dumps(fit, indent=1) + "\n"))
     meta = {
         "schema": SCHEMA_VERSION,
         "config": record.config.result_record(),
@@ -367,10 +399,10 @@ def stabilization_survey(
     from .process import MarkedPoint, derive_rng
     from .stats import loglinear_fit
 
-    model = get_model(model_id, cutoff)
+    model = get_model(model_id, require_positive("cutoff", cutoff))
     if d < model.locality_order:
         raise ConfigError(f"model {model_id} needs dimension >= {model.locality_order}")
-    window = Window(n=n, dim=d, boundary_margin=margin)
+    window = checked_window(n=n, dim=d, boundary_margin=margin)
     rule = model.admissibility if with_admissibility else None
     radii = []
     for r in range(draws):

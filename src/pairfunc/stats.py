@@ -18,6 +18,8 @@ __all__ = [
     "SampleSummary",
     "ScalingFit",
     "summarize_sample",
+    "is_degenerate",
+    "DEGENERATE_RELATIVE_VARIANCE",
     "wasserstein1_to_standard_normal",
     "kolmogorov_to_standard_normal",
     "variance_scaling_fit",
@@ -64,14 +66,30 @@ class SampleSummary:
             raise ValueError("standardized sample must have mean 0 and variance 1")
 
 
+# A sample whose variance is at most this fraction of its largest squared
+# value is degenerate: its values agree to within about 1024 ulps, a spread
+# that rounding makes (the same terms summed in another order), not sampling.
+# Standardizing such a sample by its own mean fails the 1e-12 check above
+# whenever that mean is rounded.
+DEGENERATE_RELATIVE_VARIANCE = (1024 * np.finfo(float).eps) ** 2
+
+
+def is_degenerate(values) -> bool:
+    """True when the sample variance of ``values`` is at or below
+    ``DEGENERATE_RELATIVE_VARIANCE`` times their largest squared value
+    (always for identical values)."""
+    v = np.asarray(values, dtype=float)
+    return not float(v.var(ddof=1)) > DEGENERATE_RELATIVE_VARIANCE * float(np.max(v * v))
+
+
 def summarize_sample(values) -> SampleSummary:
     v = np.asarray(values, dtype=float)
     if len(v) < 2:
         raise ValueError("need at least two replications")
+    if is_degenerate(v):
+        raise ValueError("sample variance must be positive")
     mean = float(v.mean())
     var = float(v.var(ddof=1))
-    if not var > 0:
-        raise ValueError("sample variance must be positive")
     z = np.sort((v - mean) / math.sqrt(var))
     return SampleSummary(len(v), mean, var, z)
 

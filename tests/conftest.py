@@ -66,6 +66,29 @@ def inversion_count_quadratic(barcode: Barcode) -> int:
     return total
 
 
+def inversion_compound_counts_blocked(births, lifetimes) -> np.ndarray:
+    """G for every bar by comparing every admissible pair, in row blocks,
+    with deaths taken as the rounded sums fl(birth + lifetime); 0 for an
+    inadmissible bar."""
+    n = len(births)
+    G = np.zeros(n, dtype=np.int64)
+    ok = (lifetimes > 0.0) & (lifetimes < 1.0)
+    idx = np.nonzero(ok)[0]
+    if len(idx) < 2:
+        return G
+    b = births[idx]
+    d = b + lifetimes[idx]
+    block = max(1, 2_000_000 // max(1, len(idx)))
+    for start in range(0, len(idx), block):
+        bb = b[start : start + block, None]
+        dd = d[start : start + block, None]
+        inv = ((bb < b[None, :]) & (dd > d[None, :])) | (
+            (bb > b[None, :]) & (dd < d[None, :])
+        )
+        G[idx[start : start + block]] = inv.sum(axis=1)
+    return G
+
+
 def box_enumeration_oracle(partition, j):
     """Row-major (axis 1 fastest) enumeration of all boxes; returns box j."""
     counts = partition.axis_counts

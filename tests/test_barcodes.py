@@ -36,6 +36,7 @@ from conftest import (
     ancestor_indices_oracle,
     barcode_from_bars,
     forest_oracle_lifetimes,
+    inversion_compound_counts_blocked,
     inversion_count_quadratic,
     make_configuration,
     pad_gaps_oracle,
@@ -334,6 +335,97 @@ def test_compound_counts_match_scores():
     for i, bar in enumerate(bars.bars):
         naive = sum(inversion_score(bar, other) for other in bars.bars if other.owner != bar.owner)
         assert G[i] == naive
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 16),
+            st.integers(-1, 1),
+            st.sampled_from([0.0, 1.0, math.inf, 1 / 8, 1 / 2, 7 / 8, 2**-52,
+                             float(np.nextafter(1.0, 0.0))]),
+        ),
+        min_size=0,
+        max_size=40,
+    )
+)
+def test_compound_counts_match_blocked_oracle_on_unit_band_edges(cells):
+    # births on a quarter-step lattice tie and lie exactly 1 apart; a nudge
+    # of one ulp puts a birth just below, at or just above fl(b + 1) of the
+    # lattice birth 1 earlier, where the unit band ends
+    births = np.array(
+        [np.nextafter(k / 4, math.copysign(math.inf, u)) if u else k / 4 for k, u, _ in cells]
+    )
+    lifetimes = np.array([life for *_, life in cells])
+    G = inversion_compound_counts(births, lifetimes)
+    assert G.dtype == np.int64
+    assert np.array_equal(G, inversion_compound_counts_blocked(births, lifetimes))
+    # the literal score rounds its death difference differently at ulp
+    # scale, so on these births the ordered count is checked against G
+    assert inversion_count(Barcode(np.arange(len(cells)), births, lifetimes)) == G.sum()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 16),
+            st.sampled_from([0.0, 1.0, math.inf] + [k / 8 for k in range(1, 8)]),
+        ),
+        min_size=0,
+        max_size=40,
+    )
+)
+def test_inversion_count_matches_literal_oracle_on_lattice(cells):
+    # quarter-step births and eighth-step lifetimes (with the admissibility
+    # edges 0, 1 and +inf) add exactly, so ties in birth, in death and in both
+    # are decided as the literal score decides
+    births = [k / 4 for k, _ in cells]
+    lifetimes = [life for _, life in cells]
+    bc = Barcode(np.arange(len(cells)), births, lifetimes)
+    assert inversion_count(bc) == inversion_count_quadratic(bc)
+    G = inversion_compound_counts(bc.births, bc.lifetimes)
+    assert np.array_equal(G, inversion_compound_counts_blocked(bc.births, bc.lifetimes))
+
+
+@pytest.mark.parametrize(
+    "births, lifetimes, expected",
+    [
+        ([], [], []),
+        ([0.5], [0.5], [0]),
+        # one shared birth: the band is the whole set and no pair inverts
+        ([2.0] * 5, [0.1, 0.9, 0.5, 0.5, 0.3], [0] * 5),
+        # one shared birth and one later bar that every other bar outlives
+        ([2.0] * 4 + [2.5], [0.9, 0.7, 0.6, 0.1, 0.05], [1, 1, 1, 0, 3]),
+        # the first bar dies at fl(0.5 + 1) = 1.5; a bar born one ulp earlier
+        # still inverts with it, a bar born at 1.5 cannot
+        ([0.5, 1.5 - 2**-52], [1 - 2**-53, 2**-60], [1, 1]),
+        ([0.5, 1.5], [1 - 2**-53, 2**-60], [0, 0]),
+    ],
+)
+def test_compound_counts_small_and_whole_band_cases(births, lifetimes, expected):
+    births, lifetimes = np.array(births, dtype=float), np.array(lifetimes, dtype=float)
+    G = inversion_compound_counts(births, lifetimes)
+    assert G.tolist() == expected
+    assert inversion_count(Barcode(np.arange(len(births)), births, lifetimes)) == sum(expected)
+
+
+def test_compound_counts_memory_stays_banded_at_scale():
+    # n = 256 holds ~65k bars: a full N x N comparison would need ~4 GiB
+    import tracemalloc
+
+    cfg = sample_ppp(Window(n=256.0, dim=2), 1.0, MarkModel.uniform01(), seed=256)
+    assert len(cfg) > 60_000
+    births, lifetimes = cfg.positions[:, 0].copy(), cfg.marks.copy()
+    tracemalloc.start()
+    try:
+        G = inversion_compound_counts(births, lifetimes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.sum() > 0
+    assert peak < 64 * 2**20
 
 
 def test_barcode_text_round_trip():

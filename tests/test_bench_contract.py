@@ -52,3 +52,19 @@ def test_traced_graph_counters_are_builtin_ints():
         assert all(type(v) is int for v in tracer.counts.values())
     finally:
         sys.path.remove(str(BENCH))
+
+
+def test_mc_tree_rounds_with_ulp_tied_cells_do_not_fail():
+    # each of these rounds draws two treelog-tree replications one ulp apart
+    # at n = 48, a degenerate cell that used to abort run_experiment
+    sys.path.insert(0, str(BENCH))
+    try:
+        workloads = importlib.import_module("workloads")
+        for seed, r in ((5005, 134), (1, 118)):
+            results, failed = workloads.run_round(workloads.WORKLOADS["mc-tree"], seed, r)
+            assert failed == 0
+            tree_log = results[1].summaries
+            assert [s.degenerate for s in tree_log] == [True, False]
+            assert tree_log[0].variance == 0.0
+    finally:
+        sys.path.remove(str(BENCH))

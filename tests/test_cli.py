@@ -365,6 +365,94 @@ def test_bounds_and_shield_check_read_their_config(tmp_path, capsys, command, co
     _one_error_line(err, 2)
 
 
+def test_all_degenerate_grid_cells_keep_the_variance_error(tmp_path, capsys):
+    # crossing-max has no crossings at n = 1 and 2, so every cell is constant
+    # and no summary or fit can be made from it
+    code, out, err = run_cli(
+        ["clt", "--model", "crossing-max", "--n-grid", "1,2", "--reps", "3", "--seed", "1",
+         "--out", str(tmp_path / "out")],
+        capsys,
+    )
+    assert code == 3 and out == ""
+    assert _one_error_line(err, 3).endswith('message="sample variance must be positive"')
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_degenerate_grid_cell_is_reported_and_left_out(tmp_path, capsys, fmt):
+    code, out, err = run_cli(
+        ["scaling", "--model", "crossing-max", "--n-grid", "1,8,12,16", "--reps", "3",
+         "--seed", "1", "--jobs", "1", "--format", fmt, "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0 and "PAIRFUNC_ERROR" not in err
+    assert err.splitlines() == ["1 degenerate grid cell(s) left out of the scaling fit: n = 1"]
+    fit = json.loads((tmp_path / "scaling.json").read_text())
+    assert fit["excluded_n"] == [1.0]
+    assert [p["n"] for p in fit["points"]] == [8.0, 12.0, 16.0]
+    if fmt == "csv":
+        summary = (tmp_path / "summary.csv").read_text().splitlines()
+        assert summary[1] == "crossing-max,1.0,3,0.0,0.0,nan,nan,1"
+        assert all(",nan," not in row for row in summary[2:])
+        long = (tmp_path / "long.csv").read_text().splitlines()
+        assert [row for row in long if "degenerate" in row] == ["1.0,degenerate,1"]
+    else:
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert (summary[0]["var"], summary[0]["w1"], summary[0]["ks"]) == (0.0, None, None)
+        assert all(s["w1"] is not None and s["var"] > 0 for s in summary[1:])
+
+
+def test_scaling_without_degenerate_cells_lists_no_exclusions(tmp_path, capsys):
+    code, _, err = run_cli(
+        ["scaling", "--model", "crossing-max", "--n-grid", "8,12,16", "--reps", "3",
+         "--seed", "1", "--jobs", "1", "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    assert "excluded_n" not in json.loads((tmp_path / "scaling.json").read_text())
+    assert "degenerate" not in (tmp_path / "long.csv").read_text()
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["sample", "--n", "4", "--d", "0"], "dimension must be >= 1"),
+        (["sample", "--n", "0"], "window scale n must be positive and finite"),
+        (["sample", "--n", "nan"], "window scale n must be positive and finite"),
+        (["sample", "--n", "4", "--intensity", "-1"], "intensity must be finite and > 0"),
+        (["evaluate", "--points", str(FIXTURES / "snowflake.txt"), "--kernel", "fixed",
+          "--cutoff", "0"], "cutoff must be finite and > 0"),
+        (["evaluate", "--points", str(FIXTURES / "snowflake.txt"), "--kernel", "fixed",
+          "--cutoff", "inf"], "cutoff must be finite and > 0"),
+        (["evaluate", "--points", str(FIXTURES / "snowflake.txt"), "--model", "inversion-tree",
+          "--cutoff", "-1"], "cutoff must be finite and > 0"),
+        (["stabilization", "--n", "0", "--draws", "2"], "window scale n must be positive"),
+        (["stabilization", "--model", "crossing-fixed", "--n", "-4", "--d", "3", "--draws", "2"],
+         "window scale n must be positive"),
+    ],
+)
+def test_bad_flag_value_is_config_error(capsys, command, message):
+    code, out, err = run_cli(command + ["--seed", "1"], capsys)
+    assert code == 2 and out == ""
+    assert message in _one_error_line(err, 2)
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        (["sample", "--n", "4"], "d", 0),
+        (["evaluate", "--points", str(FIXTURES / "snowflake.txt"), "--kernel", "fixed"],
+         "cutoff", 0.0),
+    ],
+)
+def test_bad_shared_config_value_is_config_error(tmp_path, capsys, command, key, value):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"seed": 1, key: value}))
+    code, out, err = run_cli(command + ["--config", str(path)], capsys)
+    assert code == 2 and out == ""
+    _one_error_line(err, 2)
+
+
 def test_memory_error_is_one_runtime_line(monkeypatch, tmp_path, capsys):
     def exhausted(config):
         raise MemoryError("Unable to allocate 64.0 GiB for an array")

@@ -8,6 +8,7 @@ from pairfunc.models import get_model
 from pairfunc.stats import (
     binomial_lower_tail_bound,
     concentration_check_G,
+    is_degenerate,
     kolmogorov_to_standard_normal,
     loglinear_fit,
     poisson_upper_tail_bound,
@@ -197,3 +198,18 @@ def test_concentration_extreme_thresholds():
 def test_concentration_requires_sum_log_sum_model():
     with pytest.raises(ValueError):
         concentration_check_G(get_model("inversion-uniform"), [16], 0.1, 2, 1)
+
+
+def test_ulp_apart_replications_are_a_degenerate_sample():
+    # two treelog-tree replications one ulp apart: the same log terms summed
+    # in another row order
+    pair = [33.38997621591354, 33.389976215913535]
+    assert pair[0] != pair[1] and np.var(pair) > 0
+    assert is_degenerate(pair)
+    with pytest.raises(ValueError, match="^sample variance must be positive$"):
+        summarize_sample(pair)
+    # a sampling spread is summarized as before
+    spread = [33.38997621591354, 34.0]
+    assert not is_degenerate(spread)
+    assert summarize_sample(spread).count == 2
+    assert is_degenerate([0.0, 0.0, 0.0]) and is_degenerate([2.0, 2.0])
