@@ -9,9 +9,13 @@ with the rows of their configuration; ``Bar`` is the scalar form that the
 literal definitions (``inversion_score``) take.
 
 The merge forest uses the column-type locality of the model: a point's
-ancestor lies within the cylinder radius in coordinates 2..d, so ancestors
-come from a cKDTree candidate-pair search with an exact recheck, and no
-N x N array is built on the tree-lifetime path.  Likewise the pairs whose
+ancestor lies within the cylinder radius r in coordinates 2..d.  Bucket
+those coordinates into cells a little wider than r; a pair within the
+cylinder then lies in the same or in neighbouring cells, so each point's
+earliest later partner is found by walking the later rows of the 3^(d-1)
+cells around its own in row order, each candidate decided by the exact
+predicate (``_ancestor_indices``).  Memory stays linear in N, and no N x N
+array is built on the tree-lifetime path.  Likewise the pairs whose
 inversion score changes between two bar tables are found among the pairs
 that touch a changed bar (``changed_inversion_pairs``).
 
@@ -27,6 +31,7 @@ instead of an all-pairs comparison.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,7 +41,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import cKDTree
 
 from .geometry import AxisBox, Cube, _g17
-from .process import MarkedPoint, PointConfiguration, id_rows, insert_point
+from .process import MarkedPoint, PointConfiguration, _all_unique, id_rows, insert_point
 
 __all__ = [
     "Bar",
@@ -93,7 +98,7 @@ class Barcode:
             raise ValueError("births must be finite")
         if not (lifetimes >= 0.0).all():
             raise ValueError("lifetimes are nonnegative (NaN is not a lifetime)")
-        if len(np.unique(owners)) != n:
+        if not _all_unique(owners):
             raise ValueError("bar owners must be unique")
         for name, column in (("owners", owners), ("births", births), ("lifetimes", lifetimes)):
             column.flags.writeable = False
@@ -127,28 +132,80 @@ def uniform_lifetimes(cfg: PointConfiguration) -> Barcode:
 
 
 def _ancestor_indices(positions: np.ndarray, cylinder_radius: float) -> np.ndarray:
-    """For time-sorted positions, the index of each point's earliest strict
-    successor within the cylinder (spatial distance in coordinates 2..d at
-    most the radius); -1 when none exists.
+    """For each row, the earliest later row in row order whose coordinates
+    2..d lie within the cylinder: the sum of squared coordinate differences
+    is at most the squared radius.  -1 when there is none.
 
-    A cKDTree over coordinates 2..d lists the candidate pairs within the
-    radius widened by a relative 1e-9, a superset of the cylinder pairs; each
-    candidate is then decided by the sum of squared coordinate differences
-    against the squared radius, so boundaries, ties and repeated positions
-    decide as in a dense all-pairs test while memory stays linear in the
-    number of candidate pairs.
+    A cell list walked in row order.  Coordinates 2..d are bucketed into
+    cubic cells of side s = r (1 + 1e-9) + M 2^-50, M the largest coordinate
+    magnitude.  A pair that passes the predicate has every |dx_k| <= r
+    (1 + 2^-50) (the rounded square of each difference is at most the
+    rounded sum, which is at most fl(r^2)), and each rounded quotient x / s
+    is off by at most M / s 2^-53, so two such quotients differ by at most
+    (r (1 + 2^-50) + M 2^-52) / s <= 1 and their floors, the cells, by at
+    most 1 in every coordinate: the partners of a row lie in the 3^(d-1)
+    cells around its own.  The M term keeps this exact at any coordinate
+    magnitude; the argument needs only a squared radius that is a finite
+    normal float.
+    Cells are coarsened by powers of two while the flat cell index times N
+    would overflow int64; coarser cells only add candidates.
+
+    One sorted int64 key ``cell * N + row`` makes the later rows of each
+    neighbour cell a contiguous run in ascending row order; both ends come
+    from ``searchsorted`` with needles in sorted order.  All (row, offset)
+    runs walk together: k candidates per step (k = 1, 4, 16, ...) are
+    decided by the predicate, each run's hits fold into the row's best with
+    ``np.minimum.at``, and a run drops out once it hits, is exhausted, or
+    its next row is no earlier than the row's best.  Boundaries, ties and
+    repeated positions decide as in a dense all-pairs test, and memory stays
+    linear in N.
     """
     if not (math.isfinite(cylinder_radius) and cylinder_radius > 0):
         raise ValueError(f"cylinder radius must be finite and > 0, got {cylinder_radius}")
     n = len(positions)
+    if n < 2:
+        return np.full(n, -1, dtype=np.int64)
     rest = positions[:, 1:]
-    pairs = cKDTree(rest).query_pairs(cylinder_radius * (1.0 + 1e-9), output_type="ndarray")
-    i, j = pairs[:, 0], pairs[:, 1]  # i < j: j is later in row order
-    diff = rest[i] - rest[j]
-    within = np.einsum("ij,ij->i", diff, diff) <= cylinder_radius**2 + 0.0
-    earliest = np.full(n, n, dtype=np.int64)
-    np.minimum.at(earliest, i[within], j[within])
-    return np.where(earliest < n, earliest, -1)
+    side = cylinder_radius * (1.0 + 1e-9) + float(np.abs(rest).max(initial=0.0)) * 2.0**-50
+    while True:
+        cells = np.floor(rest / side).astype(np.int64)
+        cells -= cells.min(axis=0) - 1  # a neighbour offset never wraps into another cell
+        extent = cells.max(axis=0) + 2
+        if math.prod(extent.tolist()) * n < 2**62:
+            break
+        side *= 2.0
+    strides = np.cumprod(np.concatenate(([1], extent[:0:-1])))[::-1]
+    key = cells @ strides * n + np.arange(n)
+    order = np.argsort(key)
+    key = key[order]
+    cell_start = key - key % n  # key of the sorted row's cell, row 0
+
+    # one run of candidates per (sorted row, neighbour offset)
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=rest.shape[1]))) @ strides * n
+    lo = np.concatenate([np.searchsorted(key, key + (o + 1)) for o in offsets])
+    hi = np.concatenate([np.searchsorted(key, cell_start + (o + n)) for o in offsets])
+    row = np.tile(order, len(offsets))
+    live = lo < hi
+    row, lo, hi = row[live], lo[live], hi[live]
+
+    r2 = cylinder_radius**2 + 0.0
+    best = np.full(n, n, dtype=np.int64)
+    k = 1
+    while len(row):
+        take = np.minimum(hi - lo, k)
+        run = np.repeat(np.arange(len(row)), take)
+        first = np.cumsum(take) - take
+        cand = order[lo[run] + np.arange(len(run)) - first[run]]
+        diff = rest[row[run]] - rest[cand]
+        within = np.einsum("ij,ij->i", diff, diff) <= r2
+        np.minimum.at(best, row[run[within]], cand[within])
+        lo += take
+        open_ = lo < hi
+        open_[run[within]] = False
+        open_[open_] = order[lo[open_]] < best[row[open_]]
+        row, lo, hi = row[open_], lo[open_], hi[open_]
+        k *= 4
+    return np.where(best < n, best, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,11 +280,12 @@ def elder_lifetimes(forest: MergeForest) -> Barcode:
 
 def inversion_score(x_bar: Bar, y_bar: Bar) -> int:
     """1 iff the two bars invert: births and deaths oppositely ordered, both
-    lifetimes strictly inside (0, 1)."""
+    lifetimes strictly inside (0, 1).  Deaths are the rounded sums
+    fl(birth + lifetime), as in every array form of the score."""
     if not (x_bar.admissible and y_bar.admissible):
         return 0
     db = x_bar.birth - y_bar.birth
-    dd = db + (x_bar.lifetime - y_bar.lifetime)
+    dd = (x_bar.birth + x_bar.lifetime) - (y_bar.birth + y_bar.lifetime)
     return 1 if (db < 0 < dd) or (dd < 0 < db) else 0
 
 

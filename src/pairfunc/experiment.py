@@ -98,8 +98,8 @@ class ExperimentConfig:
             raise ConfigError("n_grid must be non-empty and strictly increasing")
         if self.reps < 2:
             raise ConfigError("need at least 2 replications")
-        if self.d < model.locality_order:
-            raise ConfigError(f"model {self.model} needs dimension >= {model.locality_order}")
+        if self.d < model.min_dim:
+            raise ConfigError(f"model {self.model} needs dimension >= {model.min_dim}")
         for key in ("intensity", "cutoff"):
             require_positive(key, getattr(self, key))
         if self.jobs is not None and (type(self.jobs) is not int or self.jobs < 1):
@@ -400,8 +400,8 @@ def stabilization_survey(
     from .stats import loglinear_fit
 
     model = get_model(model_id, require_positive("cutoff", cutoff))
-    if d < model.locality_order:
-        raise ConfigError(f"model {model_id} needs dimension >= {model.locality_order}")
+    if d < model.min_dim:
+        raise ConfigError(f"model {model_id} needs dimension >= {model.min_dim}")
     window = checked_window(n=n, dim=d, boundary_margin=margin)
     rule = model.admissibility if with_admissibility else None
     radii = []

@@ -93,6 +93,7 @@ class Model:
     name: str
     functional_kind: str          # "double_sum" | "sum_log_sum"
     locality_order: int
+    min_dim: int                  # smallest window dimension the context can be built in
     mark_model: MarkModel
     score: PairScore
     admissibility: AdmissibilityRule
@@ -125,7 +126,7 @@ def _crossing_model(name: str, kernel, mark_model: MarkModel, cutoff: float) -> 
         total=_crossing_total,
         snapshot=_crossing_snapshot,
     )
-    return Model(name, "double_sum", 2, mark_model, score, AdmissibilityRule.all())
+    return Model(name, "double_sum", 2, 2, mark_model, score, AdmissibilityRule.all())
 
 
 def _barcode_model(name: str, lifetime_model: str, functional_kind: str, cutoff: float) -> Model:
@@ -157,7 +158,8 @@ def _barcode_model(name: str, lifetime_model: str, functional_kind: str, cutoff:
         if functional_kind == "sum_log_sum"
         else AdmissibilityRule.all()
     )
-    return Model(name, functional_kind, 1, mark_model, score, rule)
+    min_dim = 1 if lifetime_model == "uniform" else 2  # merge forests need a cylinder
+    return Model(name, functional_kind, 1, min_dim, mark_model, score, rule)
 
 
 def get_model(model_id: str, cutoff: float = 1.0) -> Model:

@@ -48,6 +48,13 @@ def derive_rng(master: int, *keys: int) -> np.random.Generator:
     return np.random.default_rng(seq)
 
 
+def _all_unique(values: np.ndarray) -> bool:
+    """True iff no two entries of a 1-D array are equal: one sort and one
+    comparison of neighbours (cheaper than ``np.unique``'s hash table)."""
+    ordered = np.sort(values)
+    return not (ordered[1:] == ordered[:-1]).any()
+
+
 @dataclass(frozen=True)
 class MarkModel:
     """Distribution of the independent mark attached to each point.
@@ -180,7 +187,7 @@ class PointConfiguration:
             marks = np.empty(0)
         if ids.shape != (count,) or (marks is not None and marks.shape != (count,)):
             raise ValueError("positions, marks and ids must have one row per point")
-        if self.ids is not None and len(np.unique(ids)) != count:  # arange is unique
+        if self.ids is not None and not _all_unique(ids):  # arange is unique
             raise ValueError("point ids must be unique")
         outside = ~self.window.mask(pos)
         if outside.any():

@@ -218,6 +218,92 @@ def test_sparse_ancestor_search_on_the_boundary(rest0, rest1, radius, linked):
     assert _ancestor_indices(positions[:1], radius).tolist() == [-1]
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([0.5, 1.0, 2.0]),
+    st.lists(st.tuples(*[st.integers(0, 12)] * 4), min_size=0, max_size=40),
+)
+def test_cell_walk_matches_dense_oracle_in_four_dimensions(radius, cells):
+    # three cell coordinates: 27 neighbour offsets per row
+    positions = 0.25 * np.array(cells, dtype=float).reshape(-1, 4)
+    assert np.array_equal(_ancestor_indices(positions, radius),
+                          ancestor_indices_oracle(positions, radius))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 4),
+    st.sampled_from([0.5, 1.0, 2.0]),
+    st.lists(
+        st.tuples(
+            st.integers(0, 3),
+            st.lists(st.tuples(st.integers(-3, 3), st.sampled_from([0.0, 0.5, 1.0, -1.0]),
+                               st.integers(-1, 1)), min_size=3, max_size=3),
+        ),
+        min_size=0, max_size=30,
+    ),
+)
+def test_cell_walk_on_cell_boundaries(d, radius, cells):
+    # coordinates on, and one ulp either side of, multiples j s of the cell
+    # side s (as the walk computes it), and j s + s / 2 and j s -+ r, so that
+    # pairs at distance r and at distance s straddle the cell boundaries; the
+    # last row sits at 8r, which fixes the largest coordinate magnitude
+    side = radius * (1.0 + 1e-9) + 8.0 * radius * 2.0**-50
+    steps = {0.0: 0.0, 0.5: side / 2, 1.0: radius, -1.0: -radius}
+    rows = [
+        [float(t)] + [
+            float(np.nextafter(j * side + steps[shift], math.copysign(math.inf, u)))
+            if u else j * side + steps[shift]
+            for j, shift, u in coords[: d - 1]
+        ]
+        for t, coords in cells
+    ]
+    positions = np.array(rows + [[0.0] + [8.0 * radius] * (d - 1)])
+    assert np.abs(positions[:-1, 1:]).max(initial=0.0) < 8.0 * radius
+    assert np.array_equal(_ancestor_indices(positions, radius),
+                          ancestor_indices_oracle(positions, radius))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_cell_walk_in_one_cell_with_tied_times(d):
+    # every point in one cell and every row at one time: the answer is
+    # decided by row order and the predicate alone
+    rng = np.random.default_rng(d)
+    for count in (2, 3, 17, 200):
+        positions = np.column_stack(
+            (np.full(count, 5.0), rng.uniform(0.0, 0.99, (count, d - 1)))
+        )
+        positions[rng.integers(0, count, count // 4)] = positions[0]  # repeated positions
+        for radius in (1.0, 0.3):
+            assert np.array_equal(_ancestor_indices(positions, radius),
+                                  ancestor_indices_oracle(positions, radius))
+
+
+@pytest.mark.parametrize("shift", [1e6, -1e6, 2.0**40, 1e15])
+def test_cell_walk_on_a_lattice_shifted_far_from_the_origin(shift):
+    # quarter steps stay exact at these magnitudes, so the shifted lattice
+    # links exactly as the unshifted one
+    rng = np.random.default_rng(7)
+    lattice = 0.25 * rng.integers(0, 16, (300, 3)).astype(float)
+    expected = ancestor_indices_oracle(lattice, 1.0)
+    shifted = lattice + np.array([0.0, shift, shift])
+    assert np.array_equal(shifted - np.array([0.0, shift, shift]), lattice)
+    assert np.array_equal(ancestor_indices_oracle(shifted, 1.0), expected)
+    assert np.array_equal(_ancestor_indices(shifted, 1.0), expected)
+
+
+def test_cell_walk_with_more_cells_than_int64_keys_hold():
+    # a radius of 1e-9 over a spread of 10 makes ~1e10 cells per coordinate,
+    # 1e20 in d = 3: the cells are coarsened until cell * N + row fits
+    rng = np.random.default_rng(11)
+    base = 0.25 * rng.integers(0, 40, (400, 3))
+    positions = base[rng.integers(0, 40, 400)] + 4e-10 * rng.integers(0, 4, (400, 3))
+    positions[:, 0] = rng.integers(0, 3, 400)
+    expected = ancestor_indices_oracle(positions, 1e-9)
+    assert (expected >= 0).sum() > 100
+    assert np.array_equal(_ancestor_indices(positions, 1e-9), expected)
+
+
 @pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan])
 def test_merge_forest_rejects_bad_cylinder_radius(radius):
     cfg = make_configuration(W2, [(1.0, 1.0), (2.0, 1.5)])
@@ -247,6 +333,23 @@ def test_merge_forest_memory_stays_sparse_at_scale():
     finally:
         tracemalloc.stop()
     assert peak < 128 * 2**20
+
+
+def test_merge_forest_memory_stays_linear_at_n_256():
+    # ~65k points: listing every cylinder pair across the time axis would
+    # hold ~16.7M candidate pairs
+    import tracemalloc
+
+    cfg = sample_ppp(Window(n=256.0, dim=2), 1.0, MarkModel.none(), seed=256)
+    assert len(cfg) > 60_000
+    tracemalloc.start()
+    try:
+        forest = build_merge_forest(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(forest.merge_points) > 0
+    assert peak < 150 * 2**20
 
 
 def test_ancestors_depend_only_on_later_points():
@@ -361,9 +464,11 @@ def test_compound_counts_match_blocked_oracle_on_unit_band_edges(cells):
     G = inversion_compound_counts(births, lifetimes)
     assert G.dtype == np.int64
     assert np.array_equal(G, inversion_compound_counts_blocked(births, lifetimes))
-    # the literal score rounds its death difference differently at ulp
-    # scale, so on these births the ordered count is checked against G
-    assert inversion_count(Barcode(np.arange(len(cells)), births, lifetimes)) == G.sum()
+    # the literal score compares the same rounded deaths, so the ordered
+    # counts agree at ulp scale, too
+    bc = Barcode(np.arange(len(cells)), births, lifetimes)
+    assert inversion_count(bc) == G.sum()
+    assert inversion_count_quadratic(bc) == inversion_count(bc)
 
 
 @settings(max_examples=300, deadline=None)

@@ -324,6 +324,28 @@ def test_crossing_stabilization_below_two_dimensions_is_config_error(capsys):
     assert "needs dimension >= 2" in _one_error_line(err, 2)
 
 
+def test_tree_experiment_below_two_dimensions_is_config_error(tmp_path, capsys):
+    # merge forests need a cylinder, although the tree models' locality order is 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": "inversion-tree", "n_grid": [4, 6], "reps": 2,
+                                "seed": 3, "d": 1}))
+    code, out, err = run_cli(["clt", "--config", str(path), "--out", str(tmp_path / "out")],
+                             capsys)
+    assert code == 2 and out == ""
+    assert "needs dimension >= 2" in _one_error_line(err, 2)
+    assert not (tmp_path / "out").exists()
+
+
+def test_tree_stabilization_below_two_dimensions_is_config_error(capsys):
+    code, out, err = run_cli(
+        ["stabilization", "--model", "treelog-tree", "--n", "4", "--d", "1",
+         "--draws", "2", "--seed", "3"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert "needs dimension >= 2" in _one_error_line(err, 2)
+
+
 def test_kernel_on_one_dimensional_points_is_runtime_error(tmp_path, capsys):
     points = tmp_path / "p.txt"
     code, _, _ = run_cli(["sample", "--n", "6", "--d", "1", "--seed", "2", "--out", str(points)],

@@ -25,6 +25,16 @@ def test_locality_orders():
     assert get_model("treelog-tree").locality_order == 1
 
 
+def test_minimum_dimensions():
+    # crossings need two planar coordinates and merge forests a cylinder;
+    # uniform lifetimes need time alone
+    assert get_model("crossing-fixed").min_dim == 2
+    assert get_model("inversion-tree").min_dim == 2
+    assert get_model("treelog-tree").min_dim == 2
+    assert get_model("inversion-uniform").min_dim == 1
+    assert get_model("treelog-uniform").min_dim == 1
+
+
 def test_crossing_score_k_locality_spot_checks():
     # pairs separated by more than twice the cut-off in a local coordinate
     # cannot score
