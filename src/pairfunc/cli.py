@@ -124,12 +124,16 @@ def _cmd_sample(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     defaults = _config_defaults(args)
+    try:
+        kernel = kernel_from_flag(args.kernel) if args.kernel else None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     cfg = load_configuration(Path(args.points).read_text())
     cutoff = require_positive(
         "cutoff", args.cutoff if args.cutoff is not None else defaults.get("cutoff", 1.0)
     )
-    if args.kernel:
-        graph = build_edges(cfg, kernel_from_flag(args.kernel), slab_cutoff=cutoff)
+    if kernel is not None:
+        graph = build_edges(cfg, kernel, slab_cutoff=cutoff)
         value = crossing_number(graph)
         if args.format == "json":
             print(json.dumps({"kernel": args.kernel, "crossing_number": value}))
@@ -279,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="evaluate a functional on a point file")
     p.add_argument("--model", default=None)
     p.add_argument("--points", required=True)
-    p.add_argument("--kernel", default=None, help="fixed|directed|max|localized:<cap>")
+    p.add_argument("--kernel", default=None, help="fixed|directed|max|localized[:<cap>]")
     p.add_argument("--cutoff", type=float, default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_evaluate)

@@ -6,11 +6,22 @@ integer unordered-pair count; the 1/8-weighted ordered form only appears in
 so the work grows with the number of nearby pairs, not with N^2;
 ``crossing_number_direct`` is a plain double loop over edge pairs, and the two
 must agree exactly.
+
+A ``GeometricGraph`` holds its edges, segments and retained flags as
+read-only columns (``edge_ids``, ``segment_ids``, ``retained_mask``), and the
+crossing path stays in arrays from ``build_edges`` to the count; the tuple
+views ``edges``, ``segments`` and ``retained`` are built only when read.
+Candidate crossing pairs (midpoints within the slab cutoff) lose the adjacent
+pairs and the pairs whose projected bounding boxes are strictly disjoint on
+an axis before any orientation test.  That reject is exact: a proper crossing
+point lies on both segments, hence in both closed boxes, so the boxes meet on
+every axis; the comparisons read stored coordinates and involve no rounding.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -32,6 +43,7 @@ __all__ = [
     "crossing_score",
     "crossing_pair_scores",
     "kernel_from_flag",
+    "parse_cap",
     "graph_to_text",
 ]
 
@@ -71,36 +83,81 @@ def kernel_needs_marks(kernel: ConnectivityKernel) -> bool:
     return not isinstance(kernel, FixedRadius)
 
 
+def parse_cap(flag: str, name: str) -> int | None:
+    """The crowding cap of ``name`` or ``name:<cap>``: None without a suffix
+    (no cut), else the decimal integer ``<cap>``, which must be >= 1 because
+    the crowding count includes the point itself.  ValueError otherwise."""
+    base, colon, cap = flag.partition(":")
+    if base != name:
+        raise ValueError(f"expected {name!r} or '{name}:<cap>', got {flag!r}")
+    if colon and not (cap.isascii() and cap.isdigit() and int(cap) >= 1):
+        raise ValueError(f"the cap in {flag!r} must be an integer >= 1")
+    return int(cap) if colon else None
+
+
 def kernel_from_flag(flag: str) -> ConnectivityKernel:
-    """Parse a --kernel flag: fixed | directed | max | localized:<cap>."""
+    """Parse a --kernel flag: fixed | directed | max | localized[:<cap>]."""
     if flag == "fixed":
         return FixedRadius()
     if flag == "directed":
         return DirectedRandom()
     if flag == "max":
         return MaxKernel()
-    if flag.startswith("localized"):
-        _, _, cap = flag.partition(":")
-        return Localized(cap=int(cap) if cap else None)
+    if flag.partition(":")[0] == "localized":
+        return Localized(parse_cap(flag, "localized"))
     raise ValueError(f"unknown kernel flag {flag!r}")
 
 
-@dataclass(frozen=True)
-class GeometricGraph:
-    """Edge set of a kernel over a configuration.
+def _pair_tuples(pairs: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """An (E, 2) int array as a tuple of builtin-int pairs."""
+    return tuple(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
 
-    ``edges`` are id pairs: ordered (src, dst) for the directed kernel,
-    (min, max) otherwise.  ``segments`` is the undirected support used for
-    crossing counts, and ``retained`` flags segments whose endpoints stay
-    within ``slab_cutoff`` of each other in the first two coordinates.
+
+@dataclass(frozen=True, eq=False)
+class GeometricGraph:
+    """Edge set of a kernel over a configuration, stored as read-only columns.
+
+    ``edge_ids`` is an (E, 2) int64 array of id pairs: ordered (src, dst) for
+    the directed kernel, (min, max) otherwise.  ``segment_ids`` (S, 2) is the
+    undirected support used for crossing counts, (min, max) rows, and
+    ``retained_mask`` (S,) flags the segments whose endpoints stay within
+    ``slab_cutoff`` of each other in the first two coordinates.  The
+    constructor takes arrays or sequences of pairs.  ``edges``, ``segments``
+    and ``retained`` are tuple views of the columns (builtin ints and bools),
+    built on first access.
     """
 
     cfg: PointConfiguration
     kernel: ConnectivityKernel
-    edges: tuple[tuple[int, int], ...]
+    edge_ids: np.ndarray
     slab_cutoff: float = 1.0
-    segments: tuple[tuple[int, int], ...] = field(default=())
-    retained: tuple[bool, ...] = field(default=())
+    segment_ids: np.ndarray = ()
+    retained_mask: np.ndarray = ()
+
+    def __post_init__(self):
+        # views, so that freezing them leaves the caller's arrays writeable
+        edge_ids = np.asarray(self.edge_ids, dtype=np.int64).reshape(-1, 2)
+        segment_ids = np.asarray(self.segment_ids, dtype=np.int64).reshape(-1, 2)
+        retained_mask = np.asarray(self.retained_mask, dtype=bool).view()
+        if retained_mask.shape != (len(segment_ids),):
+            raise ValueError("retained needs one flag per segment")
+        for name, column in (
+            ("edge_ids", edge_ids), ("segment_ids", segment_ids), ("retained_mask", retained_mask)
+        ):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return _pair_tuples(self.edge_ids)
+
+    @cached_property
+    def segments(self) -> tuple[tuple[int, int], ...]:
+        return _pair_tuples(self.segment_ids)
+
+    @cached_property
+    def retained(self) -> tuple[bool, ...]:
+        return tuple(self.retained_mask.tolist())
 
 
 # Tree queries are widened by a relative 1e-9; every candidate is then decided
@@ -124,11 +181,6 @@ def _ball_pairs(pos: np.ndarray, radii: np.ndarray):
     i = np.repeat(np.arange(len(hits)), lens)
     j = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp, count=int(lens.sum()))
     return i, j, _distances(pos, i, j)
-
-
-def _pair_tuples(pairs: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """An (E, 2) int array as a tuple of builtin-int pairs."""
-    return tuple(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
 
 
 def build_edges(
@@ -166,34 +218,39 @@ def build_edges(
         keep = (i < j) & (dist <= np.minimum(radii[i], radii[j]))
     else:
         raise TypeError(f"unsupported kernel {kernel!r}")
-    a, b = ids[i[keep]], ids[j[keep]]
-    if not isinstance(kernel, DirectedRandom):
-        a, b = np.minimum(a, b), np.maximum(a, b)
-    edges = np.stack([a, b], axis=1)[np.lexsort((b, a))]
-    segments = np.unique(np.sort(edges, axis=1), axis=0)
-    ends = id_rows(ids, segments)
-    retained = (np.abs(pos[ends[:, 0], :2] - pos[ends[:, 1], :2]) <= slab_cutoff).all(axis=1)
-    return GeometricGraph(
-        cfg,
-        kernel,
-        _pair_tuples(edges),
-        slab_cutoff,
-        _pair_tuples(segments),
-        tuple(retained.tolist()),
-    )
+    src, dst = i[keep], j[keep]
+    # segment rows: the smaller id first, one per id pair (Z -> Z' and
+    # Z' -> Z share a segment), in (id, id) order
+    flip = ids[src] > ids[dst]
+    lo, hi = np.where(flip, dst, src), np.where(flip, src, dst)
+    order, starts = _runs(ids[lo], ids[hi])
+    lo, hi = lo[order[starts]], hi[order[starts]]
+    edge_ids = segment_ids = np.stack([ids[lo], ids[hi]], axis=1)
+    if isinstance(kernel, DirectedRandom):
+        edge_ids = np.stack([ids[src], ids[dst]], axis=1)[np.lexsort((ids[dst], ids[src]))]
+    retained = (np.abs(pos[lo, :2] - pos[hi, :2]) <= slab_cutoff).all(axis=1)
+    return GeometricGraph(cfg, kernel, edge_ids, slab_cutoff, segment_ids, retained)
+
+
+def _runs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lexicographic order of the rows (a, b), and the positions in that
+    order where a run of equal rows starts."""
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    return order, np.flatnonzero(new)
 
 
 def _segment_geometry(graph: GeometricGraph):
     """Projected endpoints (x0, y0, x1, y1) and endpoint ids of the retained
     segments."""
-    segments = np.array(graph.segments, dtype=np.int64).reshape(-1, 2)
-    ends = segments[np.array(graph.retained, dtype=bool)]
+    ends = graph.segment_ids[graph.retained_mask]
     rows = id_rows(graph.cfg.ids, ends)
     pos = graph.cfg.positions
     return np.hstack([pos[rows[:, 0], :2], pos[rows[:, 1], :2]]), ends
 
 
-_PAIR_CHUNK = 1 << 16
 _ERRBOUND = 3.3306690621773724e-16
 
 
@@ -213,39 +270,40 @@ def _crossing_pairs(coords: np.ndarray, ends: np.ndarray, slab_cutoff: float) ->
     so two segments that properly cross have midpoints within Chebyshev
     distance ``slab_cutoff``; only those candidate pairs are tested.  The
     query is widened by a relative 1e-9 plus the midpoints' rounding error.
-    Each candidate goes through a float orientation filter; borderline
-    determinants fall back to the exact scalar predicate."""
+    Adjacent pairs are dropped, and so are pairs whose bounding boxes are
+    strictly disjoint on an axis: a proper crossing point lies in both
+    boxes.  Each remaining pair goes through a float orientation filter;
+    borderline determinants fall back to the exact scalar predicate."""
     if len(coords) < 2:
         return np.empty((0, 2), dtype=np.intp)
     mid = (coords[:, :2] + coords[:, 2:]) / 2.0
     reach = slab_cutoff * _WIDEN + 4.0 * np.finfo(float).eps * np.abs(mid).max()
-    cand = cKDTree(mid).query_pairs(reach, p=np.inf, output_type="ndarray")
-    cand = cand[np.lexsort((cand[:, 1], cand[:, 0]))]
-    crosses = np.zeros(len(cand), dtype=bool)
-    for start in range(0, len(cand), _PAIR_CHUNK):
-        ii, jj = cand[start : start + _PAIR_CHUNK].T
-        adjacent = (
-            (ends[ii, 0] == ends[jj, 0])
-            | (ends[ii, 0] == ends[jj, 1])
-            | (ends[ii, 1] == ends[jj, 0])
-            | (ends[ii, 1] == ends[jj, 1])
-        )
-        a = coords[ii]
-        b = coords[jj]
-        s1, u1 = _orient_block(b[:, 0], b[:, 1], b[:, 2], b[:, 3], a[:, 0], a[:, 1])
-        s2, u2 = _orient_block(b[:, 0], b[:, 1], b[:, 2], b[:, 3], a[:, 2], a[:, 3])
-        s3, u3 = _orient_block(a[:, 0], a[:, 1], a[:, 2], a[:, 3], b[:, 0], b[:, 1])
-        s4, u4 = _orient_block(a[:, 0], a[:, 1], a[:, 2], a[:, 3], b[:, 2], b[:, 3])
-        certain = ~(u1 | u2 | u3 | u4)
-        crossing = (s1 * s2 < 0) & (s3 * s4 < 0) & ~adjacent
-        crosses[start : start + len(ii)] = crossing & certain
-        # unresolved determinants: decide exactly one pair at a time
-        for k in np.flatnonzero(~certain & ~adjacent):
-            i, j = ii[k], jj[k]
-            p1, q1 = (coords[i, 0], coords[i, 1]), (coords[i, 2], coords[i, 3])
-            p2, q2 = (coords[j, 0], coords[j, 1]), (coords[j, 2], coords[j, 3])
-            crosses[start + k] = segments_properly_cross(p1, q1, p2, q2)
-    return cand[crosses]
+    ii, jj = cKDTree(mid).query_pairs(reach, p=np.inf, output_type="ndarray").T
+    e0, e1 = ends[:, 0], ends[:, 1]
+    keep = (e0[ii] != e0[jj]) & (e0[ii] != e1[jj]) & (e1[ii] != e0[jj]) & (e1[ii] != e1[jj])
+    ii, jj = ii[keep], jj[keep]
+    for axis in (0, 1):
+        lo = np.minimum(coords[:, axis], coords[:, axis + 2])
+        hi = np.maximum(coords[:, axis], coords[:, axis + 2])
+        keep = (lo[ii] <= hi[jj]) & (lo[jj] <= hi[ii])
+        ii, jj = ii[keep], jj[keep]
+    a = coords[ii]
+    b = coords[jj]
+    s1, u1 = _orient_block(b[:, 0], b[:, 1], b[:, 2], b[:, 3], a[:, 0], a[:, 1])
+    s2, u2 = _orient_block(b[:, 0], b[:, 1], b[:, 2], b[:, 3], a[:, 2], a[:, 3])
+    s3, u3 = _orient_block(a[:, 0], a[:, 1], a[:, 2], a[:, 3], b[:, 0], b[:, 1])
+    s4, u4 = _orient_block(a[:, 0], a[:, 1], a[:, 2], a[:, 3], b[:, 2], b[:, 3])
+    certain = ~(u1 | u2 | u3 | u4)
+    crosses = certain & (s1 * s2 < 0) & (s3 * s4 < 0)
+    # unresolved determinants: decide exactly one pair at a time
+    for k in np.flatnonzero(~certain):
+        i, j = ii[k], jj[k]
+        p1, q1 = (coords[i, 0], coords[i, 1]), (coords[i, 2], coords[i, 3])
+        p2, q2 = (coords[j, 0], coords[j, 1]), (coords[j, 2], coords[j, 3])
+        crosses[k] = segments_properly_cross(p1, q1, p2, q2)
+    ii, jj = ii[crosses], jj[crosses]
+    order = np.lexsort((jj, ii))
+    return np.stack([ii[order], jj[order]], axis=1)
 
 
 def crossing_number(graph: GeometricGraph) -> int:
@@ -284,11 +342,14 @@ def crossing_pair_scores(graph: GeometricGraph) -> dict[tuple[int, int], int]:
     coords, ends = _segment_geometry(graph)
     pairs = _crossing_pairs(coords, ends, graph.slab_cutoff)
     first, second = ends[pairs[:, 0]], ends[pairs[:, 1]]
-    keys = np.concatenate(
-        [np.stack([first[:, p], second[:, q]], axis=1) for p in (0, 1) for q in (0, 1)]
-    )
-    keys, counts = np.unique(np.sort(keys, axis=1), axis=0, return_counts=True)
-    return dict(zip(_pair_tuples(keys), counts.tolist()))
+    # the 2 x 2 endpoint pairings of every crossing pair, as (min, max) rows
+    a = np.repeat(first, 2, axis=1).ravel()
+    b = np.tile(second, 2).ravel()
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    order, starts = _runs(lo, hi)
+    counts = np.diff(np.append(starts, len(order)))
+    keys = order[starts]
+    return dict(zip(zip(lo[keys].tolist(), hi[keys].tolist()), counts.tolist()))
 
 
 def crossing_score(Z, V, graph: GeometricGraph) -> float:

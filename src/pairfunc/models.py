@@ -163,15 +163,17 @@ def _barcode_model(name: str, lifetime_model: str, functional_kind: str, cutoff:
 
 
 def get_model(model_id: str, cutoff: float = 1.0) -> Model:
-    """Resolve a model id; crossing-localized accepts a ':<cap>' suffix."""
-    base, _, arg = model_id.partition(":")
+    """Resolve a model id; crossing-localized alone takes a ':<cap>' suffix."""
+    base = model_id.partition(":")[0]
+    if base == "crossing-localized":
+        kernel = graphs.Localized(graphs.parse_cap(model_id, base))
+        return _crossing_model(model_id, kernel, MarkModel.exponential(1.0), cutoff)
+    if base in MODEL_NAMES and model_id != base:
+        raise ValueError(f"model {base} takes no ':' suffix, got {model_id!r}")
     if base == "crossing-fixed":
         return _crossing_model(model_id, graphs.FixedRadius(1.0), MarkModel.none(), cutoff)
     if base == "crossing-max":
         return _crossing_model(model_id, graphs.MaxKernel(), MarkModel.exponential(1.0), cutoff)
-    if base == "crossing-localized":
-        cap = int(arg) if arg else None
-        return _crossing_model(model_id, graphs.Localized(cap), MarkModel.exponential(1.0), cutoff)
     if base == "inversion-uniform":
         return _barcode_model(model_id, "uniform", "double_sum", cutoff)
     if base == "inversion-tree":

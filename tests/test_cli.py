@@ -303,6 +303,42 @@ def _one_error_line(err: str, code: int) -> str:
     return lines[0]
 
 
+@pytest.mark.parametrize(
+    "flag", ["localizedfoo", "localized:0", "localized:-3", "localized:x", "localized:", "fixed:2"]
+)
+def test_bad_kernel_flag_is_config_error(capsys, flag):
+    code, out, err = run_cli(
+        ["evaluate", "--kernel", flag, "--points", str(FIXTURES / "snowflake.txt")], capsys
+    )
+    assert code == 2 and out == ""
+    assert repr(flag) in _one_error_line(err, 2)
+
+
+@pytest.mark.parametrize("flag", ["localized", "localized:1", "localized:16"])
+def test_localized_kernel_flags_still_evaluate(capsys, flag):
+    code, out, _ = run_cli(
+        ["evaluate", "--kernel", flag, "--points", str(FIXTURES / "snowflake.txt")], capsys
+    )
+    assert code == 0
+    assert int(out.strip()) >= 0
+
+
+@pytest.mark.parametrize(
+    "model",
+    ["crossing-fixed:abc", "crossing-max:7", "crossing-localized:0", "crossing-localized:x",
+     "crossing-localized:", "inversion-uniform:3"],
+)
+def test_bad_model_suffix_is_config_error_up_front(tmp_path, capsys, model):
+    code, out, err = run_cli(
+        ["clt", "--model", model, "--n-grid", "4,6", "--reps", "2", "--seed", "1",
+         "--out", str(tmp_path / "out")],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert repr(model) in _one_error_line(err, 2)
+    assert not (tmp_path / "out").exists()
+
+
 def test_crossing_experiment_below_two_dimensions_is_config_error(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"model": "crossing-fixed", "n_grid": [4, 6], "reps": 2,

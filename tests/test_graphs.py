@@ -6,18 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairfunc.fixtures import SNOWFLAKE_KERNEL, snowflake_configuration
-from pairfunc.geometry import Window
+from pairfunc.geometry import Window, segments_properly_cross
 from pairfunc.graphs import (
     DirectedRandom,
     FixedRadius,
     GeometricGraph,
     Localized,
     MaxKernel,
+    _crossing_pairs,
+    _segment_geometry,
     build_edges,
     crossing_number,
     crossing_number_direct,
     crossing_pair_scores,
     crossing_score,
+    graph_to_text,
     kernel_from_flag,
 )
 from pairfunc.models import get_model
@@ -206,8 +209,6 @@ def test_snowflake_fixture_has_three_crossings():
 
 
 def test_graph_dump_format():
-    from pairfunc.graphs import graph_to_text
-
     cfg = _x_crossing_cfg()
     g = build_edges(cfg, FixedRadius())
     text = graph_to_text(g, points_ref="points.txt")
@@ -221,8 +222,11 @@ def test_kernel_flag_parsing():
     assert kernel_from_flag("directed") == DirectedRandom()
     assert kernel_from_flag("max") == MaxKernel()
     assert kernel_from_flag("localized:5") == Localized(5)
-    with pytest.raises(ValueError):
-        kernel_from_flag("bogus")
+    assert kernel_from_flag("localized") == Localized(None)
+    for bad in ("bogus", "localizedfoo", "localized:", "localized:0", "localized:-3",
+                "localized:x", "localized:+2", "localized: 2", "max:3"):
+        with pytest.raises(ValueError):
+            kernel_from_flag(bad)
 
 
 def test_one_dimensional_points_rejected():
@@ -281,6 +285,100 @@ def test_crossing_number_matches_direct_on_lattice(cfg, kernel, cutoff):
     assert sum(crossing_pair_scores(g).values()) == 4 * count
 
 
+def pair_scores_literal(graph):
+    """Double loop over retained segment pairs: every properly crossing,
+    non-adjacent pair adds 1 to each of its 4 endpoint pairings."""
+    pos = {p.id: p.position[:2] for p in graph.cfg.points}
+    segments = [s for s, kept in zip(graph.segments, graph.retained) if kept]
+    scores = {}
+    for k, (a, b) in enumerate(segments):
+        for c, e in segments[k + 1 :]:
+            if {a, b} & {c, e} or not segments_properly_cross(pos[a], pos[b], pos[c], pos[e]):
+                continue
+            for z in (a, b):
+                for v in (c, e):
+                    key = (min(z, v), max(z, v))
+                    scores[key] = scores.get(key, 0) + 1
+    return scores
+
+
+@settings(max_examples=400, deadline=None)
+@given(lattice_configurations(), st.sampled_from(_KERNELS), _RADII)
+def test_pair_scores_match_literal_double_loop_on_lattice(cfg, kernel, cutoff):
+    g = build_edges(cfg, kernel, slab_cutoff=cutoff)
+    assert crossing_pair_scores(g) == pair_scores_literal(g)
+    pairs = _crossing_pairs(*_segment_geometry(g), cutoff).tolist()
+    assert pairs == sorted(pairs) and all(i < j for i, j in pairs)
+
+
+def _explicit_graph(points, segments):
+    cfg = make_configuration(W2, np.array(points, dtype=float) + 1.0)  # inside the window
+    return GeometricGraph(cfg, FixedRadius(), segments, 1.0, segments, (True,) * len(segments))
+
+
+@pytest.mark.parametrize(
+    "points, segments, expected",
+    [
+        # T-junction: (2, 3) ends inside (0, 1); (4, 5) properly crosses (0, 1)
+        ([(0, 0), (1, 0), (0.5, 0), (0.5, 0.8), (0.25, -0.4), (0.25, 0.4)],
+         ((0, 1), (2, 3), (4, 5)), 1),
+        # collinear overlap, and collinear segments that only touch
+        ([(0, 0), (1, 0), (0.5, 0), (1.5, 0), (1.5, 0.0), (2.5, 0)],
+         ((0, 1), (2, 3), (4, 5)), 0),
+        # boxes that touch on one coordinate only: x = 1 is an endpoint of
+        # one segment each time, and (4, 5) starts on a copy of point 1
+        ([(0, 0), (1, 1), (1, 0.5), (1.9, 0), (1, 1), (1.8, 0.3)],
+         ((0, 1), (2, 3), (4, 5)), 0),
+        # vertical meets horizontal: degenerate boxes, one proper crossing,
+        # plus a vertical that only touches the horizontal's end
+        ([(0, 0.5), (1, 0.5), (0.5, 0), (0.5, 1), (1, 0), (1, 0.9)],
+         ((0, 1), (2, 3), (4, 5)), 1),
+        # zero-length segments from duplicate positions: on another
+        # segment's interior, at its end, and off it
+        ([(0.5, 0.5), (0.5, 0.5), (0, 0), (1, 1), (1, 1), (0.2, 0.7), (0.2, 0.7)],
+         ((0, 1), (2, 3), (3, 4), (5, 6)), 0),
+    ],
+    ids=["t-junction", "collinear-overlap", "boxes-touch", "vertical-horizontal", "zero-length"],
+)
+def test_degenerate_segment_pairs_match_direct(points, segments, expected):
+    g = _explicit_graph(points, segments)
+    assert crossing_number(g) == crossing_number_direct(g) == expected
+    assert crossing_pair_scores(g) == pair_scores_literal(g)
+
+
+def test_graph_columns_are_read_only_views_of_the_tuples():
+    rng = np.random.default_rng(47)
+    cfg = random_configuration(rng, Window(n=4.0, dim=3), 120, MarkModel.uniform_radius(0.0, 1.2))
+    for kernel in (DirectedRandom(), MaxKernel()):
+        g = build_edges(cfg, kernel, slab_cutoff=0.75)
+        assert g.edge_ids.dtype == g.segment_ids.dtype == np.int64
+        assert g.retained_mask.dtype == bool
+        for column in (g.edge_ids, g.segment_ids, g.retained_mask):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = column[1]
+        assert g.edges == tuple(map(tuple, g.edge_ids.tolist()))
+        assert g.segments == tuple(map(tuple, g.segment_ids.tolist()))
+        assert g.retained == tuple(g.retained_mask.tolist())
+        assert all(type(v) is int for pair in g.edges + g.segments for v in pair)
+        assert all(type(v) is bool for v in g.retained)
+        assert 0 < sum(g.retained) < len(g.segments)
+        # the same graph built from tuples
+        t = GeometricGraph(cfg, kernel, g.edges, 0.75, g.segments, g.retained)
+        for name in ("edge_ids", "segment_ids", "retained_mask"):
+            assert np.array_equal(getattr(t, name), getattr(g, name))
+        assert crossing_number(t) == crossing_number(g) > 0
+        assert crossing_pair_scores(t) == crossing_pair_scores(g)
+        assert graph_to_text(t) == graph_to_text(g)
+    edges = np.array([[0, 1]])
+    g = GeometricGraph(cfg, FixedRadius(), edges, 1.0, edges, np.array([True]))
+    assert edges.flags.writeable  # the caller's array is left alone
+    with pytest.raises(ValueError):
+        GeometricGraph(cfg, FixedRadius(), edges, 1.0, edges, (True, False))
+    with pytest.raises(ValueError):
+        GeometricGraph(cfg, FixedRadius(), [(0, 1, 2)], 1.0, (), ())
+
+
 def test_crossings_at_the_midpoint_bound():
     # every segment spans exactly the cutoff on some axis
     pts = [(0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 0.5), (1.0, 1.5), (0.25, 0.5), (1.25, 1.5)]
@@ -309,6 +407,18 @@ def test_borderline_orientation_is_decided_exactly():
 def test_crossing_pipeline_memory_stays_sparse_at_scale():
     cfg = get_model("crossing-fixed").sample(Window(n=128.0, dim=2), (128, 0, 0))
     assert len(cfg) > 15_000
+    tracemalloc.start()
+    try:
+        crossing_number(build_edges(cfg, FixedRadius()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def test_crossing_pipeline_memory_stays_sparse_at_n256():
+    cfg = get_model("crossing-fixed").sample(Window(n=256.0, dim=2), (256, 0, 0))
+    assert len(cfg) > 60_000
     tracemalloc.start()
     try:
         crossing_number(build_edges(cfg, FixedRadius()))

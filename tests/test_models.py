@@ -11,11 +11,16 @@ from conftest import random_configuration
 
 def test_model_catalog_resolves():
     for name in MODEL_NAMES:
-        model = get_model(name if name != "crossing-localized" else "crossing-localized:3")
+        model = get_model(name)  # crossing-localized alone has no cap
         assert model.functional_kind in ("double_sum", "sum_log_sum")
     assert get_model("crossing-localized:5").name == "crossing-localized:5"
-    with pytest.raises(ValueError):
-        get_model("no-such-model")
+    assert get_model("crossing-localized:16").score.name == "crossing-localized:16"
+    # only crossing-localized takes a suffix, and its cap is an integer >= 1
+    for bad in ("no-such-model", "crossing-localized:0", "crossing-localized:-3",
+                "crossing-localized:x", "crossing-localized:", "crossing-localized:1.5",
+                "crossing-fixed:abc", "crossing-max:7", "treelog-tree:2", "crossing-localizedfoo"):
+        with pytest.raises(ValueError):
+            get_model(bad)
 
 
 def test_locality_orders():
