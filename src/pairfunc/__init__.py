@@ -12,7 +12,6 @@ from .geometry import (
     Slab,
     Window,
     box_at_index,
-    project_to_plane,
     segments_properly_cross,
 )
 from .process import (
@@ -24,7 +23,6 @@ from .process import (
     dump_configuration,
     insert_point,
     load_configuration,
-    remove_point,
     sample_ppp,
 )
 from .graphs import (

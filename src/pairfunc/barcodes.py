@@ -40,7 +40,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import cKDTree
 
-from .geometry import AxisBox, Cube, _g17
+from .geometry import Cube, _g17
 from .process import MarkedPoint, PointConfiguration, _all_unique, id_rows, insert_point
 
 __all__ = [
@@ -289,12 +289,6 @@ def inversion_score(x_bar: Bar, y_bar: Bar) -> int:
     return 1 if (db < 0 < dd) or (dd < 0 < db) else 0
 
 
-def inversion_matrix(births: np.ndarray, lifetimes: np.ndarray) -> np.ndarray:
-    """``inversion_score`` between every pair of bars given as (birth,
-    lifetime) columns: a symmetric boolean matrix with a false diagonal."""
-    return _inversion_rows(births, lifetimes, slice(None))
-
-
 def _inversion_rows(births: np.ndarray, lifetimes: np.ndarray, rows) -> np.ndarray:
     """``inversion_score`` between the bars at ``rows`` and every bar: a
     (len(rows), N) boolean matrix."""
@@ -403,10 +397,14 @@ def barcode_from_text(text: str) -> Barcode:
 #
 # A shielded box is an axis-aligned cube of side 8 whose outer half-unit time
 # slabs (the pads) are populated so densely that inserting points in the
-# central side-4 cube cannot alter the merge forest outside the box.
+# central side-4 cube cannot alter the merge forest outside the box.  The
+# geometry is fixed, and its constants are written for the unit cylinder.
 
+HALF_SIDE = 4.0          # half-side of the box
+INNER_HALF_SIDE = 2.0    # half-side of the central cube that takes insertions
 PAD_DEPTH = 0.5          # time extent of each pad
 BALL_RADIUS = 0.25       # pads must be covered by balls of this radius
+COVERAGE_GRID = 0.02     # spacing of the grid on which pad coverage is checked
 GAP = 0.5                # successor / earliest-child gap bound inside pads
 TOP_STRIP = 0.5          # exempt strip at the top of the last axis
 
@@ -419,9 +417,6 @@ class ShieldedBoxConfig:
 
     center: tuple[float, ...]
     points: np.ndarray
-    half_side: float = 4.0
-    inner_half_side: float = 2.0
-    coverage_grid: float = 0.02
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(v) for v in self.center))
@@ -430,7 +425,7 @@ class ShieldedBoxConfig:
             pts = pts.reshape(0, self.dim)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError("point dimension does not match the box center")
-        if not Cube(self.center, self.half_side).mask(pts).all():
+        if not Cube(self.center, HALF_SIDE).mask(pts).all():
             raise ValueError("malformed box geometry: point outside the box")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -442,58 +437,28 @@ class ShieldedBoxConfig:
     def relative(self) -> np.ndarray:
         return self.points - np.array(self.center)
 
-    def _pad_box(self, t_lo: float, t_hi: float, top_only: bool):
-        lower = [self.center[0] + t_lo] + [c - self.half_side for c in self.center[1:]]
-        upper = [self.center[0] + t_hi] + [c + self.half_side for c in self.center[1:]]
-        if top_only:
-            lower[-1] = self.center[-1] + self.half_side - TOP_STRIP
-        return AxisBox(tuple(lower), tuple(upper))
-
-    @property
-    def pad_minus(self):
-        """F-: the early-time pad slab."""
-        return self._pad_box(-self.half_side, -self.half_side + PAD_DEPTH, False)
-
-    @property
-    def pad_plus(self):
-        """F+: the late-time pad slab."""
-        return self._pad_box(self.half_side - PAD_DEPTH, self.half_side, False)
-
-    @property
-    def pad_minus_top(self):
-        """The exempt top strip of F- (last axis within TOP_STRIP of the top)."""
-        return self._pad_box(-self.half_side, -self.half_side + PAD_DEPTH, True)
-
-    @property
-    def pad_plus_top(self):
-        return self._pad_box(self.half_side - PAD_DEPTH, self.half_side, True)
-
     @classmethod
-    def from_configuration(
-        cls, cfg: PointConfiguration, center, **kw
-    ) -> "ShieldedBoxConfig":
-        return cls(tuple(center), cfg.positions[~_outside_box(cfg, center)], **kw)
+    def from_configuration(cls, cfg: PointConfiguration, center) -> "ShieldedBoxConfig":
+        return cls(tuple(center), cfg.positions[~_outside_box(cfg, center)])
 
 
-def _pad_masks(rel: np.ndarray, half: float):
+def _pad_masks(rel: np.ndarray):
+    """Row masks of the early-time pad F- and the late-time pad F+."""
     t = rel[:, 0]
-    minus = (t >= -half) & (t <= -half + PAD_DEPTH)
-    plus = (t <= half) & (t >= half - PAD_DEPTH)
-    top = rel[:, -1] >= half - TOP_STRIP
-    return minus, plus, top
+    minus = (t >= -HALF_SIDE) & (t <= -HALF_SIDE + PAD_DEPTH)
+    plus = (t <= HALF_SIDE) & (t >= HALF_SIDE - PAD_DEPTH)
+    return minus, plus
 
 
-def _pads_covered(rel_pad: np.ndarray, t_lo: float, t_hi: float, half: float, grid: float) -> bool:
+def _pads_covered(rel_pad: np.ndarray, t_lo: float, t_hi: float) -> bool:
     """Conservative coverage test: every grid point of the pad rectangle must be
     within BALL_RADIUS - grid*sqrt(2)/2 of a pad point, which guarantees the
     continuous region is covered by the radius-1/4 balls."""
     if len(rel_pad) == 0:
         return False
-    slack = BALL_RADIUS - grid * math.sqrt(2.0) / 2.0
-    if slack <= 0:
-        raise ValueError("coverage grid too coarse for the ball radius")
-    ts = np.arange(t_lo, t_hi + grid / 2, grid)
-    hs = np.arange(-half, half + grid / 2, grid)
+    slack = BALL_RADIUS - COVERAGE_GRID * math.sqrt(2.0) / 2.0
+    ts = np.arange(t_lo, t_hi + COVERAGE_GRID / 2, COVERAGE_GRID)
+    hs = np.arange(-HALF_SIDE, HALF_SIDE + COVERAGE_GRID / 2, COVERAGE_GRID)
     tt, hh = np.meshgrid(ts, hs, indexing="ij")
     queries = np.column_stack([tt.ravel(), hh.ravel()])
     tree = cKDTree(rel_pad)
@@ -501,7 +466,7 @@ def _pads_covered(rel_pad: np.ndarray, t_lo: float, t_hi: float, half: float, gr
     return bool(np.all(dists <= slack))
 
 
-def _pad_gaps_ok(rel_pad: np.ndarray, cylinder_radius: float, mode: str, half: float) -> bool:
+def _pad_gaps_ok(rel_pad: np.ndarray, mode: str) -> bool:
     """Gap clauses inside one pad, evaluated pad-locally with self-default.
 
     mode 'successor': every non-top point with a strict successor in the pad
@@ -512,8 +477,8 @@ def _pad_gaps_ok(rel_pad: np.ndarray, cylinder_radius: float, mode: str, half: f
         return True
     order = np.lexsort(tuple(rel_pad[:, k] for k in range(rel_pad.shape[1] - 1, -1, -1)))
     pad = rel_pad[order]
-    anc = _ancestor_indices(pad, cylinder_radius)
-    top = pad[:, -1] >= half - TOP_STRIP
+    anc = _ancestor_indices(pad, 1.0)
+    top = pad[:, -1] >= HALF_SIDE - TOP_STRIP
     if mode == "successor":
         rows = np.flatnonzero(~top & (anc >= 0))
         return not (pad[anc[rows], 0] - pad[rows, 0] > GAP).any()
@@ -524,50 +489,49 @@ def _pad_gaps_ok(rel_pad: np.ndarray, cylinder_radius: float, mode: str, half: f
     return not (pad[parents[rows], 0] - pad[kids[first][rows], 0] > GAP).any()
 
 
-def shield_membership(box_cfg: ShieldedBoxConfig, cylinder_radius: float = 1.0) -> bool:
+def shield_membership(box_cfg: ShieldedBoxConfig) -> bool:
     """True iff the box's annulus content forms a shield: all annulus points in
     the two pads, pads covered by radius-1/4 balls, gap clauses satisfied, and
     the rest of the annulus void."""
     if box_cfg.dim != 2:
         raise ValueError("shield membership is implemented for dimension 2")
-    half = box_cfg.half_side
-    inner = Cube(box_cfg.center, box_cfg.inner_half_side)
+    inner = Cube(box_cfg.center, INNER_HALF_SIDE)
     annulus = box_cfg.relative()[~inner.mask(box_cfg.points)]
     if len(annulus) == 0:
         return False  # empty pads can never be covered
-    minus, plus, _ = _pad_masks(annulus, half)
+    minus, plus = _pad_masks(annulus)
     if not np.all(minus | plus):
         return False
     pad_minus = annulus[minus]
     pad_plus = annulus[plus]
-    if not _pads_covered(pad_minus, -half, -half + PAD_DEPTH, half, box_cfg.coverage_grid):
+    if not _pads_covered(pad_minus, -HALF_SIDE, -HALF_SIDE + PAD_DEPTH):
         return False
-    if not _pads_covered(pad_plus, half - PAD_DEPTH, half, half, box_cfg.coverage_grid):
+    if not _pads_covered(pad_plus, HALF_SIDE - PAD_DEPTH, HALF_SIDE):
         return False
-    if not _pad_gaps_ok(pad_minus, cylinder_radius, "successor", half):
+    if not _pad_gaps_ok(pad_minus, "successor"):
         return False
-    if not _pad_gaps_ok(pad_plus, cylinder_radius, "child", half):
+    if not _pad_gaps_ok(pad_plus, "child"):
         return False
     return True
 
 
 def _outside_box(cfg: PointConfiguration, center) -> np.ndarray:
     """Row mask of the points outside the side-8 box at ``center``."""
-    return ~Cube(tuple(center), 4.0).mask(cfg.positions)
+    return ~Cube(tuple(center), HALF_SIDE).mask(cfg.positions)
 
 
-def _tree_barcode_rows(cfg: PointConfiguration, ids, cylinder_radius: float):
+def _tree_barcode_rows(cfg: PointConfiguration, ids):
     """Tree-lifetime (birth, lifetime) columns of the points with the given ids."""
-    barcode = elder_lifetimes(build_merge_forest(cfg, cylinder_radius))
+    barcode = elder_lifetimes(build_merge_forest(cfg))
     rows = id_rows(cfg.ids, ids)
     return barcode.births[rows], barcode.lifetimes[rows]
 
 
-def outside_pair_scores(cfg: PointConfiguration, center, cylinder_radius: float = 1.0):
+def outside_pair_scores(cfg: PointConfiguration, center):
     """Tree-lifetime inversion scores between all pairs of points outside the
     side-8 box at ``center``: returns (outside ids, boolean score matrix)."""
     outside = cfg.ids[_outside_box(cfg, center)].tolist()
-    return outside, inversion_matrix(*_tree_barcode_rows(cfg, outside, cylinder_radius))
+    return outside, _inversion_rows(*_tree_barcode_rows(cfg, outside), slice(None))
 
 
 def _box_center(box) -> tuple[float, ...]:
@@ -578,7 +542,7 @@ def _box_center(box) -> tuple[float, ...]:
         return tuple(float(v) for v in box)
     center = tuple(center_attr)
     sides = [u - l for l, u in zip(box.lower, box.upper)]
-    if any(abs(s - 8.0) > 1e-9 for s in sides):
+    if any(abs(s - 2 * HALF_SIDE) > 1e-9 for s in sides):
         raise ValueError("shield boxes must have side 8")
     return center
 
@@ -587,26 +551,25 @@ def shield_property_check(
     cfg: PointConfiguration,
     box,
     x,
-    cylinder_radius: float = 1.0,
     require_membership: bool = True,
 ) -> bool:
     """Insert x into the box's inner cube and report whether every pair score
     between points outside the box is unchanged.
 
     ``box`` is the box center, or an AxisBox of side 8 (for example from
-    ``box_at_index`` on a partition with scale r = 8).
+    ``box_at_index`` on a partition with scale r = 8).  ``x`` is a position
+    or a ``MarkedPoint``, inserted as ``insert_point`` takes it.
     """
     center = _box_center(box)
-    inner = Cube(tuple(center), 2.0)
+    inner = Cube(tuple(center), INNER_HALF_SIDE)
     pos = x.position if isinstance(x, MarkedPoint) else tuple(float(v) for v in x)
     if not inner.contains(pos):
         raise ValueError("insertion point must lie in the inner cube")
     if require_membership:
         box_cfg = ShieldedBoxConfig.from_configuration(cfg, center)
-        if not shield_membership(box_cfg, cylinder_radius):
+        if not shield_membership(box_cfg):
             raise ValueError("box content is not a shield configuration")
     outside = cfg.ids[_outside_box(cfg, center)]
-    cfg2 = insert_point(cfg, pos, None if not cfg.mark_model.has_marks else x.mark)
-    before = _tree_barcode_rows(cfg, outside, cylinder_radius)
-    after = _tree_barcode_rows(cfg2, outside, cylinder_radius)
+    before = _tree_barcode_rows(cfg, outside)
+    after = _tree_barcode_rows(insert_point(cfg, x), outside)
     return len(changed_inversion_pairs(*before, *after)) == 0

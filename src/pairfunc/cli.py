@@ -186,10 +186,12 @@ def _cmd_stabilization(args) -> int:
     if seed is None:
         raise ConfigError("stabilization needs --seed, a config seed, or PAIRFUNC_SEED")
     model_id = args.model or defaults.get("model") or "inversion-tree"
-    _resolve_model(model_id)
+    cutoff = defaults.get("cutoff", 1.0)
+    _resolve_model(model_id, cutoff)
     d = args.d if args.d is not None else defaults.get("d", 2)
     survey = stabilization_survey(
-        model_id, args.n, args.draws, seed, d=d, with_admissibility=args.admissibility
+        model_id, args.n, args.draws, seed, d=d, cutoff=cutoff,
+        with_admissibility=args.admissibility,
     )
     rec = survey.to_record()
     if args.format == "csv":
@@ -211,6 +213,8 @@ def _cmd_stabilization(args) -> int:
 def _cmd_shield_check(args) -> int:
     _config_defaults(args)  # no key applies, but a bad --config is still an error
     rec = json.loads(Path(args.fixture).read_text())
+    if not isinstance(rec, dict):
+        raise ConfigError("shield fixture must hold a JSON object")
     cfg = load_configuration(rec["configuration"]) if isinstance(
         rec.get("configuration"), str
     ) else load_configuration("\n".join(rec["configuration"]))

@@ -172,19 +172,20 @@ def diff_second(cfg: PointConfiguration, x, y, functional: Callable[[PointConfig
 
 
 class SparsePairSnapshot:
-    """Scores stored as a sparse map (id_min, id_max) -> value."""
+    """Scores stored as a sparse map (id_min, id_max) -> value over the point
+    ids ``ids``; a pair missing from the map scores 0."""
 
-    def __init__(self, scores: dict[tuple[int, int], float], ids: set[int]):
+    def __init__(self, scores: dict[tuple[int, int], int], ids: np.ndarray):
         self.scores = scores
         self.ids = ids
 
-    def changed_pairs(self, other: "SparsePairSnapshot"):
-        keys = set(self.scores) | set(other.scores)
-        for a, b in keys:
-            if a not in self.ids or b not in self.ids:
-                continue  # pairs involving the inserted point are unconstrained
-            if self.scores.get((a, b), 0.0) != other.scores.get((a, b), 0.0):
-                yield a, b
+    def changed_pairs(self, other: "SparsePairSnapshot") -> np.ndarray:
+        """(P, 2) int64 array of the id pairs, both ids of this snapshot, whose
+        score differs in ``other``, in ascending order.  Pairs involving the
+        inserted point are unconstrained."""
+        keys = {key for key, _ in self.scores.items() ^ other.scores.items()}
+        pairs = np.array(sorted(keys), dtype=np.int64).reshape(-1, 2)
+        return pairs[np.isin(pairs, self.ids).all(axis=1)]
 
 
 class BarPairSnapshot:
@@ -197,7 +198,9 @@ class BarPairSnapshot:
         self.births = births
         self.lifetimes = lifetimes
 
-    def changed_pairs(self, other: "BarPairSnapshot"):
+    def changed_pairs(self, other: "BarPairSnapshot") -> np.ndarray:
+        """(P, 2) int64 array of the id pairs, both ids in both snapshots,
+        whose inversion score differs."""
         keep_self = np.flatnonzero(np.isin(self.ids, other.ids))
         common = self.ids[keep_self]
         keep_other = id_rows(other.ids, common)
@@ -205,8 +208,7 @@ class BarPairSnapshot:
             self.births[keep_self], self.lifetimes[keep_self],
             other.births[keep_other], other.lifetimes[keep_other],
         )
-        for a, b in common[pairs].tolist():
-            yield a, b
+        return common[pairs]
 
 
 def empirical_stabilization_radius(
@@ -231,6 +233,8 @@ def empirical_stabilization_radius(
     before = score.snapshot(ctx_before)
     after = score.snapshot(ctx_after)
     dist = np.abs(cfg.positions - np.array(x_pos)).max(axis=1)  # Chebyshev, per row
+    # list(): the benchmark's tracer (bench/tracing.py) hands the pairs back as
+    # an iterator of rows, on which np.asarray would make a 0-d object array
     changed = np.array(list(before.changed_pairs(after)), dtype=np.int64).reshape(-1, 2)
     worst = float(np.minimum(*dist[id_rows(cfg.ids, changed)].T).max(initial=0.0))
     if rule is not None:

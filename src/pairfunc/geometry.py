@@ -21,7 +21,6 @@ __all__ = [
     "BoxPartition",
     "box_at_index",
     "segments_properly_cross",
-    "project_to_plane",
     "window_to_text",
     "window_from_text",
     "box_to_text",
@@ -307,13 +306,6 @@ def segments_properly_cross(p1, q1, p2, q2) -> bool:
     d3 = orientation(p1, q1, p2)
     d4 = orientation(p1, q1, q2)
     return d1 * d2 < 0 and d3 * d4 < 0
-
-
-def project_to_plane(x: Sequence[float]) -> tuple[float, float]:
-    """First two coordinates of a point in dimension >= 2."""
-    if len(x) < 2:
-        raise ValueError("projection needs dimension >= 2")
-    return (float(x[0]), float(x[1]))
 
 
 def window_to_text(window: Window) -> str:

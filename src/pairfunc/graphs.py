@@ -27,7 +27,7 @@ from typing import Union
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import segments_properly_cross
+from .geometry import _CCW_ERRBOUND, segments_properly_cross
 from .process import MarkedPoint, PointConfiguration, id_rows
 
 __all__ = [
@@ -124,7 +124,7 @@ class GeometricGraph:
     ``slab_cutoff`` of each other in the first two coordinates.  The
     constructor takes arrays or sequences of pairs.  ``edges``, ``segments``
     and ``retained`` are tuple views of the columns (builtin ints and bools),
-    built on first access.
+    built on first access.  The graph is the context of the crossing models.
     """
 
     cfg: PointConfiguration
@@ -158,6 +158,12 @@ class GeometricGraph:
     @cached_property
     def retained(self) -> tuple[bool, ...]:
         return tuple(self.retained_mask.tolist())
+
+    @cached_property
+    def pair_scores(self) -> dict[tuple[int, int], int]:
+        """``crossing_pair_scores`` of this graph, computed once: the per-pair
+        score reads it once per pair."""
+        return crossing_pair_scores(self)
 
 
 # Tree queries are widened by a relative 1e-9; every candidate is then decided
@@ -251,14 +257,11 @@ def _segment_geometry(graph: GeometricGraph):
     return np.hstack([pos[rows[:, 0], :2], pos[rows[:, 1], :2]]), ends
 
 
-_ERRBOUND = 3.3306690621773724e-16
-
-
 def _orient_block(ox, oy, ex, ey, px, py):
     left = (ex - ox) * (py - oy)
     right = (ey - oy) * (px - ox)
     det = left - right
-    uncertain = np.abs(det) <= _ERRBOUND * (np.abs(left) + np.abs(right))
+    uncertain = np.abs(det) <= _CCW_ERRBOUND * (np.abs(left) + np.abs(right))
     return np.sign(det), uncertain
 
 

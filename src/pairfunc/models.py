@@ -6,7 +6,7 @@ treelog-uniform | treelog-tree                             (sum-log-sum, k = 1)
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -37,33 +37,20 @@ MODEL_NAMES = (
 )
 
 
-class CrossingContext:
-    def __init__(self, graph: graphs.GeometricGraph):
-        self.graph = graph
-        self._pair_scores = None
-
-    @property
-    def pair_scores(self):
-        if self._pair_scores is None:
-            self._pair_scores = graphs.crossing_pair_scores(self.graph)
-        return self._pair_scores
-
-
-def _crossing_pair_value(a: int, b: int, ctx: CrossingContext) -> float:
+def _crossing_pair_value(a: int, b: int, graph: graphs.GeometricGraph) -> float:
     if a == b:
         return 0.0
     key = (min(a, b), max(a, b))
-    return ctx.pair_scores.get(key, 0) / 8.0
+    return graph.pair_scores.get(key, 0) / 8.0
 
 
-def _crossing_total(ctx: CrossingContext) -> float:
-    return float(graphs.crossing_number(ctx.graph))
+def _crossing_total(graph: graphs.GeometricGraph) -> float:
+    return float(graphs.crossing_number(graph))
 
 
-def _crossing_snapshot(ctx: CrossingContext) -> SparsePairSnapshot:
-    ids = set(ctx.graph.cfg.ids.tolist())
-    scores = {k: v / 8.0 for k, v in ctx.pair_scores.items()}
-    return SparsePairSnapshot(scores, ids)
+def _crossing_snapshot(graph: graphs.GeometricGraph) -> SparsePairSnapshot:
+    # the integer counts themselves: x / 8 != y / 8 exactly when x != y
+    return SparsePairSnapshot(graph.pair_scores, graph.cfg.ids)
 
 
 def _inversion_pair_value(a: int, b: int, barcode: barcodes.Barcode) -> float:
@@ -114,8 +101,8 @@ class Model:
 
 
 def _crossing_model(name: str, kernel, mark_model: MarkModel, cutoff: float) -> Model:
-    def build(cfg: PointConfiguration) -> CrossingContext:
-        return CrossingContext(graphs.build_edges(cfg, kernel, slab_cutoff=cutoff))
+    def build(cfg: PointConfiguration) -> graphs.GeometricGraph:
+        return graphs.build_edges(cfg, kernel, slab_cutoff=cutoff)
 
     score = PairScore(
         name=name,

@@ -33,7 +33,6 @@ __all__ = [
     "derive_rng",
     "sample_ppp",
     "insert_point",
-    "remove_point",
     "count_in",
     "dump_configuration",
     "load_configuration",
@@ -281,16 +280,6 @@ def insert_point(cfg: PointConfiguration, x: MarkedPoint | Sequence[float], mark
         None if new_mark is None else np.concatenate([cfg.marks, new_mark]),
         np.append(cfg.ids, cfg.next_id()),
         cfg.seed,
-    )
-
-
-def remove_point(cfg: PointConfiguration, point_id: int) -> PointConfiguration:
-    kept = cfg.ids != point_id
-    if kept.all():
-        raise KeyError(f"no point with id {point_id}")
-    marks = None if cfg.marks is None else cfg.marks[kept]
-    return PointConfiguration(
-        cfg.window, cfg.mark_model, cfg.positions[kept], marks, cfg.ids[kept], cfg.seed
     )
 
 

@@ -61,16 +61,24 @@ class SampleSummary:
     standardized: np.ndarray
 
     def __post_init__(self):
+        if not self.variance > 0:
+            raise ValueError("sample variance must be positive")
+        # The rounded mean is off by up to about M eps |mean|.  That shifts the
+        # standardized mean by M eps |mean| / sd and their variance by about
+        # its square, so the tolerance scales with |mean| / sd, and is 1e-12
+        # for a well-conditioned sample.
+        cond = abs(self.mean) / math.sqrt(self.variance)
+        tol = max(1e-12, self.count * np.finfo(float).eps * cond)
         z = self.standardized
-        if abs(float(z.mean())) > 1e-12 or abs(float(z.var(ddof=1)) - 1.0) > 1e-12:
+        if abs(float(z.mean())) > tol or abs(float(z.var(ddof=1)) - 1.0) > max(1e-12, 2 * tol**2):
             raise ValueError("standardized sample must have mean 0 and variance 1")
 
 
 # A sample whose variance is at most this fraction of its largest squared
 # value is degenerate: its values agree to within about 1024 ulps, a spread
 # that rounding makes (the same terms summed in another order), not sampling.
-# Standardizing such a sample by its own mean fails the 1e-12 check above
-# whenever that mean is rounded.
+# Its standardized values would describe that rounding, so it is not
+# summarized.
 DEGENERATE_RELATIVE_VARIANCE = (1024 * np.finfo(float).eps) ** 2
 
 

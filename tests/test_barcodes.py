@@ -22,6 +22,7 @@ from pairfunc.barcodes import (
     uniform_lifetimes,
     _ancestor_indices,
     _pad_gaps_ok,
+    _pad_masks,
 )
 from pairfunc.fixtures import (
     POISSON_TREE_FIGURE_LIFETIMES,
@@ -650,7 +651,7 @@ def test_pad_gap_clauses_match_pointwise_oracle():
         h = np.round(rng.uniform(-4.0, 4.0, count) * 4) / 4  # ties on a 1/4 grid
         pad = np.column_stack((t, h))
         for mode in ("successor", "child"):
-            got = _pad_gaps_ok(pad, 1.0, mode, 4.0)
+            got = _pad_gaps_ok(pad, mode)
             assert got == pad_gaps_oracle(pad, 1.0, mode, 4.0)
             outcomes.add((mode, got))
     assert len(outcomes) == 4  # each clause both holds and fails
@@ -664,14 +665,14 @@ def test_shield_property_on_template():
 
 
 def test_shield_pad_regions_exposed():
+    # F- spans times [8, 8.5] of the box [8, 16]^2 and F+ spans [15.5, 16]
     box = ShieldedBoxConfig(CENTER, tuple(_quarter_grid_pads()))
-    assert box.pad_minus.lower == (8.0, 8.0)
-    assert box.pad_minus.upper == (8.5, 16.0)
-    assert box.pad_plus.lower == (15.5, 8.0)
-    assert box.pad_plus.upper == (16.0, 16.0)
-    assert box.pad_plus_top.lower == (15.5, 15.5)
-    for p in box.points:
-        assert box.pad_minus.contains(p) or box.pad_plus.contains(p)
+    minus, plus = _pad_masks(box.relative())
+    assert minus.sum() == plus.sum() == 3 * 33 and (minus ^ plus).all()
+    edges = np.array([[-4.0, 0.0], [-3.5, 4.0], [-3.49, 0.0], [3.49, 0.0], [3.5, -4.0], [4.0, 0.0]])
+    minus, plus = _pad_masks(edges)
+    assert minus.tolist() == [True, True, False, False, False, False]
+    assert plus.tolist() == [False, False, False, False, True, True]
 
 
 def test_shield_property_accepts_partition_box():

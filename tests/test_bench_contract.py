@@ -11,9 +11,10 @@ import json
 import sys
 from pathlib import Path
 
-from pairfunc import graphs
+from pairfunc import functionals, graphs
 from pairfunc.geometry import Window
 from pairfunc.models import get_model
+from pairfunc.process import insert_point
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -50,6 +51,33 @@ def test_traced_graph_counters_are_builtin_ints():
         json.dumps(dict(tracer.counts))
         assert tracer.counts["graphs.crossings"] == 2 * crossings
         assert all(type(v) is int for v in tracer.counts.values())
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def test_traced_stabilization_radius_counts_changed_pairs():
+    # the tracer consumes each snapshot diff, counts its rows and hands them
+    # back as an iterator of rows; the radius must read them as before
+    sys.path.insert(0, str(BENCH))
+    try:
+        tracing = importlib.import_module("tracing")
+        for model_id, window, seed, x in (
+            ("crossing-fixed", Window(n=6.0, dim=3), 3, (3.0, 3.0, 3.0)),
+            ("inversion-tree", Window(n=12.0, dim=2), 0, (10.3, 6.0)),
+        ):
+            model = get_model(model_id)
+            score = model.score
+            cfg = model.sample(window, (seed, 0, 0))
+            before = score.snapshot(score.build_context(cfg))
+            after = score.snapshot(score.build_context(insert_point(cfg, x)))
+            changed = len(before.changed_pairs(after))
+            assert changed > 0
+            radius = functionals.empirical_stabilization_radius(cfg, x, score)
+            with tracing.Tracer() as tracer:
+                traced = functionals.empirical_stabilization_radius(cfg, x, score)
+            assert traced == radius
+            count = tracer.counts["functionals.changed_pairs"]
+            assert type(count) is int and count == changed
     finally:
         sys.path.remove(str(BENCH))
 

@@ -14,6 +14,7 @@ from pairfunc.experiment import (
     SUMMARY_HEADER,
     ExperimentConfig,
     run_experiment,
+    stabilization_survey,
     write_outputs,
 )
 
@@ -106,6 +107,28 @@ def test_shield_check_fixture(capsys):
     code, out, _ = run_cli(["shield-check", "--fixture", str(FIXTURES / "shield_ok.txt")], capsys)
     assert code == 0
     assert "member=true, property=true" in out
+
+
+def test_shield_fixture_must_hold_an_object(tmp_path, capsys):
+    path = tmp_path / "fixture.json"
+    path.write_text("[1, 2]")
+    code, out, err = run_cli(["shield-check", "--fixture", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert "shield fixture must hold a JSON object" in _one_error_line(err, 2)
+
+
+def test_shield_check_on_marked_points_is_one_runtime_line(tmp_path, capsys):
+    # positional insertions carry no mark, which a uniform01 model needs
+    rec = json.loads((FIXTURES / "shield_ok.txt").read_text())
+    rec["configuration"] = (
+        rec["configuration"].replace('{"kind": "none"}', '{"kind": "uniform01"}')
+        .replace(" -\n", " 0.5\n")
+    )
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(rec))
+    code, out, err = run_cli(["shield-check", "--fixture", str(path)], capsys)
+    assert code == 3 and out == ""
+    _one_error_line(err, 3)
 
 
 def test_sample_round_trip(tmp_path, capsys):
@@ -265,6 +288,18 @@ def test_stabilization_subcommand(capsys):
     assert code == 0
     rec = json.loads(out.strip().splitlines()[-1])
     assert all(s == 0 for s in rec["survival"]) or rec["survival"] == []
+
+
+def test_stabilization_reads_the_config_cutoff(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"model": "inversion-tree", "seed": 5, "cutoff": 2.5}))
+    code, out, _ = run_cli(
+        ["stabilization", "--config", str(path), "--n", "16", "--draws", "30"], capsys
+    )
+    assert code == 0
+    survey = stabilization_survey("inversion-tree", 16.0, 30, 5, cutoff=2.5)
+    assert survey.m_values == (1, 2, 3)
+    assert json.loads(out) == json.loads(json.dumps(survey.to_record()))
 
 
 def test_stabilization_zero_draws_is_config_error(capsys):

@@ -331,13 +331,15 @@ def test_local_changed_pairs_match_dense_comparison(rows, how, pick):
         np.concatenate(([-1], ids)), np.concatenate(([0.5], births2)),
         np.concatenate(([0.5], lifetimes2)),
     )
-    got = list(BarPairSnapshot(ids, births, lifetimes).changed_pairs(after))
+    pairs = BarPairSnapshot(ids, births, lifetimes).changed_pairs(after)
+    assert pairs.dtype == np.int64 and pairs.shape == (len(pairs), 2)
+    got = pairs.tolist()
 
     def score(b, life, i, j):
         return inversion_score(Bar(0, b[i], life[i]), Bar(1, b[j], life[j]))
 
     expected = [
-        (int(ids[i]), int(ids[j]))
+        [int(ids[i]), int(ids[j])]
         for i in range(n) for j in range(i + 1, n)
         if score(births, lifetimes, i, j) != score(births2, lifetimes2, i, j)
     ]

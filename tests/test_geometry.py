@@ -15,7 +15,6 @@ from pairfunc.geometry import (
     box_at_index,
     box_from_text,
     box_to_text,
-    project_to_plane,
     segments_properly_cross,
     window_from_text,
     window_to_text,
@@ -254,14 +253,6 @@ def test_crossing_symmetries(coords):
     assert segments_properly_cross(p2, q2, p1, q1) == base
     assert segments_properly_cross(q1, p1, p2, q2) == base
     assert segments_properly_cross(p1, q1, q2, p2) == base
-
-
-def test_project_to_plane():
-    assert project_to_plane((1.0, 2.0, 3.0)) == (1.0, 2.0)
-    assert project_to_plane((0.0, 0.0)) == (0.0, 0.0)
-    assert project_to_plane((-4.0, 7.0, 0.5, 9.0)) == (-4.0, 7.0)
-    with pytest.raises(ValueError):
-        project_to_plane((1.0,))
 
 
 # -- serialization ------------------------------------------------------------

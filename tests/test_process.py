@@ -14,7 +14,6 @@ from pairfunc.process import (
     dump_configuration,
     insert_point,
     load_configuration,
-    remove_point,
     sample_ppp,
 )
 
@@ -62,7 +61,7 @@ def test_points_sorted_by_time_then_coords_then_id():
     assert pos == sorted(pos)
 
 
-def test_insert_and_remove_are_inverse():
+def test_insert_point_keeps_every_old_point():
     w = Window(n=5.0, dim=2)
     cfg = sample_ppp(w, 1.0, seed=2)
     x = MarkedPoint((2.5, 2.5), None, 0)
@@ -70,8 +69,8 @@ def test_insert_and_remove_are_inverse():
     assert len(bigger) == len(cfg) + 1
     assert len(cfg) == len(cfg.points)  # input unchanged
     new_id = next(p.id for p in bigger.points if p.position == (2.5, 2.5))
-    back = remove_point(bigger, new_id)
-    assert set(back.points) == set(cfg.points)
+    assert new_id not in cfg.ids
+    assert {p for p in bigger.points if p.id != new_id} == set(cfg.points)
 
 
 def test_insert_into_empty_and_multiset_semantics():

@@ -6,6 +6,7 @@ from scipy.special import ndtri
 
 from pairfunc.models import get_model
 from pairfunc.stats import (
+    SampleSummary,
     binomial_lower_tail_bound,
     concentration_check_G,
     is_degenerate,
@@ -213,3 +214,29 @@ def test_ulp_apart_replications_are_a_degenerate_sample():
     assert not is_degenerate(spread)
     assert summarize_sample(spread).count == 2
     assert is_degenerate([0.0, 0.0, 0.0]) and is_degenerate([2.0, 2.0])
+
+
+def test_near_degenerate_sample_is_summarized():
+    # a spread far above rounding but tiny next to the mean: the rounded mean
+    # shifts the standardized mean past 1e-12, which the check must allow
+    for seed in range(20):
+        values = 50 + 5e-8 * np.random.default_rng(seed).standard_normal(200)
+        assert not is_degenerate(values)
+        s = summarize_sample(values)
+        assert s.count == 200
+        assert abs(s.standardized.var(ddof=1) - 1.0) < 1e-12
+
+
+def test_summary_rejects_a_wrongly_standardized_sample():
+    rng = np.random.default_rng(3)
+    s = summarize_sample(50 + 5e-8 * rng.standard_normal(200))
+    with pytest.raises(ValueError, match="mean 0 and variance 1"):
+        SampleSummary(s.count, s.mean, s.variance, s.standardized + 1e-3)
+    with pytest.raises(ValueError, match="mean 0 and variance 1"):
+        SampleSummary(s.count, s.mean, s.variance, 1.001 * s.standardized)
+    # a well-conditioned sample keeps the 1e-12 tolerance
+    t = summarize_sample(rng.normal(3.0, 2.0, 500))
+    with pytest.raises(ValueError, match="mean 0 and variance 1"):
+        SampleSummary(t.count, t.mean, t.variance, t.standardized + 1e-11)
+    with pytest.raises(ValueError, match="variance must be positive"):
+        SampleSummary(t.count, t.mean, 0.0, t.standardized)
