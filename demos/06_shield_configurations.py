@@ -8,7 +8,7 @@ box leaves every pair score between outside points unchanged.
 """
 import numpy as np
 
-from pairfunc import ShieldedBoxConfig, Window, shield_membership, shield_property_check
+from pairfunc import Window, shield_membership, shield_property_check
 from pairfunc.barcodes import outside_pair_scores
 from pairfunc.fixtures import sample_shielded_configuration
 from pairfunc.process import derive_rng, insert_point
@@ -17,9 +17,8 @@ window = Window(n=24.0, dim=2)
 center = (12.0, 12.0)
 
 cfg = sample_shielded_configuration(window, center, seed=40)
-box = ShieldedBoxConfig.from_configuration(cfg, center)
 print("points in total:", len(cfg))
-print("shield membership:", shield_membership(box))
+print("shield membership:", shield_membership(cfg, center))
 
 ids, before = outside_pair_scores(cfg, center)
 print("outside points:", len(ids), "| outside inversions:", int(before.sum()) // 2)

@@ -40,7 +40,6 @@ from .barcodes import (
     Bar,
     Barcode,
     MergeForest,
-    ShieldedBoxConfig,
     build_merge_forest,
     elder_lifetimes,
     inversion_count,

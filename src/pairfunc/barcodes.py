@@ -47,7 +47,6 @@ __all__ = [
     "Bar",
     "Barcode",
     "MergeForest",
-    "ShieldedBoxConfig",
     "uniform_lifetimes",
     "build_merge_forest",
     "elder_lifetimes",
@@ -409,39 +408,6 @@ GAP = 0.5                # successor / earliest-child gap bound inside pads
 TOP_STRIP = 0.5          # exempt strip at the top of the last axis
 
 
-@dataclass(frozen=True, eq=False)
-class ShieldedBoxConfig:
-    """A side-8 box (half-side 4), its side-4 inner cube, and the points that
-    fall inside the box, stored as a read-only (N, d) float64 array.  Pad
-    membership is decided on coordinates relative to the box center."""
-
-    center: tuple[float, ...]
-    points: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(v) for v in self.center))
-        pts = np.array(self.points, dtype=np.float64)
-        if pts.size == 0:
-            pts = pts.reshape(0, self.dim)
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise ValueError("point dimension does not match the box center")
-        if not Cube(self.center, HALF_SIDE).mask(pts).all():
-            raise ValueError("malformed box geometry: point outside the box")
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def dim(self) -> int:
-        return len(self.center)
-
-    def relative(self) -> np.ndarray:
-        return self.points - np.array(self.center)
-
-    @classmethod
-    def from_configuration(cls, cfg: PointConfiguration, center) -> "ShieldedBoxConfig":
-        return cls(tuple(center), cfg.positions[~_outside_box(cfg, center)])
-
-
 def _pad_masks(rel: np.ndarray):
     """Row masks of the early-time pad F- and the late-time pad F+."""
     t = rel[:, 0]
@@ -489,14 +455,17 @@ def _pad_gaps_ok(rel_pad: np.ndarray, mode: str) -> bool:
     return not (pad[parents[rows], 0] - pad[kids[first][rows], 0] > GAP).any()
 
 
-def shield_membership(box_cfg: ShieldedBoxConfig) -> bool:
-    """True iff the box's annulus content forms a shield: all annulus points in
-    the two pads, pads covered by radius-1/4 balls, gap clauses satisfied, and
-    the rest of the annulus void."""
-    if box_cfg.dim != 2:
+def shield_membership(cfg: PointConfiguration, center) -> bool:
+    """True iff the content of the side-8 box at ``center`` forms a shield:
+    all annulus points in the two pads, pads covered by radius-1/4 balls, gap
+    clauses satisfied, and the rest of the annulus void."""
+    if cfg.window.dim != 2:
         raise ValueError("shield membership is implemented for dimension 2")
-    inner = Cube(box_cfg.center, INNER_HALF_SIDE)
-    annulus = box_cfg.relative()[~inner.mask(box_cfg.points)]
+    if len(center) != 2:
+        raise ValueError("box center dimension does not match the configuration")
+    positions = cfg.positions
+    inner = Cube(tuple(center), INNER_HALF_SIDE).mask(positions)
+    annulus = positions[~_outside_box(cfg, center) & ~inner] - np.array(center, dtype=float)
     if len(annulus) == 0:
         return False  # empty pads can never be covered
     minus, plus = _pad_masks(annulus)
@@ -534,41 +503,23 @@ def outside_pair_scores(cfg: PointConfiguration, center):
     return outside, _inversion_rows(*_tree_barcode_rows(cfg, outside), slice(None))
 
 
-def _box_center(box) -> tuple[float, ...]:
-    """Accept a center tuple or a side-8 AxisBox (e.g. from a box partition
-    with scale 8)."""
-    center_attr = getattr(box, "center", None)
-    if center_attr is None:
-        return tuple(float(v) for v in box)
-    center = tuple(center_attr)
-    sides = [u - l for l, u in zip(box.lower, box.upper)]
-    if any(abs(s - 2 * HALF_SIDE) > 1e-9 for s in sides):
-        raise ValueError("shield boxes must have side 8")
-    return center
-
-
 def shield_property_check(
     cfg: PointConfiguration,
-    box,
+    center,
     x,
     require_membership: bool = True,
 ) -> bool:
-    """Insert x into the box's inner cube and report whether every pair score
-    between points outside the box is unchanged.
-
-    ``box`` is the box center, or an AxisBox of side 8 (for example from
-    ``box_at_index`` on a partition with scale r = 8).  ``x`` is a position
-    or a ``MarkedPoint``, inserted as ``insert_point`` takes it.
+    """Insert x into the inner cube of the side-8 box at ``center`` and report
+    whether every pair score between points outside the box is unchanged.
+    ``x`` is a position or a ``MarkedPoint``, inserted as ``insert_point``
+    takes it.
     """
-    center = _box_center(box)
     inner = Cube(tuple(center), INNER_HALF_SIDE)
     pos = x.position if isinstance(x, MarkedPoint) else tuple(float(v) for v in x)
     if not inner.contains(pos):
         raise ValueError("insertion point must lie in the inner cube")
-    if require_membership:
-        box_cfg = ShieldedBoxConfig.from_configuration(cfg, center)
-        if not shield_membership(box_cfg):
-            raise ValueError("box content is not a shield configuration")
+    if require_membership and not shield_membership(cfg, center):
+        raise ValueError("box content is not a shield configuration")
     outside = cfg.ids[_outside_box(cfg, center)]
     before = _tree_barcode_rows(cfg, outside)
     after = _tree_barcode_rows(insert_point(cfg, x), outside)

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .barcodes import ShieldedBoxConfig, shield_membership, shield_property_check
+from .barcodes import shield_membership, shield_property_check
 from .experiment import (
     ConfigError,
     ExperimentConfig,
@@ -210,18 +211,37 @@ def _cmd_stabilization(args) -> int:
     return 0
 
 
+def _is_point(value, d: int) -> bool:
+    """True iff a JSON value is a list of d finite numbers."""
+    try:
+        return isinstance(value, list) and len(value) == d and all(
+            type(v) in (int, float) and math.isfinite(v) for v in value
+        )
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def _cmd_shield_check(args) -> int:
     _config_defaults(args)  # no key applies, but a bad --config is still an error
     rec = json.loads(Path(args.fixture).read_text())
     if not isinstance(rec, dict):
         raise ConfigError("shield fixture must hold a JSON object")
-    cfg = load_configuration(rec["configuration"]) if isinstance(
-        rec.get("configuration"), str
-    ) else load_configuration("\n".join(rec["configuration"]))
+    text = rec.get("configuration")
+    if isinstance(text, list) and all(isinstance(line, str) for line in text):
+        text = "\n".join(text)
+    if not isinstance(text, str):
+        raise ConfigError("shield fixture 'configuration' must be a string or a list of strings")
+    cfg = load_configuration(text)
+    d = cfg.window.dim
+    if not _is_point(rec.get("box_center"), d):
+        raise ConfigError(f"shield fixture 'box_center' must be a list of {d} numbers")
     center = tuple(rec["box_center"])
-    box = ShieldedBoxConfig.from_configuration(cfg, center)
-    member = shield_membership(box)
     insertions = rec.get("insertions")
+    if insertions is not None and not (
+        isinstance(insertions, list) and all(_is_point(x, d) for x in insertions)
+    ):
+        raise ConfigError(f"shield fixture 'insertions' must be a list of lists of {d} numbers")
+    member = shield_membership(cfg, center)
     if not insertions:
         lo = np.asarray(center) - 1.5
         insertions = [list(lo + 0.75 * k) for k in range(1, 4)]

@@ -388,7 +388,6 @@ def stabilization_survey(
     seed: int,
     d: int = 2,
     cutoff: float = 1.0,
-    margin: float = 0.2,
     with_admissibility: bool = False,
 ) -> StabilizationSurvey:
     """Draw (configuration, insertion point) pairs and measure the empirical
@@ -402,7 +401,7 @@ def stabilization_survey(
     model = get_model(model_id, require_positive("cutoff", cutoff))
     if d < model.min_dim:
         raise ConfigError(f"model {model_id} needs dimension >= {model.min_dim}")
-    window = checked_window(n=n, dim=d, boundary_margin=margin)
+    window = checked_window(n=n, dim=d)
     rule = model.admissibility if with_admissibility else None
     radii = []
     for r in range(draws):

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from .barcodes import HALF_SIDE, INNER_HALF_SIDE
 from .geometry import Cube, Window
 from .graphs import DirectedRandom
 from .process import MarkModel, PointConfiguration, derive_rng
@@ -123,25 +124,19 @@ def shield_template_points(center, rng: np.random.Generator | None = None) -> li
     return out
 
 
-def sample_shielded_configuration(
-    window: Window,
-    center,
-    seed: int,
-    intensity: float = 1.0,
-    inner_points: bool = True,
-) -> PointConfiguration:
-    """Shield pads around ``center`` plus Poisson content outside the box and
-    (optionally) inside the inner cube; the void annulus stays empty."""
+def sample_shielded_configuration(window: Window, center, seed: int) -> PointConfiguration:
+    """Shield pads around ``center`` plus unit-intensity Poisson content
+    outside the box and inside the inner cube; the void annulus stays empty."""
     if window.dim != 2:
         raise ValueError("shield sampling is implemented for dimension 2")
     rng = derive_rng(seed, 7)
     parts = [np.array(shield_template_points(center, rng))]
-    n_outside = rng.poisson(intensity * window.volume)
+    n_outside = rng.poisson(window.volume)
     draws = rng.uniform(0.0, 1.0, (n_outside, 2)) * np.array(window.sides)
-    parts.append(draws[~Cube(tuple(center), 4.0).mask(draws)])
-    if inner_points:
-        n_inner = rng.poisson(intensity * 16.0)
-        draws = np.array(center) - 2.0 + rng.uniform(0.0, 4.0, (n_inner, 2))
-        parts.append(draws[Cube(tuple(center), 2.0).mask(draws)])
+    parts.append(draws[~Cube(tuple(center), HALF_SIDE).mask(draws)])
+    inner_side = 2 * INNER_HALF_SIDE
+    n_inner = rng.poisson(inner_side**2)
+    draws = np.array(center) - INNER_HALF_SIDE + rng.uniform(0.0, inner_side, (n_inner, 2))
+    parts.append(draws[Cube(tuple(center), INNER_HALF_SIDE).mask(draws)])
     # ids are assigned in draw order: template, outside draws, inner draws
     return PointConfiguration(window, MarkModel.none(), np.vstack(parts))

@@ -240,9 +240,6 @@ class BoxPartition:
     def box_volume(self) -> float:
         return float(np.prod([self.r * a for a in self.coefficients]))
 
-    def box(self, j: int) -> AxisBox:
-        return box_at_index(self, j)
-
     def boxes(self):
         for j in range(1, self.total_boxes + 1):
             yield box_at_index(self, j)

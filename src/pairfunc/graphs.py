@@ -122,8 +122,8 @@ class GeometricGraph:
     undirected support used for crossing counts, (min, max) rows, and
     ``retained_mask`` (S,) flags the segments whose endpoints stay within
     ``slab_cutoff`` of each other in the first two coordinates.  The
-    constructor takes arrays or sequences of pairs.  ``edges``, ``segments``
-    and ``retained`` are tuple views of the columns (builtin ints and bools),
+    constructor takes arrays or sequences of pairs.  ``edges`` and
+    ``retained`` are tuple views of the columns (builtin ints and bools),
     built on first access.  The graph is the context of the crossing models.
     """
 
@@ -150,10 +150,6 @@ class GeometricGraph:
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         return _pair_tuples(self.edge_ids)
-
-    @cached_property
-    def segments(self) -> tuple[tuple[int, int], ...]:
-        return _pair_tuples(self.segment_ids)
 
     @cached_property
     def retained(self) -> tuple[bool, ...]:

@@ -244,7 +244,7 @@ class ConcentrationReport:
         }
 
 
-def concentration_check_G(model, n_values, beta3: float, replications: int, seed: int, d: int = 2, margin: float = 0.2) -> ConcentrationReport:
+def concentration_check_G(model, n_values, beta3: float, replications: int, seed: int, d: int = 2) -> ConcentrationReport:
     """Sample admissible points and record how often their compound score G
     falls below beta3 times the reference slab volume."""
     from .geometry import reference_slab_volume
@@ -253,7 +253,7 @@ def concentration_check_G(model, n_values, beta3: float, replications: int, seed
         raise ValueError("concentration check applies to sum-log-sum models")
     freqs, slabs, counts = [], [], []
     for e, n in enumerate(n_values):
-        window = model.default_window(n, d, margin)
+        window = model.default_window(n, d)
         slab = reference_slab_volume(window, model.locality_order)
         threshold = beta3 * slab
         exceed = 0

@@ -17,7 +17,6 @@ from scipy import stats as sps
 
 from pairfunc.barcodes import (
     Bar,
-    ShieldedBoxConfig,
     build_merge_forest,
     elder_lifetimes,
     inversion_count,
@@ -236,8 +235,7 @@ def test_e9_shield_property():
     members = 0
     for s in range(100):
         cfg = sample_shielded_configuration(window, center, seed=(SEED + s))
-        box = ShieldedBoxConfig.from_configuration(cfg, center)
-        if not shield_membership(box):
+        if not shield_membership(cfg, center):
             continue
         members += 1
         ids_before, before = outside_pair_scores(cfg, center)

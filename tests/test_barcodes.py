@@ -9,7 +9,6 @@ from scipy import stats as sps
 from pairfunc.barcodes import (
     Bar,
     Barcode,
-    ShieldedBoxConfig,
     barcode_from_text,
     barcode_to_text,
     build_merge_forest,
@@ -575,6 +574,10 @@ CENTER = (12.0, 12.0)
 W24 = Window(n=24.0, dim=2)
 
 
+def _box_cfg(pts):
+    return PointConfiguration(W24, MarkModel.none(), pts)
+
+
 def _quarter_grid_pads():
     """Plain 1/4-spaced grids filling both pads."""
     pts = []
@@ -588,20 +591,17 @@ def _quarter_grid_pads():
 
 
 def test_empty_padding_is_not_a_shield():
-    box = ShieldedBoxConfig(CENTER, ())
-    assert shield_membership(box) is False
+    assert shield_membership(_box_cfg([]), CENTER) is False
 
 
 def test_quarter_grid_pads_form_a_shield():
-    box = ShieldedBoxConfig(CENTER, tuple(_quarter_grid_pads()))
-    assert shield_membership(box) is True
+    assert shield_membership(_box_cfg(_quarter_grid_pads()), CENTER) is True
 
 
 def test_point_in_void_region_breaks_membership():
     pts = _quarter_grid_pads()
     pts.append((CENTER[0] + 3.0, CENTER[1]))  # annulus, outside both pads
-    box = ShieldedBoxConfig(CENTER, tuple(pts))
-    assert shield_membership(box) is False
+    assert shield_membership(_box_cfg(pts), CENTER) is False
 
 
 def test_gap_violation_breaks_membership():
@@ -609,36 +609,34 @@ def test_gap_violation_breaks_membership():
     # a lone low point far below the others in time order of the right pad:
     # its earliest child arrives more than 1/2 later in time
     pts = [p for p in pts if not (abs(p[0] - (CENTER[0] + 3.5)) < 1e-9)]
-    box = ShieldedBoxConfig(CENTER, tuple(pts))
     # removing the earliest right-pad layer leaves uncovered pad area
-    assert shield_membership(box) is False
+    assert shield_membership(_box_cfg(pts), CENTER) is False
 
 
 def test_inner_cube_points_do_not_affect_membership():
     pts = _quarter_grid_pads()
     pts += [(CENTER[0] + dx, CENTER[1] + dy) for dx, dy in ((0.0, 0.0), (1.0, -1.0))]
-    box = ShieldedBoxConfig(CENTER, tuple(pts))
-    assert shield_membership(box) is True
+    assert shield_membership(_box_cfg(pts), CENTER) is True
 
 
-def test_malformed_box_rejected():
-    with pytest.raises(ValueError):
-        ShieldedBoxConfig(CENTER, ((20.0, 12.0),))
+def test_points_outside_the_box_do_not_change_membership():
+    # past the box: far beyond a face, and the corner (16, 8) and a face point
+    # each moved off by one ulp
+    outside = [(20.0, 12.0), (16.0, np.nextafter(8.0, 0.0)), (np.nextafter(16.0, 17.0), 12.0)]
+    assert shield_membership(_box_cfg(_quarter_grid_pads() + outside), CENTER) is True
+    assert shield_membership(_box_cfg(outside), CENTER) is False
+    # a point on the box's lower face is box content, in the void annulus
+    void = _quarter_grid_pads() + [(15.0, 8.0)]
+    assert shield_membership(_box_cfg(void), CENTER) is False
 
 
-def test_shield_box_points_are_a_validated_array():
-    # six numbers must not pass as three 2-d rows
-    with pytest.raises(ValueError, match="point dimension does not match the box center"):
-        ShieldedBoxConfig(CENTER, ((12.0, 12.0, 12.0), (12.5, 12.5, 12.5)))
-    with pytest.raises(ValueError, match="point dimension does not match the box center"):
-        ShieldedBoxConfig(CENTER, (12.0, 12.0))
-    with pytest.raises(ValueError, match="outside the box"):
-        ShieldedBoxConfig(CENTER, ((16.0, 12.0), (12.0, np.nextafter(8.0, 0.0))))
-    box = ShieldedBoxConfig(CENTER, [(16.0, 8.0), (12.0, 12.5)])  # a corner lies in the box
-    assert box.points.dtype == np.float64 and box.points.shape == (2, 2)
-    assert not box.points.flags.writeable
-    assert box.relative().tolist() == [[4.0, -4.0], [0.0, 0.5]]
-    assert ShieldedBoxConfig(CENTER, ()).relative().shape == (0, 2)
+def test_shield_membership_rejects_dimension_mismatch():
+    cube = PointConfiguration(Window(n=24.0, dim=3), MarkModel.none(), [(12.0, 12.0, 12.0)])
+    with pytest.raises(ValueError, match="dimension 2"):
+        shield_membership(cube, (12.0, 12.0, 12.0))
+    for center in ((12.0,), (12.0, 12.0, 12.0)):
+        with pytest.raises(ValueError, match="box center dimension"):
+            shield_membership(_box_cfg(_quarter_grid_pads()), center)
 
 
 def test_pad_gap_clauses_match_pointwise_oracle():
@@ -659,15 +657,13 @@ def test_pad_gap_clauses_match_pointwise_oracle():
 
 def test_shield_property_on_template():
     cfg = sample_shielded_configuration(W24, CENTER, seed=101)
-    box = ShieldedBoxConfig.from_configuration(cfg, CENTER)
-    assert shield_membership(box)
+    assert shield_membership(cfg, CENTER)
     assert shield_property_check(cfg, CENTER, (12.7, 11.4))
 
 
 def test_shield_pad_regions_exposed():
     # F- spans times [8, 8.5] of the box [8, 16]^2 and F+ spans [15.5, 16]
-    box = ShieldedBoxConfig(CENTER, tuple(_quarter_grid_pads()))
-    minus, plus = _pad_masks(box.relative())
+    minus, plus = _pad_masks(np.array(_quarter_grid_pads()) - np.array(CENTER))
     assert minus.sum() == plus.sum() == 3 * 33 and (minus ^ plus).all()
     edges = np.array([[-4.0, 0.0], [-3.5, 4.0], [-3.49, 0.0], [3.49, 0.0], [3.5, -4.0], [4.0, 0.0]])
     minus, plus = _pad_masks(edges)
@@ -675,7 +671,7 @@ def test_shield_pad_regions_exposed():
     assert plus.tolist() == [False, False, False, False, True, True]
 
 
-def test_shield_property_accepts_partition_box():
+def test_shield_property_at_partition_box_center():
     from pairfunc.geometry import BoxPartition, box_at_index
 
     # the box holding the shield center in a side-8 partition of the window
@@ -683,10 +679,7 @@ def test_shield_property_accepts_partition_box():
     box = box_at_index(part, 5)  # [8,16] x [8,16], centered at (12, 12)
     assert box.center == CENTER
     cfg = sample_shielded_configuration(W24, CENTER, seed=103)
-    assert shield_property_check(cfg, box, (12.3, 12.8))
-    with pytest.raises(ValueError):
-        shield_property_check(cfg, box_at_index(BoxPartition(Window(n=6, dim=2), 4.0), 1),
-                              (12.3, 12.8))  # side-4 box rejected
+    assert shield_property_check(cfg, box.center, (12.3, 12.8))
 
 
 def test_property_checker_detects_changes_without_shield():

@@ -110,11 +110,35 @@ def test_shield_check_fixture(capsys):
 
 
 def test_shield_fixture_must_hold_an_object(tmp_path, capsys):
+    rec = json.loads((FIXTURES / "shield_ok.txt").read_text())
+    cases = [
+        ([1, 2], "shield fixture must hold a JSON object"),
+        ({"configuration": 5, "box_center": [12, 12]}, "'configuration' must be"),
+        ({"box_center": [12, 12]}, "'configuration' must be"),
+        (dict(rec, configuration=[1, 2]), "'configuration' must be"),
+        (dict(rec, box_center=5), "'box_center' must be a list of 2 numbers"),
+        (dict(rec, box_center=[12, 12, 12]), "'box_center' must be a list of 2"),
+        (dict(rec, box_center=[True, 12]), "'box_center' must be a list of 2"),
+        (dict(rec, box_center=[10**400, 12]), "'box_center' must be a list of 2"),
+        (dict(rec, insertions=5), "'insertions' must be a list of lists of 2"),
+        (dict(rec, insertions=[12, 12]), "'insertions' must be a list of lists"),
+        (dict(rec, insertions=[[12, "x"]]), "'insertions' must be a list of lists"),
+    ]
     path = tmp_path / "fixture.json"
-    path.write_text("[1, 2]")
-    code, out, err = run_cli(["shield-check", "--fixture", str(path)], capsys)
-    assert code == 2 and out == ""
-    assert "shield fixture must hold a JSON object" in _one_error_line(err, 2)
+    for fixture, message in cases:
+        path.write_text(json.dumps(fixture))
+        code, out, err = run_cli(["shield-check", "--fixture", str(path)], capsys)
+        assert code == 2 and out == "", fixture
+        assert message in _one_error_line(err, 2), fixture
+
+
+def test_shield_check_accepts_line_lists_and_integer_centers(tmp_path, capsys):
+    rec = json.loads((FIXTURES / "shield_ok.txt").read_text())
+    rec.update(configuration=rec["configuration"].splitlines(), box_center=[12, 12])
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(rec))
+    code, out, _ = run_cli(["shield-check", "--fixture", str(path)], capsys)
+    assert code == 0 and out == "member=true, property=true\n"
 
 
 def test_shield_check_on_marked_points_is_one_runtime_line(tmp_path, capsys):

@@ -4,12 +4,7 @@ import json
 import math
 from pathlib import Path
 
-from pairfunc.barcodes import (
-    ShieldedBoxConfig,
-    build_merge_forest,
-    elder_lifetimes,
-    shield_membership,
-)
+from pairfunc.barcodes import build_merge_forest, elder_lifetimes, shield_membership
 from pairfunc.fixtures import (
     POISSON_TREE_FIGURE_LIFETIMES,
     SNOWFLAKE_KERNEL,
@@ -40,7 +35,7 @@ def test_shield_file_is_member_with_insertions():
     rec = json.loads((FIXTURES / "shield_ok.txt").read_text())
     cfg = load_configuration(rec["configuration"])
     center = tuple(rec["box_center"])
-    assert shield_membership(ShieldedBoxConfig.from_configuration(cfg, center))
+    assert shield_membership(cfg, center)
     assert len(rec["insertions"]) >= 1
     inner_lo = [c - 2.0 for c in center]
     inner_hi = [c + 2.0 for c in center]

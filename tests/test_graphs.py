@@ -96,11 +96,16 @@ def test_localized_without_cap_equals_max_kernel():
     assert build_edges(cfg, Localized(None)).edges == build_edges(cfg, MaxKernel()).edges
 
 
+def _segments(g):
+    """The graph's segment id pairs as a tuple of builtin-int pairs."""
+    return tuple(map(tuple, g.segment_ids.tolist()))
+
+
 def test_max_kernel_edges_subset_of_directed_support():
     rng = np.random.default_rng(29)
     cfg = random_configuration(rng, Window(n=4.0, dim=3), 40, MarkModel.uniform_radius(0.0, 1.2))
-    mk = set(build_edges(cfg, MaxKernel()).segments)
-    dr = set(build_edges(cfg, DirectedRandom()).segments)
+    mk = set(_segments(build_edges(cfg, MaxKernel())))
+    dr = set(_segments(build_edges(cfg, DirectedRandom())))
     assert mk <= dr
 
 
@@ -119,7 +124,7 @@ def _x_crossing_cfg():
 def test_crossing_score_x_configuration():
     cfg = _x_crossing_cfg()
     g = build_edges(cfg, FixedRadius())
-    assert set(g.segments) == {(0, 1), (2, 3)}
+    assert set(_segments(g)) == {(0, 1), (2, 3)}
     for z, v in [(0, 2), (0, 3), (1, 2), (1, 3)]:
         assert crossing_score(z, v, g) == pytest.approx(1 / 8)
         assert crossing_score(v, z, g) == pytest.approx(1 / 8)
@@ -174,7 +179,7 @@ def test_slab_retention_drops_long_edges():
     # radii large enough to connect, but the pair is 1.4 apart in coordinate 1
     cfg = make_configuration(W3, [(1.0, 1.0, 1.0), (2.4, 1.0, 1.0)], marks=[2.0, 2.0])
     g = build_edges(cfg, MaxKernel())
-    assert g.segments == ((0, 1),)
+    assert _segments(g) == ((0, 1),)
     assert g.retained == (False,)
     assert crossing_number(g) == 0
 
@@ -184,10 +189,10 @@ def test_fixed_radius_monotone_under_insertion():
     for _ in range(5):
         cfg = random_configuration(rng, Window(n=4.0, dim=3), 40)
         g = build_edges(cfg, FixedRadius())
-        before = set(g.segments)
+        before = set(_segments(g))
         x = tuple(rng.uniform(0, 4, 3))
         g2 = build_edges(insert_point(cfg, x), FixedRadius())
-        assert before <= set(g2.segments)
+        assert before <= set(_segments(g2))
         assert crossing_number(g2) >= crossing_number(g)
 
 
@@ -261,7 +266,7 @@ def lattice_configurations(draw, max_size=30):
 @given(lattice_configurations(), st.sampled_from(_KERNELS), _RADII)
 def test_edges_match_dense_oracle_on_lattice(cfg, kernel, cutoff):
     g = build_edges(cfg, kernel, slab_cutoff=cutoff)
-    assert (g.edges, g.segments, g.retained) == build_edges_oracle(cfg, kernel, cutoff)
+    assert (g.edges, _segments(g), g.retained) == build_edges_oracle(cfg, kernel, cutoff)
 
 
 def test_edges_match_dense_oracle_on_random_marks():
@@ -271,7 +276,7 @@ def test_edges_match_dense_oracle_on_random_marks():
         cfg = random_configuration(rng, window, 60, MarkModel.uniform_radius(0.0, 1.5))
         for kernel in _KERNELS:
             g = build_edges(cfg, kernel)
-            assert (g.edges, g.segments, g.retained) == build_edges_oracle(cfg, kernel)
+            assert (g.edges, _segments(g), g.retained) == build_edges_oracle(cfg, kernel)
 
 
 @settings(max_examples=400, deadline=None)
@@ -289,7 +294,7 @@ def pair_scores_literal(graph):
     """Double loop over retained segment pairs: every properly crossing,
     non-adjacent pair adds 1 to each of its 4 endpoint pairings."""
     pos = {p.id: p.position[:2] for p in graph.cfg.points}
-    segments = [s for s, kept in zip(graph.segments, graph.retained) if kept]
+    segments = [s for s, kept in zip(_segments(graph), graph.retained) if kept]
     scores = {}
     for k, (a, b) in enumerate(segments):
         for c, e in segments[k + 1 :]:
@@ -358,13 +363,12 @@ def test_graph_columns_are_read_only_views_of_the_tuples():
             with pytest.raises(ValueError):
                 column[0] = column[1]
         assert g.edges == tuple(map(tuple, g.edge_ids.tolist()))
-        assert g.segments == tuple(map(tuple, g.segment_ids.tolist()))
         assert g.retained == tuple(g.retained_mask.tolist())
-        assert all(type(v) is int for pair in g.edges + g.segments for v in pair)
+        assert all(type(v) is int for pair in g.edges for v in pair)
         assert all(type(v) is bool for v in g.retained)
-        assert 0 < sum(g.retained) < len(g.segments)
+        assert 0 < sum(g.retained) < len(g.segment_ids)
         # the same graph built from tuples
-        t = GeometricGraph(cfg, kernel, g.edges, 0.75, g.segments, g.retained)
+        t = GeometricGraph(cfg, kernel, g.edges, 0.75, _segments(g), g.retained)
         for name in ("edge_ids", "segment_ids", "retained_mask"):
             assert np.array_equal(getattr(t, name), getattr(g, name))
         assert crossing_number(t) == crossing_number(g) > 0
