@@ -24,7 +24,7 @@ from pairfunc.experiment import stabilization_survey
 inversion = get_model("inversion-uniform")
 treelog = get_model("treelog-uniform")
 
-window = inversion.default_window(16.0)
+window = Window(n=16.0, dim=2)
 cfg = inversion.sample(window, seed=21)
 print("configuration size:", len(cfg))
 print("double sum (ordered inversions):", double_sum(cfg, inversion.score))

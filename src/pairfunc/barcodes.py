@@ -221,7 +221,6 @@ class MergeForest:
     """
 
     cfg: PointConfiguration
-    cylinder_radius: float
     ancestor: np.ndarray
     leaves: np.ndarray
     merge_points: np.ndarray
@@ -257,7 +256,6 @@ def build_merge_forest(cfg: PointConfiguration, cylinder_radius: float = 1.0) ->
     merge_points = np.flatnonzero(merge)
     return MergeForest(
         cfg,
-        cylinder_radius,
         np.where(linked, anc, rows),
         np.flatnonzero(children == 0),
         merge_points,

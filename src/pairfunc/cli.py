@@ -22,14 +22,15 @@ from .experiment import (
     ConfigError,
     ExperimentConfig,
     checked_window,
+    parse_config,
     read_config_file,
     require_positive,
+    resolve_model,
     run_experiment,
     stabilization_survey,
     write_outputs,
 )
 from .graphs import build_edges, crossing_number, graph_to_text, kernel_from_flag
-from .models import get_model
 from .process import MarkModel, dump_configuration, load_configuration, sample_ppp
 from .stats import binomial_lower_tail_bound, poisson_upper_tail_bound
 
@@ -45,71 +46,54 @@ def _error(kind: str, message: str) -> int:
     return code
 
 
-def _seed_override(seed: int | None) -> int | None:
+def _run_seed(args, configured):
+    """PAIRFUNC_SEED when it is set, else --seed, else the configured seed;
+    ConfigError when none is set or the variable does not hold an integer."""
     env = os.environ.get("PAIRFUNC_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError as exc:
+            raise ConfigError(f"PAIRFUNC_SEED must be an integer, got {env!r}") from exc
+    seed = args.seed if args.seed is not None else configured
+    if seed is None:
+        raise ConfigError(f"{args.command} needs --seed, a config seed, or PAIRFUNC_SEED")
     return seed
-
-
-def _resolve_model(model_id: str, cutoff: float = 1.0):
-    try:
-        return get_model(model_id, cutoff)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 _DEFAULT_GRIDS = {"clt": [8, 16, 32], "scaling": [8, 12, 16, 24, 32]}
 
 
 def _load_experiment_config(args) -> ExperimentConfig:
+    """The --config record (or the defaults of ``args.command``), then the
+    flags that are set, then PAIRFUNC_SEED, validated once."""
     if args.config:
-        rec = ExperimentConfig.from_file(args.config).canonical()
+        rec = read_config_file(args.config)
     else:
         rec = {"model": "inversion-uniform", "n_grid": _DEFAULT_GRIDS[args.command], "reps": 200}
-    if args.model:
-        rec["model"] = args.model
-    if args.n_grid:
-        rec["n_grid"] = [float(v) for v in args.n_grid.split(",")]
-    if args.reps is not None:
-        rec["reps"] = args.reps
-    if args.seed is not None:
-        rec["seed"] = args.seed
-    if args.jobs is not None:
-        rec["jobs"] = args.jobs
-    seed = _seed_override(rec.get("seed"))
-    if seed is None:
-        raise ConfigError("a seed is required (flag, config file, or PAIRFUNC_SEED)")
-    rec["seed"] = seed
+    flags = {
+        "model": args.model or None,
+        "n_grid": args.n_grid.split(",") if args.n_grid else None,
+        "reps": args.reps,
+        "jobs": args.jobs,
+    }
+    rec.update((key, value) for key, value in flags.items() if value is not None)
+    rec["seed"] = _run_seed(args, rec.get("seed"))
     return ExperimentConfig.from_record(rec)
 
 
-_SHARED_KEYS = {"model": str, "seed": int, "d": int, "cutoff": float}
-
-
 def _config_defaults(args) -> dict:
-    """The shared keys (model, seed, d, cutoff) of --config, when given,
-    converted to their types; ConfigError on a value that does not convert.
-    Other keys are not read."""
+    """The keys model, seed, d and cutoff of --config, when given, parsed as
+    in an experiment config.  Other keys are not read."""
     rec = read_config_file(args.config) if args.config else {}
-    out = {}
-    for key, kind in _SHARED_KEYS.items():
-        if rec.get(key) is None:
-            continue
-        try:
-            out[key] = kind(rec[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed config value for {key!r}: {exc}") from exc
-    return out
+    return parse_config({key: rec[key] for key in ("model", "seed", "d", "cutoff") if key in rec})
 
 
 def _cmd_sample(args) -> int:
     defaults = _config_defaults(args)
-    seed = _seed_override(args.seed if args.seed is not None else defaults.get("seed"))
-    if seed is None:
-        raise ConfigError("sample needs --seed, a config seed, or PAIRFUNC_SEED")
+    seed = _run_seed(args, defaults.get("seed"))
     model_id = args.model or defaults.get("model")
-    model = _resolve_model(model_id) if model_id else None
+    model = resolve_model(model_id) if model_id else None
     window = checked_window(n=args.n, dim=args.d if args.d is not None else defaults.get("d", 2))
     marks = model.mark_model if model else MarkModel.none()
     cfg = sample_ppp(window, require_positive("intensity", args.intensity), marks, seed)
@@ -130,11 +114,9 @@ def _cmd_evaluate(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     cfg = load_configuration(Path(args.points).read_text())
-    cutoff = require_positive(
-        "cutoff", args.cutoff if args.cutoff is not None else defaults.get("cutoff", 1.0)
-    )
+    cutoff = args.cutoff if args.cutoff is not None else defaults.get("cutoff", 1.0)
     if kernel is not None:
-        graph = build_edges(cfg, kernel, slab_cutoff=cutoff)
+        graph = build_edges(cfg, kernel, slab_cutoff=require_positive("cutoff", cutoff))
         value = crossing_number(graph)
         if args.format == "json":
             print(json.dumps({"kernel": args.kernel, "crossing_number": value}))
@@ -143,8 +125,7 @@ def _cmd_evaluate(args) -> int:
         if args.out:
             Path(args.out).write_text(graph_to_text(graph, points_ref=args.points))
         return 0
-    model_id = args.model or defaults.get("model") or "inversion-uniform"
-    model = _resolve_model(model_id, cutoff)
+    model = resolve_model(args.model or defaults.get("model") or "inversion-uniform", cutoff)
     fv = model.evaluate(cfg)
     if args.format == "json":
         line = json.dumps(fv.to_record())
@@ -183,16 +164,11 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_stabilization(args) -> int:
     defaults = _config_defaults(args)
-    seed = _seed_override(args.seed if args.seed is not None else defaults.get("seed"))
-    if seed is None:
-        raise ConfigError("stabilization needs --seed, a config seed, or PAIRFUNC_SEED")
-    model_id = args.model or defaults.get("model") or "inversion-tree"
-    cutoff = defaults.get("cutoff", 1.0)
-    _resolve_model(model_id, cutoff)
-    d = args.d if args.d is not None else defaults.get("d", 2)
+    seed = _run_seed(args, defaults.get("seed"))
     survey = stabilization_survey(
-        model_id, args.n, args.draws, seed, d=d, cutoff=cutoff,
-        with_admissibility=args.admissibility,
+        args.model or defaults.get("model") or "inversion-tree", args.n, args.draws, seed,
+        d=args.d if args.d is not None else defaults.get("d", 2),
+        cutoff=defaults.get("cutoff", 1.0), with_admissibility=args.admissibility,
     )
     rec = survey.to_record()
     if args.format == "csv":
@@ -223,9 +199,7 @@ def _is_point(value, d: int) -> bool:
 
 def _cmd_shield_check(args) -> int:
     _config_defaults(args)  # no key applies, but a bad --config is still an error
-    rec = json.loads(Path(args.fixture).read_text())
-    if not isinstance(rec, dict):
-        raise ConfigError("shield fixture must hold a JSON object")
+    rec = read_config_file(args.fixture, "shield fixture")
     text = rec.get("configuration")
     if isinstance(text, list) and all(isinstance(line, str) for line in text):
         text = "\n".join(text)

@@ -12,16 +12,15 @@ import hashlib
 import json
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .geometry import Window
-from .models import get_model
+from .models import Model, get_model
 from .stats import (
     ScalingFit,
     is_degenerate,
@@ -44,16 +43,55 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-def read_config_file(path: str | Path) -> dict:
-    """The JSON object held by a config file; ConfigError when the file cannot
-    be read or parsed or holds anything but an object."""
+def read_config_file(path: str | Path, label: str = "config file") -> dict:
+    """The JSON object held by a file; ConfigError, naming the file by
+    ``label``, when it cannot be read or parsed or holds anything but an
+    object."""
     try:
         rec = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {label} {path}: {exc}") from exc
     if not isinstance(rec, dict):
-        raise ConfigError("config file must hold a JSON object")
+        raise ConfigError(f"{label} must hold a JSON object")
     return rec
+
+
+def _tuple_or_none(value):
+    return tuple(value) if value else None
+
+
+# The converter of every config key from its JSON value.
+_CONVERTERS = {
+    "model": str,
+    "n_grid": lambda value: tuple(float(n) for n in value),
+    "reps": int,
+    "seed": int,
+    "d": int,
+    "intensity": float,
+    "a": _tuple_or_none,
+    "alpha": _tuple_or_none,
+    "margin": float,
+    "cutoff": float,
+    "jobs": lambda value: value,
+}
+
+
+def parse_config(rec: dict) -> dict:
+    """The keys of a config record converted to their types, with a null value
+    taken as an absent key; ConfigError for an unknown key or a value that does
+    not convert."""
+    unknown = set(rec) - set(_CONVERTERS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    out = {}
+    for key, value in rec.items():
+        if value is None:
+            continue
+        try:
+            out[key] = _CONVERTERS[key](value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed config value for {key!r}: {exc}") from exc
+    return out
 
 
 def require_positive(key: str, value: float) -> float:
@@ -70,6 +108,20 @@ def checked_window(**kw) -> Window:
         return Window(**kw)
     except ValueError as exc:
         raise ConfigError(f"window at n={kw['n']:g}: {exc}") from exc
+
+
+def resolve_model(model_id: str, cutoff: float = 1.0, d: int | None = None) -> Model:
+    """The model ``model_id`` at ``cutoff``; a ConfigError for an unknown id or
+    cap, a cutoff that is not finite and > 0, or a dimension ``d`` below the
+    model's ``min_dim``."""
+    require_positive("cutoff", cutoff)
+    try:
+        model = get_model(model_id, cutoff)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if d is not None and d < model.min_dim:
+        raise ConfigError(f"model {model_id} needs dimension >= {model.min_dim}")
+    return model
 
 
 @dataclass(frozen=True)
@@ -89,19 +141,13 @@ class ExperimentConfig:
     def __post_init__(self):
         """Validate every key, so that a bad value exits as a configuration
         error before any replication runs."""
-        try:
-            model = get_model(self.model, self.cutoff)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        model = resolve_model(self.model, self.cutoff, self.d)
         grid = tuple(float(n) for n in self.n_grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("n_grid must be non-empty and strictly increasing")
         if self.reps < 2:
             raise ConfigError("need at least 2 replications")
-        if self.d < model.min_dim:
-            raise ConfigError(f"model {self.model} needs dimension >= {model.min_dim}")
-        for key in ("intensity", "cutoff"):
-            require_positive(key, getattr(self, key))
+        require_positive("intensity", self.intensity)
         if self.jobs is not None and (type(self.jobs) is not int or self.jobs < 1):
             raise ConfigError(f"jobs must be null or an integer >= 1, got {self.jobs!r}")
         object.__setattr__(self, "n_grid", grid)
@@ -122,18 +168,14 @@ class ExperimentConfig:
             boundary_margin=self.margin,
         )
 
-    def canonical(self) -> dict:
+    def result_record(self) -> dict:
+        """The keys that determine the results: every field but the execution
+        setting ``jobs``."""
         rec = asdict(self)
+        del rec["jobs"]
         rec["n_grid"] = list(self.n_grid)
         rec["a"] = list(self.a) if self.a else None
         rec["alpha"] = list(self.alpha) if self.alpha else None
-        return rec
-
-    def result_record(self) -> dict:
-        """The keys that determine the results: ``canonical()`` without the
-        execution setting ``jobs``."""
-        rec = self.canonical()
-        del rec["jobs"]
         return rec
 
     def hash(self) -> str:
@@ -141,37 +183,12 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        return cls.from_record(read_config_file(path))
-
-    @classmethod
     def from_record(cls, rec: dict) -> "ExperimentConfig":
-        known = {
-            "model", "n_grid", "reps", "seed", "d", "intensity",
-            "a", "alpha", "margin", "cutoff", "jobs",
-        }
-        unknown = set(rec) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            fields = dict(
-                model=str(rec["model"]),
-                n_grid=tuple(float(n) for n in rec["n_grid"]),
-                reps=int(rec["reps"]),
-                seed=int(rec["seed"]),
-                d=int(rec.get("d", 2)),
-                intensity=float(rec.get("intensity", 1.0)),
-                a=tuple(rec["a"]) if rec.get("a") else None,
-                alpha=tuple(rec["alpha"]) if rec.get("alpha") else None,
-                margin=float(rec.get("margin", 0.2)),
-                cutoff=float(rec.get("cutoff", 1.0)),
-                jobs=rec.get("jobs"),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing config key: {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed config value: {exc}") from exc
-        return cls(**fields)
+        kwargs = parse_config(rec)
+        for field in fields(cls):
+            if field.default is MISSING and field.name not in kwargs:
+                raise ConfigError(f"missing config key: {field.name!r}")
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -205,7 +222,6 @@ class RunRecord:
     rows: tuple[ReplicationRow, ...]
     summaries: tuple[GridSummary, ...]
     scaling: ScalingFit | None
-    wall_time_s: float      # in-memory only; never written to output files
     version: str = __version__
 
 
@@ -223,7 +239,6 @@ def _one_replication(args) -> ReplicationRow:
 def run_experiment(config: ExperimentConfig) -> RunRecord:
     """Sample, build and evaluate every (n, replication) cell; aggregate
     summaries, distances to normal, and the variance scaling fit."""
-    t0 = time.perf_counter()
     tasks = [
         (config, e, rep)
         for e in range(len(config.n_grid))
@@ -265,14 +280,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     scaling = None
     if len(kept) >= 3:
         scaling = variance_scaling_fit([s.n for s in kept], [s.variance for s in kept])
-    return RunRecord(
-        config,
-        config.hash(),
-        tuple(rows),
-        tuple(summaries),
-        scaling,
-        time.perf_counter() - t0,
-    )
+    return RunRecord(config, config.hash(), tuple(rows), tuple(summaries), scaling)
 
 
 def _fmt(x) -> str:
@@ -398,9 +406,7 @@ def stabilization_survey(
     from .process import MarkedPoint, derive_rng
     from .stats import loglinear_fit
 
-    model = get_model(model_id, require_positive("cutoff", cutoff))
-    if d < model.min_dim:
-        raise ConfigError(f"model {model_id} needs dimension >= {model.min_dim}")
+    model = resolve_model(model_id, cutoff, d)
     window = checked_window(n=n, dim=d)
     rule = model.admissibility if with_admissibility else None
     radii = []

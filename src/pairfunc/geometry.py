@@ -23,8 +23,6 @@ __all__ = [
     "segments_properly_cross",
     "window_to_text",
     "window_from_text",
-    "box_to_text",
-    "box_from_text",
 ]
 
 
@@ -122,10 +120,6 @@ class AxisBox(_Region):
     @property
     def center(self) -> tuple[float, ...]:
         return tuple((l + u) / 2.0 for l, u in zip(self.lower, self.upper))
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod([u - l for l, u in zip(self.lower, self.upper)]))
 
     def _mask(self, pos: np.ndarray) -> np.ndarray:
         return ((pos >= np.array(self.lower)) & (pos <= np.array(self.upper))).all(axis=1)
@@ -323,14 +317,3 @@ def window_from_text(text: str) -> Window:
         exponents=tuple(rec["alpha"]),
         boundary_margin=rec["margin"],
     )
-
-
-def box_to_text(box: AxisBox) -> str:
-    lo = ", ".join(_g17(v) for v in box.lower)
-    up = ", ".join(_g17(v) for v in box.upper)
-    return f'{{"lower": [{lo}], "upper": [{up}]}}'
-
-
-def box_from_text(text: str) -> AxisBox:
-    rec = json.loads(text)
-    return AxisBox(tuple(rec["lower"]), tuple(rec["upper"]))

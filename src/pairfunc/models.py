@@ -85,9 +85,6 @@ class Model:
     score: PairScore
     admissibility: AdmissibilityRule
 
-    def default_window(self, n: float, d: int = 2) -> Window:
-        return Window(n=n, dim=d)
-
     def sample(self, window: Window, seed, intensity: float = 1.0) -> PointConfiguration:
         return sample_ppp(window, intensity, self.mark_model, seed)
 

@@ -263,12 +263,13 @@ def sample_ppp(
     return PointConfiguration(window, marks, positions, mark_values, seed=base_seed)
 
 
-def insert_point(cfg: PointConfiguration, x: MarkedPoint | Sequence[float], mark=None) -> PointConfiguration:
-    """New configuration with one extra point under a fresh id; input unchanged."""
+def insert_point(cfg: PointConfiguration, x: MarkedPoint | Sequence[float]) -> PointConfiguration:
+    """New configuration with one extra point under a fresh id; input unchanged.
+    A bare position carries no mark."""
     if isinstance(x, MarkedPoint):
         position, mark = x.position, x.mark
     else:
-        position = tuple(float(v) for v in x)
+        position, mark = tuple(float(v) for v in x), None
     if not cfg.window.contains(position):
         raise ValueError("inserted position lies outside the window")
     new_mark = None if mark is None else np.array([mark], dtype=np.float64)

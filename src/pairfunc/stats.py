@@ -234,26 +234,17 @@ class ConcentrationReport:
     admissible_counts: tuple[int, ...]
     slope: float | None  # log-frequency vs slab volume; None when degenerate
 
-    def to_record(self) -> dict:
-        return {
-            "n": list(self.n_values),
-            "slab_volume": list(self.slab_volumes),
-            "frequency": list(self.frequencies),
-            "admissible": list(self.admissible_counts),
-            "slope": self.slope,
-        }
-
 
 def concentration_check_G(model, n_values, beta3: float, replications: int, seed: int, d: int = 2) -> ConcentrationReport:
     """Sample admissible points and record how often their compound score G
     falls below beta3 times the reference slab volume."""
-    from .geometry import reference_slab_volume
+    from .geometry import Window, reference_slab_volume
 
     if model.functional_kind != "sum_log_sum":
         raise ValueError("concentration check applies to sum-log-sum models")
     freqs, slabs, counts = [], [], []
     for e, n in enumerate(n_values):
-        window = model.default_window(n, d)
+        window = Window(n=n, dim=d)
         slab = reference_slab_volume(window, model.locality_order)
         threshold = beta3 * slab
         exceed = 0

@@ -9,6 +9,7 @@ would make every benchmark process die at start-up fails here instead.
 import importlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from pairfunc import functionals, graphs
@@ -78,6 +79,22 @@ def test_traced_stabilization_radius_counts_changed_pairs():
             assert traced == radius
             count = tracer.counts["functionals.changed_pairs"]
             assert type(count) is int and count == changed
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def test_benchmark_calls_fit_the_library_signatures():
+    # run_call builds an ExperimentConfig and calls stabilization_survey by
+    # keyword; a signature change there would fail every benchmark round
+    sys.path.insert(0, str(BENCH))
+    try:
+        workloads = importlib.import_module("workloads")
+        calls = [call for w in workloads.WORKLOADS.values() for call in w.calls]
+        call = next(call for call in calls if not call.survey)
+        record = workloads.run_call(replace(call, reps=2), 1)
+        assert len(record.rows) == 2 * len(call.n_grid)
+        call = next(call for call in calls if call.survey)
+        assert len(workloads.run_call(replace(call, reps=1), 1).radii) == 1
     finally:
         sys.path.remove(str(BENCH))
 

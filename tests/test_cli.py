@@ -12,6 +12,7 @@ from pairfunc.experiment import (
     LONG_HEADER,
     RESULTS_HEADER,
     SUMMARY_HEADER,
+    ConfigError,
     ExperimentConfig,
     run_experiment,
     stabilization_survey,
@@ -130,6 +131,11 @@ def test_shield_fixture_must_hold_an_object(tmp_path, capsys):
         code, out, err = run_cli(["shield-check", "--fixture", str(path)], capsys)
         assert code == 2 and out == "", fixture
         assert message in _one_error_line(err, 2), fixture
+    path.write_text("{not json")
+    for fixture in (path, tmp_path / "missing.json"):
+        code, out, err = run_cli(["shield-check", "--fixture", str(fixture)], capsys)
+        assert code == 2 and out == "", fixture
+        assert "cannot read shield fixture" in _one_error_line(err, 2), fixture
 
 
 def test_shield_check_accepts_line_lists_and_integer_centers(tmp_path, capsys):
@@ -177,6 +183,58 @@ def test_env_seed_override(tmp_path, capsys):
     finally:
         del os.environ["PAIRFUNC_SEED"]
     assert out_a.read_text() == out_b.read_text()
+
+
+@pytest.mark.parametrize("flag, env", [(["--seed", "7"], None), ([], "7")])
+def test_flag_or_env_seed_completes_a_seedless_config(tmp_path, capsys, monkeypatch, flag, env):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": "inversion-uniform", "n_grid": [4, 6], "reps": 2,
+                                "jobs": 1}))
+    if env is not None:
+        monkeypatch.setenv("PAIRFUNC_SEED", env)
+    out = tmp_path / "out"
+    code, _, err = run_cli(["clt", "--config", str(path), "--out", str(out)] + flag, capsys)
+    assert code == 0, err
+    assert json.loads((out / "meta.json").read_text())["config"]["seed"] == 7
+
+
+def test_flags_override_file_values(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": "inversion-uniform", "n_grid": [4, 6], "reps": 1,
+                                "seed": 3, "jobs": 1}))
+    out = tmp_path / "out"
+    code, _, err = run_cli(["clt", "--config", str(path), "--reps", "20", "--out", str(out)],
+                           capsys)
+    assert code == 0, err
+    assert json.loads((out / "meta.json").read_text())["config"]["reps"] == 20
+
+
+def test_null_config_value_means_absent_under_clt_and_sample(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": "inversion-uniform", "n_grid": [4, 6], "reps": 2,
+                                "seed": 3, "d": None, "jobs": None}))
+    code, _, err = run_cli(["clt", "--config", str(path), "--out", str(tmp_path / "out")],
+                           capsys)
+    assert code == 0, err
+    assert json.loads((tmp_path / "out" / "meta.json").read_text())["config"]["d"] == 2
+    path.write_text(json.dumps({"seed": 3, "d": None}))
+    code, _, err = run_cli(["sample", "--n", "4", "--config", str(path)], capsys)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["clt", "--model", "inversion-uniform", "--n-grid", "4,6", "--reps", "2"],
+        ["sample", "--n", "4"],
+        ["stabilization", "--n", "4", "--draws", "2"],
+    ],
+)
+def test_malformed_env_seed_is_config_error(capsys, monkeypatch, command):
+    monkeypatch.setenv("PAIRFUNC_SEED", "abc")
+    code, out, err = run_cli(command + ["--seed", "1"], capsys)
+    assert code == 2 and out == ""
+    assert "PAIRFUNC_SEED must be an integer" in _one_error_line(err, 2)
 
 
 def test_missing_seed_is_config_error(capsys):
@@ -324,6 +382,13 @@ def test_stabilization_reads_the_config_cutoff(tmp_path, capsys):
     survey = stabilization_survey("inversion-tree", 16.0, 30, 5, cutoff=2.5)
     assert survey.m_values == (1, 2, 3)
     assert json.loads(out) == json.loads(json.dumps(survey.to_record()))
+
+
+def test_stabilization_survey_rejects_a_bad_model_as_config_error():
+    with pytest.raises(ConfigError, match="unknown model id 'bogus'"):
+        stabilization_survey("bogus", 8.0, 2, 1)
+    with pytest.raises(ConfigError, match="needs dimension >= 2"):
+        stabilization_survey("crossing-fixed", 8.0, 2, 1, d=1)
 
 
 def test_stabilization_zero_draws_is_config_error(capsys):

@@ -13,8 +13,6 @@ from pairfunc.geometry import (
     Slab,
     Window,
     box_at_index,
-    box_from_text,
-    box_to_text,
     segments_properly_cross,
     window_from_text,
     window_to_text,
@@ -262,8 +260,3 @@ def test_window_text_round_trip():
                boundary_margin=0.123456789012345)
     back = window_from_text(window_to_text(w))
     assert back == w
-
-
-def test_box_text_round_trip():
-    box = AxisBox((0.1, 1 / 3), (0.7, 2.0000000001))
-    assert box_from_text(box_to_text(box)) == box

@@ -83,7 +83,7 @@ def test_fixed_radius_first_difference_nonnegative():
 
 def test_full_pipeline_is_pure_in_seed():
     model = get_model("treelog-uniform")
-    w = model.default_window(12.0)
+    w = Window(n=12.0, dim=2)
     a = model.evaluate(model.sample(w, (77, 0, 0)))
     b = model.evaluate(model.sample(w, (77, 0, 0)))
     assert a == b

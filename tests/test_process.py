@@ -94,9 +94,9 @@ def test_mark_validation():
     w = Window(n=5.0, dim=2)
     cfg = PointConfiguration(w, MarkModel.uniform01(), ())
     with pytest.raises(ValueError):
-        insert_point(cfg, (1.0, 1.0), mark=1.5)
+        insert_point(cfg, MarkedPoint((1.0, 1.0), 1.5, -1))
     with pytest.raises(ValueError):
-        insert_point(cfg, (1.0, 1.0), mark=None)
+        insert_point(cfg, MarkedPoint((1.0, 1.0), None, -1))
     with pytest.raises(ValueError):
         MarkModel.exponential(rate=0.0)
     with pytest.raises(ValueError):
