@@ -41,7 +41,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import cKDTree
 
 from .geometry import Cube, _g17
-from .process import MarkedPoint, PointConfiguration, _all_unique, id_rows, insert_point
+from .process import MarkedPoint, PointConfiguration, _all_unique, _lex_order, id_rows, insert_point
 
 __all__ = [
     "Bar",
@@ -228,25 +228,31 @@ class MergeForest:
     death: np.ndarray
 
 
+def _subtree_minima(up: np.ndarray) -> np.ndarray:
+    """Smallest row of each subtree, row i hanging from ``up[i]`` (a root from
+    itself), by pointer doubling: pass k hands each minimum 2^k steps up."""
+    carried = np.arange(len(up))
+    while True:
+        np.minimum.at(carried, up, carried)
+        ahead = up[up]
+        if np.array_equal(ahead, up):
+            return carried
+        up = ahead
+
+
 def build_merge_forest(cfg: PointConfiguration, cylinder_radius: float = 1.0) -> MergeForest:
     if cfg.window.dim < 2:
         raise ValueError("merge forests need dimension >= 2")
     n = len(cfg)
-    rows = np.arange(n)
     anc = _ancestor_indices(cfg.positions, cylinder_radius)
     linked = anc >= 0
     children = np.bincount(anc[linked], minlength=n)
     merge = children + linked >= 3
+    up = np.where(linked, anc, np.arange(n))
 
-    # Children come before their ancestor in row order, so one forward pass
-    # leaves in ``carried`` the smallest row of every subtree.  That row is a
-    # leaf (a non-leaf has an earlier child), and the smallest leaf row is the
-    # birth-minimal leaf: the one the Elder rule keeps alive.
-    carried = list(range(n))
-    for i, j in enumerate(anc.tolist()):
-        if j >= 0 and carried[i] < carried[j]:
-            carried[j] = carried[i]
-    carried = np.array(carried, dtype=np.int64)
+    # Children precede their ancestor in row order, so each subtree's smallest
+    # row is its birth-minimal leaf: the one the Elder rule keeps alive.
+    carried = _subtree_minima(up)
 
     # At a merge point every arriving branch but the survivor's dies.
     kids = np.flatnonzero(linked)
@@ -256,7 +262,7 @@ def build_merge_forest(cfg: PointConfiguration, cylinder_radius: float = 1.0) ->
     merge_points = np.flatnonzero(merge)
     return MergeForest(
         cfg,
-        np.where(linked, anc, rows),
+        up,
         np.flatnonzero(children == 0),
         merge_points,
         carried[merge_points],
@@ -334,7 +340,7 @@ def _inversion_partners(births: np.ndarray, lifetimes: np.ndarray) -> np.ndarray
     """
     G = np.zeros(len(births), dtype=np.int64)
     idx = np.flatnonzero((lifetimes > 0.0) & (lifetimes < 1.0))
-    idx = idx[np.lexsort((births[idx] + lifetimes[idx], births[idx]))]
+    idx = idx[_lex_order(births[idx], births[idx] + lifetimes[idx])]
     b = births[idx]
     d = b + lifetimes[idx]
     n = len(b)

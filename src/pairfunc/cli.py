@@ -93,8 +93,9 @@ def _cmd_sample(args) -> int:
     defaults = _config_defaults(args)
     seed = _run_seed(args, defaults.get("seed"))
     model_id = args.model or defaults.get("model")
-    model = resolve_model(model_id) if model_id else None
-    window = checked_window(n=args.n, dim=args.d if args.d is not None else defaults.get("d", 2))
+    dim = args.d if args.d is not None else defaults.get("d", 2)
+    model = resolve_model(model_id, d=dim) if model_id else None
+    window = checked_window(n=args.n, dim=dim)
     marks = model.mark_model if model else MarkModel.none()
     cfg = sample_ppp(window, require_positive("intensity", args.intensity), marks, seed)
     text = dump_configuration(cfg)
@@ -113,10 +114,11 @@ def _cmd_evaluate(args) -> int:
         kernel = kernel_from_flag(args.kernel) if args.kernel else None
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    cfg = load_configuration(Path(args.points).read_text())
     cutoff = args.cutoff if args.cutoff is not None else defaults.get("cutoff", 1.0)
+    model = resolve_model(args.model or defaults.get("model") or "inversion-uniform", cutoff)
+    cfg = load_configuration(Path(args.points).read_text())
     if kernel is not None:
-        graph = build_edges(cfg, kernel, slab_cutoff=require_positive("cutoff", cutoff))
+        graph = build_edges(cfg, kernel, slab_cutoff=cutoff)
         value = crossing_number(graph)
         if args.format == "json":
             print(json.dumps({"kernel": args.kernel, "crossing_number": value}))
@@ -125,7 +127,6 @@ def _cmd_evaluate(args) -> int:
         if args.out:
             Path(args.out).write_text(graph_to_text(graph, points_ref=args.points))
         return 0
-    model = resolve_model(args.model or defaults.get("model") or "inversion-uniform", cutoff)
     fv = model.evaluate(cfg)
     if args.format == "json":
         line = json.dumps(fv.to_record())
@@ -235,16 +236,16 @@ def _cmd_shield_check(args) -> int:
 
 def _cmd_bounds(args) -> int:
     _config_defaults(args)  # no key applies, but a bad --config is still an error
-    if args.family == "binomial":
-        if len(args.params) != 2:
-            raise ConfigError("bounds binomial needs: m p")
-        value = binomial_lower_tail_bound(int(args.params[0]), float(args.params[1]))
-    elif args.family == "poisson":
-        if len(args.params) != 1:
-            raise ConfigError("bounds poisson needs: ell")
-        value = poisson_upper_tail_bound(float(args.params[0]))
-    else:
-        raise ConfigError(f"unknown bound family {args.family!r}")
+    bound, types, usage = {
+        "binomial": (binomial_lower_tail_bound, (int, float), "m p"),
+        "poisson": (poisson_upper_tail_bound, (float,), "ell"),
+    }[args.family]
+    if len(args.params) != len(types):
+        raise ConfigError(f"bounds {args.family} needs: {usage}")
+    try:  # a value that does not convert, or that the bound's range rejects
+        value = bound(*(convert(v) for convert, v in zip(types, args.params)))
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"bounds {args.family}: {exc}") from exc
     if args.format == "json":
         line = json.dumps({"family": args.family, "params": args.params, "value": value})
     else:

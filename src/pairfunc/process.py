@@ -54,6 +54,14 @@ def _all_unique(values: np.ndarray) -> bool:
     return not (ordered[1:] == ordered[:-1]).any()
 
 
+def _lex_order(*columns: np.ndarray) -> np.ndarray:
+    """``np.lexsort(columns[::-1])``, as one argsort when the primary key
+    ``columns[0]`` has no ties (``-0.0`` ties ``0.0``; NaN takes the lexsort)."""
+    order = np.argsort(columns[0])
+    key = columns[0][order]
+    return order if (key[1:] > key[:-1]).all() else np.lexsort(columns[::-1])
+
+
 @dataclass(frozen=True)
 class MarkModel:
     """Distribution of the independent mark attached to each point.
@@ -192,7 +200,7 @@ class PointConfiguration:
         if outside.any():
             raise ValueError(f"point {ids[outside][0]} lies outside the window")
         self.mark_model.validate_marks(marks)
-        order = np.lexsort((ids, *pos.T[::-1]))
+        order = _lex_order(*pos.T, ids)
         for name, column in (("positions", pos), ("marks", marks), ("ids", ids)):
             if column is not None:
                 column = column[order]

@@ -20,8 +20,10 @@ from pairfunc.barcodes import (
     shield_property_check,
     uniform_lifetimes,
     _ancestor_indices,
+    _inversion_partners,
     _pad_gaps_ok,
     _pad_masks,
+    _subtree_minima,
 )
 from pairfunc.fixtures import (
     POISSON_TREE_FIGURE_LIFETIMES,
@@ -352,6 +354,69 @@ def test_merge_forest_memory_stays_linear_at_n_256():
     assert peak < 150 * 2**20
 
 
+def _carried_loop(anc: np.ndarray) -> np.ndarray:
+    """The fold that ``build_merge_forest`` once ran, as the oracle: one
+    forward pass over rows (children precede their ancestor), each row
+    handing its subtree minimum to its ancestor."""
+    carried = list(range(len(anc)))
+    for i, j in enumerate(anc.tolist()):
+        if j >= 0 and carried[i] < carried[j]:
+            carried[j] = carried[i]
+    return np.array(carried, dtype=np.int64)
+
+
+def _fold(anc: np.ndarray) -> np.ndarray:
+    return _subtree_minima(np.where(anc >= 0, anc, np.arange(len(anc))))
+
+
+def test_subtree_minima_match_the_loop_on_chains_stars_and_tiny_forests():
+    import tracemalloc
+
+    n = 20_000
+    chain = np.append(np.arange(1, n), -1)  # height n
+    tracemalloc.start()
+    try:
+        got = _fold(chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, _carried_loop(chain))
+    assert peak < 16 * n * 8  # O(N) per pass, never O(N * height)
+    star = np.append(np.full(n - 1, n - 1), -1)
+    assert np.array_equal(_fold(star), _carried_loop(star))
+    two_chains = np.array([2, 3, 4, 5, -1, -1])  # rows 0, 2, 4 and 1, 3, 5
+    assert _fold(two_chains).tolist() == [0, 1, 0, 1, 0, 1]
+    for anc in ([], [-1], [1, -1], [-1, -1]):
+        anc = np.array(anc, dtype=np.int64)
+        assert np.array_equal(_fold(anc), _carried_loop(anc))
+
+
+def test_subtree_minima_match_the_loop_on_random_forests():
+    rng = np.random.default_rng(23)
+    for n in (2, 3, 17, 200, 3000):
+        for _ in range(10):
+            # every row hangs from a uniformly chosen later row, or is a root
+            up = rng.integers(np.arange(n) + 1, n + 1)
+            anc = np.where(up < n, up, -1)
+            assert np.array_equal(_fold(anc), _carried_loop(anc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 3),
+    st.lists(st.tuples(st.integers(0, 30), st.integers(0, 6), st.integers(0, 6)),
+             min_size=0, max_size=80),
+)
+def test_subtree_minima_match_the_loop_on_lattice_forests(d, cells):
+    # lattice points in row order: tied times, repeated positions, links on
+    # the cylinder boundary, long chains along the time axis
+    cfg = make_configuration(
+        Window(n=16.0, dim=d), (0.5 * np.array(cells, dtype=float).reshape(-1, 3))[:, :d]
+    )
+    anc = _ancestor_indices(cfg.positions, 1.0)
+    assert np.array_equal(_fold(anc), _carried_loop(anc))
+
+
 def test_ancestors_depend_only_on_later_points():
     rng = np.random.default_rng(19)
     cfg = random_configuration(rng, Window(n=12.0, dim=2), 40)
@@ -407,6 +472,25 @@ def test_inversion_count_with_ties_matches_brute_force():
         lifetimes = rng.integers(0, 5, count) * 0.2
         bc = Barcode(np.arange(count), births, lifetimes)
         assert inversion_count(bc) == inversion_count_quadratic(bc)
+
+
+_TIED_BIRTH = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0, 1.25, 2.0])
+_TIED_LIFETIME = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1 - 2**-53])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_TIED_BIRTH, _TIED_LIFETIME), max_size=25)
+    | st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 1.0)), max_size=25)
+)
+def test_inversion_partners_with_tied_births_match_quadratic_oracle(bars):
+    # tied births and deaths (and -0.0 against 0.0) take the exact lexsort;
+    # distinct births take the single argsort
+    births = np.array([b for b, _ in bars], dtype=float)
+    lifetimes = np.array([life for _, life in bars], dtype=float)
+    G = _inversion_partners(births, lifetimes)
+    assert np.array_equal(G, inversion_compound_counts_blocked(births, lifetimes))
+    assert int(G.sum()) == inversion_count_quadratic(Barcode(np.arange(len(bars)), births, lifetimes))
 
 
 def test_inversion_count_invariances():

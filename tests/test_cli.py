@@ -611,6 +611,22 @@ def test_scaling_without_degenerate_cells_lists_no_exclusions(tmp_path, capsys):
         (["stabilization", "--n", "0", "--draws", "2"], "window scale n must be positive"),
         (["stabilization", "--model", "crossing-fixed", "--n", "-4", "--d", "3", "--draws", "2"],
          "window scale n must be positive"),
+        (["bounds", "binomial", "100", "abc"], "could not convert string to float"),
+        (["bounds", "binomial", "2.5", "0.5"], "invalid literal for int()"),
+        (["bounds", "binomial", "1" + "0" * 400, "0.5"], "int too large to convert to float"),
+        (["bounds", "poisson", "-1"], "ell must be positive"),
+        (["bounds", "poisson", "nan"], "ell must be positive"),
+        (["bounds", "binomial", "100", "1.5"], "p must lie in (0, 1)"),
+        (["bounds", "binomial", "0", "0.5"], "m must be a positive integer"),
+        # the model is checked before the point file is read
+        (["evaluate", "--model", "bogus", "--points", str(FIXTURES / "missing.txt")],
+         "unknown model id 'bogus'"),
+        (["evaluate", "--model", "inversion-uniform", "--kernel", "fixed", "--cutoff", "-1",
+          "--points", str(FIXTURES / "missing.txt")], "cutoff must be finite and > 0"),
+        (["sample", "--model", "crossing-fixed", "--n", "4", "--d", "1"],
+         "model crossing-fixed needs dimension >= 2"),
+        (["sample", "--model", "inversion-tree", "--n", "4", "--d", "1"],
+         "model inversion-tree needs dimension >= 2"),
     ],
 )
 def test_bad_flag_value_is_config_error(capsys, command, message):

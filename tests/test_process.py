@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
@@ -9,6 +9,7 @@ from pairfunc.process import (
     MarkModel,
     MarkedPoint,
     PointConfiguration,
+    _lex_order,
     count_in,
     derive_rng,
     dump_configuration,
@@ -59,6 +60,13 @@ def test_points_sorted_by_time_then_coords_then_id():
     cfg = sample_ppp(w, 1.0, seed=5)
     pos = [p.position for p in cfg.points]
     assert pos == sorted(pos)
+    # every point twice, under descending negative ids: each position ties
+    # once, and the id breaks the tie
+    ids = np.arange(2 * len(cfg))[::-1] * 7 - 40
+    twice = PointConfiguration(w, cfg.mark_model, np.vstack([cfg.positions] * 2)[::-1], ids=ids)
+    rows = list(zip(map(tuple, twice.positions.tolist()), twice.ids.tolist()))
+    assert rows == sorted(rows)
+    assert [pos for pos, _ in rows[::2]] == [pos for pos, _ in rows[1::2]] == pos
 
 
 def test_insert_point_keeps_every_old_point():
@@ -229,3 +237,85 @@ def test_configuration_columns_reject_bad_input():
     cfg = PointConfiguration(w, MarkModel.none(), [(1.0, 1.0)])
     with pytest.raises(ValueError):
         cfg.positions[0, 0] = 2.0  # columns are read-only
+
+
+# -- row order against the lexsort oracle ----------------------------------------
+
+# a lattice on which first coordinates tie, positions repeat and -0.0 meets 0.0,
+# or free floats on which the first coordinates are almost surely distinct
+_LATTICE = st.sampled_from([-0.0, 0.0, 0.5, 1.0, float(np.nextafter(1.0, 2.0)), 2.5, 5.0])
+_FREE = st.floats(0.0, 5.0)
+
+
+@st.composite
+def _ordering_inputs(draw):
+    dim = draw(st.integers(1, 3))
+    count = draw(st.integers(0, 30))
+    coord = draw(st.sampled_from([_LATTICE, _FREE]))
+    positions = draw(st.lists(st.tuples(*[coord] * dim), min_size=count, max_size=count))
+    ids = draw(
+        st.none()
+        | st.lists(st.integers(-(2**40), 2**40), min_size=count, max_size=count, unique=True)
+    )
+    return np.array(positions, dtype=float).reshape(count, dim), ids
+
+
+def _assert_lexsorted(cfg):
+    """The stored rows are in ``np.lexsort((ids, *positions.T[::-1]))``
+    order, which is a total order since ids are unique."""
+    order = np.lexsort((cfg.ids, *cfg.positions.T[::-1]))
+    assert np.array_equal(order, np.arange(len(cfg)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ordering_inputs())
+def test_row_order_matches_lexsort_oracle(inputs):
+    positions, ids = inputs
+    count, dim = positions.shape
+    w = Window(n=5.0, dim=dim)
+    cfg = PointConfiguration(w, MarkModel.none(), positions, ids=ids)
+    id_column = np.arange(count) if ids is None else np.array(ids, dtype=np.int64)
+    expected = np.lexsort((id_column, *positions.T[::-1]))
+    tied = len(set(positions[:, 0].tolist())) < count  # -0.0 == 0.0 in a set
+    event("tied first coordinates" if tied else "distinct first coordinates")
+    assert np.array_equal(_lex_order(*positions.T, id_column), expected)
+    assert np.array_equal(cfg.ids, id_column[expected])
+    assert cfg.positions.tobytes() == positions[expected].tobytes()  # -0.0 stays -0.0
+    # an inserted point that ties an existing first coordinate, or the origin
+    x = tuple(positions[0]) if count else (-0.0,) * dim
+    bigger = insert_point(cfg, x)
+    _assert_lexsorted(bigger)
+    assert sorted(bigger.ids.tolist()) == sorted(cfg.ids.tolist() + [cfg.next_id()])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [0.1, 1.0, 6.0])
+def test_sampled_and_inserted_rows_are_lexsorted(dim, n):
+    w = Window(n=n, dim=dim)
+    for r in range(5):
+        cfg = sample_ppp(w, 1.0, MarkModel.uniform01(), seed=(41, dim, r))
+        _assert_lexsorted(cfg)
+        cfg = insert_point(cfg, MarkedPoint((0.0,) * dim, 0.5, 0))
+        _assert_lexsorted(cfg)
+        cfg = insert_point(cfg, MarkedPoint(tuple(cfg.positions[-1]), 0.5, 0))  # a duplicate
+        _assert_lexsorted(cfg)
+
+
+def test_lex_order_takes_the_lexsort_only_on_primary_ties(monkeypatch):
+    real = np.lexsort
+    calls = []
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(len(keys)) or real(keys))
+    second = np.array([3.0, 1.0, 2.0])
+    for primary, tied in [
+        ([2.0, 0.0, 1.0], False),
+        ([], False),
+        ([7.0], False),
+        ([1.0, 0.0, 1.0], True),
+        ([-0.0, 0.0, 1.0], True),   # -0.0 ties 0.0
+        ([np.nan, 0.0, 1.0], True),  # NaN takes the exact path too
+    ]:
+        primary = np.array(primary)
+        calls.clear()
+        got = _lex_order(primary, second[: len(primary)])
+        assert bool(calls) == tied
+        assert np.array_equal(got, real((second[: len(primary)], primary)))
