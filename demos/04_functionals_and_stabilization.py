@@ -27,9 +27,9 @@ treelog = get_model("treelog-uniform")
 window = Window(n=16.0, dim=2)
 cfg = inversion.sample(window, seed=21)
 print("configuration size:", len(cfg))
-print("double sum (ordered inversions):", double_sum(cfg, inversion.score))
+print("double sum (ordered inversions):", double_sum(cfg, inversion))
 some_id = cfg.points[len(cfg) // 2].id
-print("compound score G of a middle point:", compound_score(cfg, some_id, inversion.score))
+print("compound score G of a middle point:", compound_score(cfg, some_id, inversion))
 
 fv = treelog.evaluate(treelog.sample(window, seed=21))
 mant, expo = fv.product_mantissa_exponent()
@@ -50,7 +50,7 @@ crossing = get_model("crossing-fixed")
 w3 = Window(n=4.0, dim=3)
 cfg3 = crossing.sample(w3, seed=5)
 print("\ncrossing model stabilization radius:",
-      empirical_stabilization_radius(cfg3, (2.0, 2.0, 2.0), crossing.score))
+      empirical_stabilization_radius(cfg3, (2.0, 2.0, 2.0), crossing))
 
 survey = stabilization_survey("inversion-tree", n=16.0, draws=300, seed=5)
 print("tree model radii:", dict(collections.Counter(survey.radii)))

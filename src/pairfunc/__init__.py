@@ -51,7 +51,6 @@ from .barcodes import (
 from .functionals import (
     AdmissibilityRule,
     FunctionalValue,
-    PairScore,
     compound_score,
     diff_first,
     diff_second,

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .functionals import AdmissibilityRule
 from .geometry import Window
 from .models import Model, get_model
 from .stats import (
@@ -56,20 +57,28 @@ def read_config_file(path: str | Path, label: str = "config file") -> dict:
     return rec
 
 
-def _tuple_or_none(value):
-    return tuple(value) if value else None
+def _list(value) -> tuple:
+    if isinstance(value, str):  # not a list of characters
+        raise TypeError(f"expected a list, got {value!r}")
+    return tuple(value)
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")  # not truncated
+    return int(value)
 
 
 # The converter of every config key from its JSON value.
 _CONVERTERS = {
     "model": str,
-    "n_grid": lambda value: tuple(float(n) for n in value),
-    "reps": int,
-    "seed": int,
-    "d": int,
+    "n_grid": lambda value: tuple(float(n) for n in _list(value)),
+    "reps": _integer,
+    "seed": _integer,
+    "d": _integer,
     "intensity": float,
-    "a": _tuple_or_none,
-    "alpha": _tuple_or_none,
+    "a": lambda value: _list(value) or None,
+    "alpha": lambda value: _list(value) or None,
     "margin": float,
     "cutoff": float,
     "jobs": lambda value: value,
@@ -102,12 +111,16 @@ def require_positive(key: str, value: float) -> float:
     return value
 
 
-def checked_window(**kw) -> Window:
-    """``Window(**kw)``; a ConfigError when the window rejects a value."""
+def checked_window(rule: AdmissibilityRule | None = None, **kw) -> Window:
+    """``Window(**kw)``; a ConfigError when the window rejects a value, or when
+    ``rule`` admits by tree realization and the shrunk window is empty."""
     try:
-        return Window(**kw)
+        window = Window(**kw)
+        if rule is not None and rule.kind == "tree_realization":
+            window.shrunk()
     except ValueError as exc:
         raise ConfigError(f"window at n={kw['n']:g}: {exc}") from exc
+    return window
 
 
 def resolve_model(model_id: str, cutoff: float = 1.0, d: int | None = None) -> Model:
@@ -152,15 +165,11 @@ class ExperimentConfig:
             raise ConfigError(f"jobs must be null or an integer >= 1, got {self.jobs!r}")
         object.__setattr__(self, "n_grid", grid)
         for n in grid:
-            window = self.window(n)
-            if model.admissibility.kind == "tree_realization":
-                try:
-                    window.shrunk()
-                except ValueError as exc:
-                    raise ConfigError(f"window at n={n:g}: {exc}") from exc
+            self.window(n, model.admissibility)
 
-    def window(self, n: float) -> Window:
+    def window(self, n: float, rule: AdmissibilityRule | None = None) -> Window:
         return checked_window(
+            rule,
             n=n,
             dim=self.d,
             coefficients=self.a or (),
@@ -407,8 +416,8 @@ def stabilization_survey(
     from .stats import loglinear_fit
 
     model = resolve_model(model_id, cutoff, d)
-    window = checked_window(n=n, dim=d)
     rule = model.admissibility if with_admissibility else None
+    window = checked_window(rule, n=n, dim=d)
     radii = []
     for r in range(draws):
         cfg = model.sample(window, (seed, 0, r))
@@ -416,7 +425,7 @@ def stabilization_survey(
         x = tuple(rng.uniform(0.0, 1.0, d) * np.array(window.sides))
         mark = model.mark_model.sample(rng, 1)
         insert = x if mark is None else MarkedPoint(x, float(mark[0]), -1)
-        radii.append(empirical_stabilization_radius(cfg, insert, model.score, rule))
+        radii.append(empirical_stabilization_radius(cfg, insert, model, rule))
     radii_arr = np.array(radii, dtype=int)
     ms, survival = [], []
     for m in range(1, int(radii_arr.max()) + 1):

@@ -1,10 +1,10 @@
 """Generic pair functionals: double sums, compound scores, sum-log-sums,
 difference operators and empirical stabilization radii.
 
-A ``PairScore`` bundles the pair score of a model with the machinery the
+Each functional takes a ``pairfunc.models.Model``, which carries what the
 functionals need: a context builder (graph, barcode, ...), a per-pair value,
-the total over ordered pairs, and, where the model has them, the compound
-scores and a pair-score snapshot used to measure stabilization.  Difference
+the total over ordered pairs, a pair-score snapshot used to measure
+stabilization and, where the model has them, the compound scores.  Difference
 operators recompute the model from scratch on augmented configurations;
 correctness first, desk-scale inputs keep that cheap.
 """
@@ -12,15 +12,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .barcodes import changed_inversion_pairs
 from .process import MarkedPoint, PointConfiguration, id_rows, insert_point
 
+if TYPE_CHECKING:
+    from .models import Model
+
 __all__ = [
-    "PairScore",
     "AdmissibilityRule",
     "FunctionalValue",
     "double_sum",
@@ -30,28 +32,6 @@ __all__ = [
     "diff_second",
     "empirical_stabilization_radius",
 ]
-
-
-@dataclass(frozen=True)
-class PairScore:
-    """A symmetric pair score with declared column-type locality.
-
-    ``build_context(cfg)`` prepares whatever the score needs; ``pair_value(a,
-    b, ctx)`` evaluates the score between point ids a and b, and ``total(ctx)``
-    the sum over ordered pairs.  ``compound_all(ctx)`` returns the compound
-    score G of every point as an (N,) array aligned with the configuration's
-    rows and is required by the sum-log-sum; ``snapshot`` captures the pair
-    scores for stabilization measurements.
-    """
-
-    name: str
-    locality_cutoff: float
-    build_context: Callable[[PointConfiguration], Any]
-    pair_value: Callable[[int, int, Any], float]
-    total: Callable[[Any], float]
-    integer_valued: bool = True
-    compound_all: Callable[[Any], np.ndarray] | None = None
-    snapshot: Callable[[Any], "BarPairSnapshot | SparsePairSnapshot"] | None = None
 
 
 @dataclass(frozen=True)
@@ -92,21 +72,10 @@ class FunctionalValue:
     admissible_count: int | None = None
     dropped_zero_g: int | None = None
 
-    def product(self) -> float:
-        if self.kind != "sum_log_sum":
-            raise ValueError("product only defined for sum-log-sum values")
-        try:
-            return math.exp(self.value)
-        except OverflowError:
-            return math.inf
-
-    def product_log10(self) -> float:
-        if self.kind != "sum_log_sum":
-            raise ValueError("product only defined for sum-log-sum values")
-        return self.value / math.log(10.0)
-
     def product_mantissa_exponent(self) -> tuple[float, int]:
-        log10 = self.product_log10()
+        if self.kind != "sum_log_sum":
+            raise ValueError("product only defined for sum-log-sum values")
+        log10 = self.value / math.log(10.0)
         exp = math.floor(log10)
         return 10.0 ** (log10 - exp), int(exp)
 
@@ -119,37 +88,33 @@ class FunctionalValue:
         }
 
 
-def double_sum(cfg: PointConfiguration, score: PairScore) -> float:
+def double_sum(cfg: PointConfiguration, model: Model) -> float:
     """Sum of the pair score over ordered pairs of configuration points."""
-    return score.total(score.build_context(cfg))
+    return model.total(model.build_context(cfg))
 
 
-def _require_compound(score: PairScore) -> None:
-    if score.compound_all is None:
-        raise ValueError(f"score {score.name!r} provides no compound scores")
+def _require_compound(model: Model) -> None:
+    if model.compound_all is None:
+        raise ValueError(f"score {model.name!r} provides no compound scores")
 
 
-def compound_score(cfg: PointConfiguration, z, score: PairScore, ctx=None) -> float:
+def compound_score(cfg: PointConfiguration, z, model: Model, ctx=None) -> float:
     """G(Z): total score between Z and every other point."""
     z_id = z.id if isinstance(z, MarkedPoint) else int(z)
     row = id_rows(cfg.ids, [z_id])[0]  # KeyError on an unknown id
-    _require_compound(score)
+    _require_compound(model)
     if ctx is None:
-        ctx = score.build_context(cfg)
-    return score.compound_all(ctx)[row].item()
+        ctx = model.build_context(cfg)
+    return model.compound_all(ctx)[row].item()
 
 
-def sum_log_sum(
-    cfg: PointConfiguration, score: PairScore, rule: AdmissibilityRule
-) -> FunctionalValue:
-    """Sum of log G over admissible points with positive G; counts how many
-    admissible points were dropped for G = 0."""
-    if not score.integer_valued:
-        raise ValueError("sum-log-sum requires an integer-valued pair score")
-    _require_compound(score)
-    ctx = score.build_context(cfg)
-    mask = rule.mask(cfg, ctx)
-    G = score.compound_all(ctx)[mask].tolist()
+def sum_log_sum(cfg: PointConfiguration, model: Model) -> FunctionalValue:
+    """Sum of log G over the points that the model's admissibility rule admits
+    with positive G; counts how many admitted points were dropped for G = 0."""
+    _require_compound(model)
+    ctx = model.build_context(cfg)
+    mask = model.admissibility.mask(cfg, ctx)
+    G = model.compound_all(ctx)[mask].tolist()
     positive = [g for g in G if g > 0]
     total = 0.0
     for g in positive:  # a left fold in row order keeps the value byte-stable
@@ -214,7 +179,7 @@ class BarPairSnapshot:
 def empirical_stabilization_radius(
     cfg: PointConfiguration,
     x,
-    score: PairScore,
+    model: Model,
     rule: AdmissibilityRule | None = None,
 ) -> int:
     """Smallest integer m >= 1 such that inserting x leaves every pair score
@@ -224,28 +189,26 @@ def empirical_stabilization_radius(
     Computed by locating all changed pairs and memberships and taking the max
     Chebyshev distance, floored at 1.
     """
-    if score.snapshot is None:
-        raise ValueError(f"score {score.name!r} provides no stabilization snapshot")
     x_pos = x.position if isinstance(x, MarkedPoint) else tuple(float(v) for v in x)
-    ctx_before = score.build_context(cfg)
+    ctx_before = model.build_context(cfg)
     cfg2 = insert_point(cfg, x)
-    ctx_after = score.build_context(cfg2)
-    before = score.snapshot(ctx_before)
-    after = score.snapshot(ctx_after)
+    ctx_after = model.build_context(cfg2)
+    before = model.snapshot(ctx_before)
+    after = model.snapshot(ctx_after)
     dist = np.abs(cfg.positions - np.array(x_pos)).max(axis=1)  # Chebyshev, per row
     # list(): the benchmark's tracer (bench/tracing.py) hands the pairs back as
     # an iterator of rows, on which np.asarray would make a 0-d object array
     changed = np.array(list(before.changed_pairs(after)), dtype=np.int64).reshape(-1, 2)
     worst = float(np.minimum(*dist[id_rows(cfg.ids, changed)].T).max(initial=0.0))
     if rule is not None:
-        members_before = _positive_membership(cfg, ctx_before, score, rule)
-        members_after = _positive_membership(cfg2, ctx_after, score, rule)
+        members_before = _positive_membership(cfg, ctx_before, model, rule)
+        members_after = _positive_membership(cfg2, ctx_after, model, rule)
         moved = members_before != members_after[id_rows(cfg2.ids, cfg.ids)]
         worst = max(worst, float(dist[moved].max(initial=0.0)))
     return max(1, math.ceil(worst))
 
 
-def _positive_membership(cfg, ctx, score: PairScore, rule: AdmissibilityRule) -> np.ndarray:
+def _positive_membership(cfg, ctx, model: Model, rule: AdmissibilityRule) -> np.ndarray:
     """Row mask of the admissible points with positive compound score."""
-    _require_compound(score)
-    return rule.mask(cfg, ctx) & (score.compound_all(ctx) > 0)
+    _require_compound(model)
+    return rule.mask(cfg, ctx) & (model.compound_all(ctx) > 0)

@@ -46,6 +46,12 @@ class _Region:
     def contains(self, y: Sequence[float]) -> bool:
         return len(y) == self.dim and bool(self.mask(np.asarray(y, dtype=np.float64)[None])[0])
 
+    @staticmethod
+    def _all_columns(tests) -> np.ndarray:
+        """Row-wise AND of per-column (N,) boolean tests: several times faster
+        than ``.all(axis=1)`` over an (N, d) comparison, with the same result."""
+        return np.logical_and.reduce(list(tests))
+
 
 @dataclass(frozen=True)
 class Window(_Region):
@@ -88,7 +94,7 @@ class Window(_Region):
         return float(np.prod(self.sides))
 
     def _mask(self, pos: np.ndarray) -> np.ndarray:
-        return ((pos >= 0.0) & (pos <= np.array(self.sides))).all(axis=1)
+        return self._all_columns((col >= 0.0) & (col <= s) for col, s in zip(pos.T, self.sides))
 
     def shrunk(self) -> "AxisBox":
         """Window trimmed by n^boundary_margin on every face; raises when empty."""
@@ -122,7 +128,9 @@ class AxisBox(_Region):
         return tuple((l + u) / 2.0 for l, u in zip(self.lower, self.upper))
 
     def _mask(self, pos: np.ndarray) -> np.ndarray:
-        return ((pos >= np.array(self.lower)) & (pos <= np.array(self.upper))).all(axis=1)
+        return self._all_columns(
+            (col >= lo) & (col <= up) for col, lo, up in zip(pos.T, self.lower, self.upper)
+        )
 
 
 @dataclass(frozen=True)
@@ -147,9 +155,9 @@ class Slab(_Region):
         return self.window.dim
 
     def _mask(self, pos: np.ndarray) -> np.ndarray:
-        k = self.order
-        near = np.abs(np.array(self.center[:k]) - pos[:, :k]) <= self.half_width
-        return self.window.mask(pos) & near.all(axis=1)
+        centers = self.center[: self.order]
+        near = (np.abs(m - col) <= self.half_width for m, col in zip(centers, pos.T))
+        return self.window.mask(pos) & self._all_columns(near)
 
     @property
     def volume_bound(self) -> float:
@@ -174,7 +182,8 @@ class Cube(_Region):
         return len(self.center)
 
     def _mask(self, pos: np.ndarray) -> np.ndarray:
-        return (np.abs(np.array(self.center) - pos) <= self.half_side).all(axis=1)
+        near = (np.abs(m - col) <= self.half_side for m, col in zip(self.center, pos.T))
+        return self._all_columns(near)
 
 
 def reference_slab_volume(window: Window, order: int, half_width: float = 1.0) -> float:

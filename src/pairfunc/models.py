@@ -7,7 +7,7 @@ treelog-uniform | treelog-tree                             (sum-log-sum, k = 1)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from .functionals import (
     AdmissibilityRule,
     BarPairSnapshot,
     FunctionalValue,
-    PairScore,
     SparsePairSnapshot,
     double_sum,
     sum_log_sum,
@@ -74,24 +73,31 @@ def _inversion_snapshot(barcode: barcodes.Barcode) -> BarPairSnapshot:
 
 @dataclass(frozen=True)
 class Model:
-    """A named model: mark distribution, context builder, pair score, and the
-    functional it feeds (double sum or sum-log-sum)."""
+    """A named model: mark distribution, the functional it feeds (double sum
+    or sum-log-sum) and the kernels of its pair score on a context (a graph or
+    a barcode): the score of ids a and b, the total over ordered pairs, a
+    snapshot for stabilization and, barcode models only, G of every row."""
 
     name: str
     functional_kind: str          # "double_sum" | "sum_log_sum"
     locality_order: int
     min_dim: int                  # smallest window dimension the context can be built in
     mark_model: MarkModel
-    score: PairScore
     admissibility: AdmissibilityRule
+    build_context: Callable[[PointConfiguration], Any]
+    pair_value: Callable[[int, int, Any], float]
+    total: Callable[[Any], float]
+    snapshot: Callable[[Any], BarPairSnapshot | SparsePairSnapshot]
+    locality_cutoff: float        # pairs farther apart in a local coordinate score 0
+    compound_all: Callable[[Any], np.ndarray] | None = None
 
     def sample(self, window: Window, seed, intensity: float = 1.0) -> PointConfiguration:
         return sample_ppp(window, intensity, self.mark_model, seed)
 
     def evaluate(self, cfg: PointConfiguration) -> FunctionalValue:
         if self.functional_kind == "double_sum":
-            return FunctionalValue("double_sum", double_sum(cfg, self.score))
-        return sum_log_sum(cfg, self.score, self.admissibility)
+            return FunctionalValue("double_sum", double_sum(cfg, self))
+        return sum_log_sum(cfg, self)
 
     def functional(self) -> Callable[[PointConfiguration], float]:
         return lambda cfg: self.evaluate(cfg).value
@@ -101,49 +107,39 @@ def _crossing_model(name: str, kernel, mark_model: MarkModel, cutoff: float) -> 
     def build(cfg: PointConfiguration) -> graphs.GeometricGraph:
         return graphs.build_edges(cfg, kernel, slab_cutoff=cutoff)
 
-    score = PairScore(
-        name=name,
+    return Model(
+        name, "double_sum", 2, 2, mark_model, AdmissibilityRule.all(), build_context=build,
+        pair_value=_crossing_pair_value, total=_crossing_total, snapshot=_crossing_snapshot,
         locality_cutoff=2.0 * cutoff,
-        build_context=build,
-        pair_value=_crossing_pair_value,
-        integer_valued=False,  # ordered form carries the 1/8 weight
-        total=_crossing_total,
-        snapshot=_crossing_snapshot,
     )
-    return Model(name, "double_sum", 2, 2, mark_model, score, AdmissibilityRule.all())
 
 
-def _barcode_model(name: str, lifetime_model: str, functional_kind: str, cutoff: float) -> Model:
-    if lifetime_model == "uniform":
-        mark_model = MarkModel.uniform01()
+def _barcode_model(name: str, cutoff: float) -> Model:
+    """inversion-* feeds the double sum and treelog-* the sum-log-sum; *-uniform
+    draws the lifetimes as marks and *-tree reads them off a merge forest."""
+    score, _, lifetimes = name.partition("-")
+    if lifetimes == "uniform":
+        mark_model, min_dim = MarkModel.uniform01(), 1
 
         def build(cfg: PointConfiguration) -> barcodes.Barcode:
             return barcodes.uniform_lifetimes(cfg)
 
     else:
-        mark_model = MarkModel.none()
+        mark_model, min_dim = MarkModel.none(), 2  # merge forests need a cylinder
 
         def build(cfg: PointConfiguration) -> barcodes.Barcode:
             forest = barcodes.build_merge_forest(cfg, cylinder_radius=cutoff)
             return barcodes.elder_lifetimes(forest)
 
-    score = PairScore(
-        name=name,
-        locality_cutoff=1.0,
-        build_context=build,
-        pair_value=_inversion_pair_value,
-        integer_valued=True,
-        total=_inversion_total,
-        compound_all=_inversion_compound,
-        snapshot=_inversion_snapshot,
+    if score == "treelog":
+        functional_kind, rule = "sum_log_sum", AdmissibilityRule.tree_realization()
+    else:
+        functional_kind, rule = "double_sum", AdmissibilityRule.all()
+    return Model(
+        name, functional_kind, 1, min_dim, mark_model, rule, build_context=build,
+        pair_value=_inversion_pair_value, total=_inversion_total, snapshot=_inversion_snapshot,
+        locality_cutoff=1.0, compound_all=_inversion_compound,
     )
-    rule = (
-        AdmissibilityRule.tree_realization()
-        if functional_kind == "sum_log_sum"
-        else AdmissibilityRule.all()
-    )
-    min_dim = 1 if lifetime_model == "uniform" else 2  # merge forests need a cylinder
-    return Model(name, functional_kind, 1, min_dim, mark_model, score, rule)
 
 
 def get_model(model_id: str, cutoff: float = 1.0) -> Model:
@@ -158,12 +154,6 @@ def get_model(model_id: str, cutoff: float = 1.0) -> Model:
         return _crossing_model(model_id, graphs.FixedRadius(1.0), MarkModel.none(), cutoff)
     if base == "crossing-max":
         return _crossing_model(model_id, graphs.MaxKernel(), MarkModel.exponential(1.0), cutoff)
-    if base == "inversion-uniform":
-        return _barcode_model(model_id, "uniform", "double_sum", cutoff)
-    if base == "inversion-tree":
-        return _barcode_model(model_id, "tree", "double_sum", cutoff)
-    if base == "treelog-uniform":
-        return _barcode_model(model_id, "uniform", "sum_log_sum", cutoff)
-    if base == "treelog-tree":
-        return _barcode_model(model_id, "tree", "sum_log_sum", cutoff)
+    if base in MODEL_NAMES:  # the barcode models are left
+        return _barcode_model(model_id, cutoff)
     raise ValueError(f"unknown model id {model_id!r}")

@@ -251,8 +251,8 @@ def concentration_check_G(model, n_values, beta3: float, replications: int, seed
         admissible = 0
         for r in range(replications):
             cfg = model.sample(window, (seed, e, r))
-            ctx = model.score.build_context(cfg)
-            G = model.score.compound_all(ctx)[model.admissibility.mask(cfg, ctx)]
+            ctx = model.build_context(cfg)
+            G = model.compound_all(ctx)[model.admissibility.mask(cfg, ctx)]
             admissible += len(G)
             exceed += int((G < threshold).sum())
         if admissible == 0:

@@ -33,19 +33,19 @@ def random_configuration(rng, window, count, mark_model=MarkModel.none()):
 
 # ---------------------------------------------------------------- oracles --
 
-def double_sum_oracle(cfg, score) -> float:
+def double_sum_oracle(cfg, model) -> float:
     """Ordered double loop over the pair score."""
-    ctx = score.build_context(cfg)
+    ctx = model.build_context(cfg)
     ids = cfg.ids.tolist()
-    return sum(score.pair_value(a, b, ctx) for a in ids for b in ids if a != b)
+    return sum(model.pair_value(a, b, ctx) for a in ids for b in ids if a != b)
 
 
-def compound_scores_oracle(cfg, score) -> list[float]:
+def compound_scores_oracle(cfg, model) -> list[float]:
     """G(Z) for every point in row order: the pair score summed over all
     partners."""
-    ctx = score.build_context(cfg)
+    ctx = model.build_context(cfg)
     ids = cfg.ids.tolist()
-    return [sum(score.pair_value(a, b, ctx) for b in ids if b != a) for a in ids]
+    return [sum(model.pair_value(a, b, ctx) for b in ids if b != a) for a in ids]
 
 
 def barcode_from_bars(bars) -> Barcode:
@@ -248,11 +248,11 @@ def forest_oracle_lifetimes(cfg, cylinder_radius=1.0):
     return lifetimes
 
 
-def stabilization_radius_oracle(cfg, x, score, rule: AdmissibilityRule | None = None):
+def stabilization_radius_oracle(cfg, x, model, rule: AdmissibilityRule | None = None):
     """Try every m = 1, 2, ... directly against the definition."""
-    ctx0 = score.build_context(cfg)
+    ctx0 = model.build_context(cfg)
     cfg2 = insert_point(cfg, x)
-    ctx1 = score.build_context(cfg2)
+    ctx1 = model.build_context(cfg2)
     x_pos = x.position if isinstance(x, MarkedPoint) else tuple(x)
     ids = [p.id for p in cfg.points]
     pos = {p.id: p.position for p in cfg.points}
@@ -263,7 +263,7 @@ def stabilization_radius_oracle(cfg, x, score, rule: AdmissibilityRule | None = 
         mask = rule.mask(c, ctx)
         out = {}
         for row, p in enumerate(c.points):
-            g = sum(score.pair_value(p.id, q.id, ctx) for q in c.points if q.id != p.id)
+            g = sum(model.pair_value(p.id, q.id, ctx) for q in c.points if q.id != p.id)
             out[p.id] = bool(mask[row] and g > 0)
         return out
 
@@ -279,7 +279,7 @@ def stabilization_radius_oracle(cfg, x, score, rule: AdmissibilityRule | None = 
             for b in outside:
                 if a >= b:
                     continue
-                if score.pair_value(a, b, ctx0) != score.pair_value(a, b, ctx1):
+                if model.pair_value(a, b, ctx0) != model.pair_value(a, b, ctx1):
                     ok = False
                     break
             if not ok:

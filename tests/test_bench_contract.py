@@ -67,15 +67,14 @@ def test_traced_stabilization_radius_counts_changed_pairs():
             ("inversion-tree", Window(n=12.0, dim=2), 0, (10.3, 6.0)),
         ):
             model = get_model(model_id)
-            score = model.score
             cfg = model.sample(window, (seed, 0, 0))
-            before = score.snapshot(score.build_context(cfg))
-            after = score.snapshot(score.build_context(insert_point(cfg, x)))
+            before = model.snapshot(model.build_context(cfg))
+            after = model.snapshot(model.build_context(insert_point(cfg, x)))
             changed = len(before.changed_pairs(after))
             assert changed > 0
-            radius = functionals.empirical_stabilization_radius(cfg, x, score)
+            radius = functionals.empirical_stabilization_radius(cfg, x, model)
             with tracing.Tracer() as tracer:
-                traced = functionals.empirical_stabilization_radius(cfg, x, score)
+                traced = functionals.empirical_stabilization_radius(cfg, x, model)
             assert traced == radius
             count = tracer.counts["functionals.changed_pairs"]
             assert type(count) is int and count == changed

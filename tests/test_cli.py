@@ -335,6 +335,16 @@ def test_retired_beta3_config_key_rejected(tmp_path, capsys):
         ({"alpha": [1.0, 1.0]}, "need one coefficient and one exponent per axis"),
         ({"reps": "x"}, "malformed config value"),
         ({"model": "treelog-uniform", "margin": 0.9}, "shrunk window is empty"),
+        # a bare string is not a list, and a boolean or a fraction is not an integer
+        ({"n_grid": "48"}, "malformed config value for 'n_grid'"),
+        ({"a": "1"}, "malformed config value for 'a'"),
+        ({"alpha": "1"}, "malformed config value for 'alpha'"),
+        ({"reps": 2.9}, "malformed config value for 'reps'"),
+        ({"reps": True}, "malformed config value for 'reps'"),
+        ({"seed": 1.7}, "malformed config value for 'seed'"),
+        ({"seed": False}, "malformed config value for 'seed'"),
+        ({"d": 2.5}, "malformed config value for 'd'"),
+        ({"d": True}, "malformed config value for 'd'"),
     ],
 )
 def test_invalid_config_value_rejected_up_front(tmp_path, capsys, edit, message):
@@ -349,6 +359,17 @@ def test_invalid_config_value_rejected_up_front(tmp_path, capsys, edit, message)
     assert message in lines[0]
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_integral_floats_and_string_seeds_still_convert(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": "inversion-uniform", "n_grid": ["4", 6.0],
+                                "reps": 2.0, "seed": "7", "d": 2.0, "jobs": 1}))
+    code, _, err = run_cli(["clt", "--config", str(path), "--out", str(tmp_path / "out")],
+                           capsys)
+    assert code == 0, err
+    config = json.loads((tmp_path / "out" / "meta.json").read_text())["config"]
+    assert (config["n_grid"], config["reps"], config["seed"], config["d"]) == ([4.0, 6.0], 2, 7, 2)
 
 
 def test_jobs_flag_validated_up_front(capsys):
@@ -516,7 +537,11 @@ def test_kernel_on_one_dimensional_points_is_runtime_error(tmp_path, capsys):
     assert "dimension >= 2" in _one_error_line(err, 3)
 
 
-@pytest.mark.parametrize("key, value", [("d", "x"), ("d", [2]), ("seed", "x"), ("cutoff", "x")])
+@pytest.mark.parametrize(
+    "key, value",
+    [("d", "x"), ("d", [2]), ("d", 2.5), ("d", True), ("seed", "x"), ("seed", 1.7),
+     ("seed", True), ("cutoff", "x")],
+)
 @pytest.mark.parametrize(
     "command",
     [
@@ -627,6 +652,9 @@ def test_scaling_without_degenerate_cells_lists_no_exclusions(tmp_path, capsys):
          "model crossing-fixed needs dimension >= 2"),
         (["sample", "--model", "inversion-tree", "--n", "4", "--d", "1"],
          "model inversion-tree needs dimension >= 2"),
+        # the same shrunk-window check as clt, before any draw
+        (["stabilization", "--model", "treelog-tree", "--admissibility", "--n", "2",
+          "--draws", "3"], "window at n=2: shrunk window is empty"),
     ],
 )
 def test_bad_flag_value_is_config_error(capsys, command, message):

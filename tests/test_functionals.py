@@ -49,15 +49,15 @@ def _uniform_cfg(rng, window, count):
 
 def test_double_sum_empty():
     empty = PointConfiguration(W2, MarkModel.uniform01(), ())
-    assert double_sum(empty, INV.score) == 0.0
+    assert double_sum(empty, INV) == 0.0
 
 
 def test_double_sum_is_twice_unordered_inversions():
     rng = np.random.default_rng(3)
     for _ in range(10):
         cfg = _uniform_cfg(rng, W2, int(rng.integers(2, 60)))
-        ctx = INV.score.build_context(cfg)
-        total = double_sum(cfg, INV.score)
+        ctx = INV.build_context(cfg)
+        total = double_sum(cfg, INV)
         assert total == inversion_count_quadratic(ctx)
         assert total % 2 == 0
 
@@ -67,7 +67,7 @@ def test_double_sum_crossing_equals_direct_count():
     w3 = Window(n=4.0, dim=3)
     for _ in range(5):
         cfg = random_configuration(rng, w3, 40)
-        total = double_sum(cfg, CROSS.score)
+        total = double_sum(cfg, CROSS)
         g = build_edges(cfg, FixedRadius())
         assert total == crossing_number(g)
 
@@ -81,25 +81,25 @@ def test_double_sum_equals_ordered_pair_loop(model_id):
     for window in (Window(n=6.0, dim=2), Window(n=4.0, dim=3)):
         for _ in range(3):
             cfg = random_configuration(rng, window, 80, model.mark_model)
-            assert double_sum(cfg, model.score) == pytest.approx(
-                double_sum_oracle(cfg, model.score)
+            assert double_sum(cfg, model) == pytest.approx(
+                double_sum_oracle(cfg, model)
             )
-            if model.score.compound_all is not None:
-                ctx = model.score.build_context(cfg)
-                G = model.score.compound_all(ctx)
+            if model.compound_all is not None:
+                ctx = model.build_context(cfg)
+                G = model.compound_all(ctx)
                 assert G.shape == (len(cfg),)
-                assert G.tolist() == compound_scores_oracle(cfg, model.score)
+                assert G.tolist() == compound_scores_oracle(cfg, model)
 
 
 def test_compound_routes_need_compound_scores():
     cfg = random_configuration(np.random.default_rng(6), Window(n=4.0, dim=3), 20)
     with pytest.raises(ValueError, match="no compound scores"):
-        compound_score(cfg, 0, CROSS.score)
+        compound_score(cfg, 0, CROSS)
     with pytest.raises(ValueError, match="no compound scores"):
-        empirical_stabilization_radius(cfg, (2.0, 2.0, 2.0), CROSS.score, AdmissibilityRule.all())
-    no_compound = replace(TREELOG.score, compound_all=None)
+        empirical_stabilization_radius(cfg, (2.0, 2.0, 2.0), CROSS, AdmissibilityRule.all())
+    no_compound = replace(TREELOG, compound_all=None)
     with pytest.raises(ValueError, match="no compound scores"):
-        sum_log_sum(cfg, no_compound, AdmissibilityRule.all())
+        sum_log_sum(cfg, no_compound)
 
 
 def test_compound_score_examples():
@@ -108,31 +108,31 @@ def test_compound_score_examples():
         mark_model=MarkModel.uniform01(),
     )
     # bars (1.0, 0.9) and (1.2, 0.5) invert; the third is far away in time
-    assert compound_score(cfg, 0, INV.score) == 1
-    assert compound_score(cfg, 2, INV.score) == 0
+    assert compound_score(cfg, 0, INV) == 1
+    assert compound_score(cfg, 2, INV) == 0
     with pytest.raises(KeyError):
-        compound_score(cfg, 42, INV.score)
+        compound_score(cfg, 42, INV)
 
 
 def test_sum_of_compound_scores_is_double_sum():
     rng = np.random.default_rng(7)
     cfg = _uniform_cfg(rng, W2, 50)
-    ctx = INV.score.build_context(cfg)
-    total = sum(compound_score(cfg, p.id, INV.score, ctx) for p in cfg.points)
-    assert total == double_sum(cfg, INV.score)
+    ctx = INV.build_context(cfg)
+    total = sum(compound_score(cfg, p.id, INV, ctx) for p in cfg.points)
+    assert total == double_sum(cfg, INV)
 
 
 def test_sum_log_sum_empty_and_log1():
     empty = PointConfiguration(W2, MarkModel.uniform01(), ())
-    fv = sum_log_sum(empty, TREELOG.score, TREELOG.admissibility)
-    assert fv.value == 0.0 and fv.product() == 1.0
+    fv = sum_log_sum(empty, TREELOG)
+    assert fv.value == 0.0 and fv.product_mantissa_exponent() == (1.0, 0)
     assert fv.admissible_count == 0 and fv.dropped_zero_g == 0
     # one admissible point with exactly one partner: log G = log 1 = 0
     w = Window(n=16.0, dim=2, boundary_margin=0.2)
     cfg = make_configuration(
         w, [(8.0, 8.0), (8.2, 9.0)], marks=[0.9, 0.5], mark_model=MarkModel.uniform01()
     )
-    fv = sum_log_sum(cfg, TREELOG.score, TREELOG.admissibility)
+    fv = sum_log_sum(cfg, TREELOG)
     assert fv.value == 0.0
     assert fv.admissible_count == 2 and fv.dropped_zero_g == 0
 
@@ -142,10 +142,10 @@ def test_sum_log_sum_matches_big_integer_product():
     w = Window(n=12.0, dim=2, boundary_margin=0.2)
     for _ in range(20):
         cfg = _uniform_cfg(rng, w, int(rng.integers(2, 40)))
-        fv = sum_log_sum(cfg, TREELOG.score, TREELOG.admissibility)
-        ctx = TREELOG.score.build_context(cfg)
+        fv = sum_log_sum(cfg, TREELOG)
+        ctx = TREELOG.build_context(cfg)
         mask = TREELOG.admissibility.mask(cfg, ctx)
-        G = TREELOG.score.compound_all(ctx)
+        G = TREELOG.compound_all(ctx)
         product = 1
         for row in range(len(cfg)):
             if mask[row] and G[row] > 0:
@@ -164,7 +164,7 @@ def test_sum_log_sum_counts_dropped_points():
     cfg = make_configuration(
         w, [(8.0, 8.0), (10.0, 9.0)], marks=[0.3, 0.3], mark_model=MarkModel.uniform01()
     )
-    fv = sum_log_sum(cfg, TREELOG.score, TREELOG.admissibility)
+    fv = sum_log_sum(cfg, TREELOG)
     assert fv.value == 0.0
     assert fv.admissible_count == 2
     assert fv.dropped_zero_g == 2
@@ -173,17 +173,17 @@ def test_sum_log_sum_counts_dropped_points():
 def test_sum_log_sum_rejects_non_integer_scores():
     cfg = PointConfiguration(W2, MarkModel.none(), ())
     with pytest.raises(ValueError):
-        sum_log_sum(cfg, CROSS.score, AdmissibilityRule.all())
+        sum_log_sum(cfg, CROSS)
 
 
 def test_product_reporting_in_log_space():
     fv = FunctionalValue("sum_log_sum", 2500.0, 10, 0)
-    assert fv.product() == math.inf  # overflow is fine; reporting uses log10
-    log10 = fv.product_log10()
+    # e^2500 overflows a float; the mantissa and exponent come from log10
+    log10 = 2500.0 / math.log(10.0)
     mant, expo = fv.product_mantissa_exponent()
-    assert log10 == pytest.approx(2500.0 / math.log(10.0))
     assert 1.0 <= mant < 10.0
     assert expo == math.floor(log10)
+    assert mant == pytest.approx(10.0 ** (log10 - expo))
 
 
 # -- difference operators ------------------------------------------------------
@@ -252,13 +252,13 @@ def test_fixed_radius_crossing_stabilizes_at_one():
     for _ in range(10):
         cfg = random_configuration(rng, w3, int(rng.integers(2, 40)))
         x = tuple(rng.uniform(0, 4, 3))
-        assert empirical_stabilization_radius(cfg, x, CROSS.score) == 1
+        assert empirical_stabilization_radius(cfg, x, CROSS) == 1
 
 
 def test_isolated_insertion_in_empty_tree_model():
     w = Window(n=24.0, dim=2)
     empty = PointConfiguration(w, MarkModel.none(), ())
-    assert empirical_stabilization_radius(empty, (12.0, 12.0), TREE.score) == 1
+    assert empirical_stabilization_radius(empty, (12.0, 12.0), TREE) == 1
 
 
 def test_crossing_stabilization_matches_incremental_oracle():
@@ -267,8 +267,8 @@ def test_crossing_stabilization_matches_incremental_oracle():
     for _ in range(8):
         cfg = random_configuration(rng, w3, int(rng.integers(2, 20)))
         x = tuple(rng.uniform(0, 4, 3))
-        got = empirical_stabilization_radius(cfg, x, CROSS.score)
-        assert got == stabilization_radius_oracle(cfg, x, CROSS.score)
+        got = empirical_stabilization_radius(cfg, x, CROSS)
+        assert got == stabilization_radius_oracle(cfg, x, CROSS)
 
 
 def test_stabilization_radius_matches_incremental_oracle():
@@ -277,8 +277,8 @@ def test_stabilization_radius_matches_incremental_oracle():
     for _ in range(25):
         cfg = random_configuration(rng, w, int(rng.integers(2, 40)))
         x = tuple(rng.uniform(0, 12, 2))
-        got = empirical_stabilization_radius(cfg, x, TREE.score)
-        assert got == stabilization_radius_oracle(cfg, x, TREE.score)
+        got = empirical_stabilization_radius(cfg, x, TREE)
+        assert got == stabilization_radius_oracle(cfg, x, TREE)
 
 
 def test_stabilization_radius_with_admissibility_matches_oracle():
@@ -289,10 +289,10 @@ def test_stabilization_radius_with_admissibility_matches_oracle():
         cfg = random_configuration(rng, w, int(rng.integers(2, 30)))
         x = tuple(rng.uniform(0, 12, 2))
         got = empirical_stabilization_radius(
-            cfg, x, treelog_tree.score, treelog_tree.admissibility
+            cfg, x, treelog_tree, treelog_tree.admissibility
         )
         oracle = stabilization_radius_oracle(
-            cfg, x, treelog_tree.score, treelog_tree.admissibility
+            cfg, x, treelog_tree, treelog_tree.admissibility
         )
         assert got == oracle
 

@@ -14,7 +14,7 @@ def test_model_catalog_resolves():
         model = get_model(name)  # crossing-localized alone has no cap
         assert model.functional_kind in ("double_sum", "sum_log_sum")
     assert get_model("crossing-localized:5").name == "crossing-localized:5"
-    assert get_model("crossing-localized:16").score.name == "crossing-localized:16"
+    assert get_model("crossing-localized:16").name == "crossing-localized:16"
     # only crossing-localized takes a suffix, and its cap is an integer >= 1
     for bad in ("no-such-model", "crossing-localized:0", "crossing-localized:-3",
                 "crossing-localized:x", "crossing-localized:", "crossing-localized:1.5",
@@ -47,27 +47,27 @@ def test_crossing_score_k_locality_spot_checks():
     rng = np.random.default_rng(2)
     w = Window(n=8.0, dim=3)
     cfg = random_configuration(rng, w, 60)
-    ctx = model.score.build_context(cfg)
+    ctx = model.build_context(cfg)
     pos = {p.id: p.position for p in cfg.points}
     for a in pos:
         for b in pos:
             if a == b:
                 continue
             for j in range(2):
-                if abs(pos[a][j] - pos[b][j]) > model.score.locality_cutoff:
-                    assert model.score.pair_value(a, b, ctx) == 0.0
+                if abs(pos[a][j] - pos[b][j]) > model.locality_cutoff:
+                    assert model.pair_value(a, b, ctx) == 0.0
 
 
 def test_inversion_score_one_locality_spot_checks():
     model = get_model("inversion-uniform")
     rng = np.random.default_rng(3)
     cfg = random_configuration(rng, Window(n=10.0, dim=2), 60, MarkModel.uniform01())
-    ctx = model.score.build_context(cfg)
+    ctx = model.build_context(cfg)
     pos = {p.id: p.position for p in cfg.points}
     for a in pos:
         for b in pos:
             if a != b and abs(pos[a][0] - pos[b][0]) > 1.0:
-                assert model.score.pair_value(a, b, ctx) == 0.0
+                assert model.pair_value(a, b, ctx) == 0.0
 
 
 def test_fixed_radius_first_difference_nonnegative():
