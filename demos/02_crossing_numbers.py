@@ -5,8 +5,6 @@ unordered pairs of non-adjacent edges whose projections onto the first two
 coordinates properly cross.  The optimized counter and the brute-force double
 loop must agree exactly.
 """
-import numpy as np
-
 from pairfunc import (
     DirectedRandom,
     FixedRadius,
@@ -17,7 +15,7 @@ from pairfunc import (
     build_edges,
     crossing_number,
     crossing_number_direct,
-    crossing_score,
+    get_model,
     sample_ppp,
 )
 from pairfunc.fixtures import SNOWFLAKE_KERNEL, snowflake_configuration
@@ -37,7 +35,8 @@ for kernel in (FixedRadius(), DirectedRandom(), MaxKernel(), Localized(cap=4)):
 # count once summed over ordered point pairs.
 g = build_edges(cfg, FixedRadius())
 ids = [p.id for p in cfg.points]
-ordered = sum(crossing_score(a, b, g) for a in ids for b in ids if a != b)
+score = get_model("crossing-fixed").pair_value
+ordered = sum(score(a, b, g) for a in ids for b in ids if a != b)
 print("\nordered 1/8-weighted sum:", ordered, "| integer count:", crossing_number(g))
 
 # Six overlapping snowflake stars: three arm pairs overlap, crossing number 3.

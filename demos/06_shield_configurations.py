@@ -6,12 +6,10 @@ earliest-child gap bounds away from the exempt top strip, and the rest of the
 annulus is void.  Inserting anything into the central side-4 cube of a shield
 box leaves every pair score between outside points unchanged.
 """
-import numpy as np
-
 from pairfunc import Window, shield_membership, shield_property_check
 from pairfunc.barcodes import outside_pair_scores
 from pairfunc.fixtures import sample_shielded_configuration
-from pairfunc.process import derive_rng, insert_point
+from pairfunc.process import derive_rng
 
 window = Window(n=24.0, dim=2)
 center = (12.0, 12.0)
@@ -31,7 +29,5 @@ for k in range(10):
     all_clean = all_clean and ok
 print("10 random inner-cube insertions, outside scores unchanged:", all_clean)
 
-# Without the shield the same insertion can reroute branches through the box.
-bare = insert_point(cfg, (12.0, 12.0))
 print("\n(the checker itself recomputes both merge forests exactly;")
 print(" see tests/test_barcodes.py for a configuration where it reports a change)")

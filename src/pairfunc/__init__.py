@@ -34,7 +34,6 @@ from .graphs import (
     build_edges,
     crossing_number,
     crossing_number_direct,
-    crossing_score,
 )
 from .barcodes import (
     Bar,

@@ -55,7 +55,6 @@ __all__ = [
     "shield_membership",
     "shield_property_check",
     "barcode_to_text",
-    "barcode_from_text",
 ]
 
 
@@ -384,18 +383,6 @@ def barcode_to_text(barcode: Barcode) -> str:
     return "".join(f"{o} {_g17(b)} {_g17(life)}\n" for o, b, life in zip(*columns))
 
 
-def barcode_from_text(text: str) -> Barcode:
-    """Parse a ``barcode_to_text`` text; a malformed line or an invalid
-    barcode raises ValueError."""
-    rows = [ln.split() for ln in text.splitlines() if ln.strip()]
-    if any(len(fields) != 3 for fields in rows):
-        raise ValueError("every bar line needs three fields: owner, birth, lifetime")
-    owners, births, lifetimes = zip(*rows) if rows else ((), (), ())
-    return Barcode(
-        [int(o) for o in owners], [float(b) for b in births], [float(v) for v in lifetimes]
-    )
-
-
 # -- Shield configurations ---------------------------------------------------
 #
 # A shielded box is an axis-aligned cube of side 8 whose outer half-unit time
@@ -445,8 +432,7 @@ def _pad_gaps_ok(rel_pad: np.ndarray, mode: str) -> bool:
     """
     if len(rel_pad) == 0:
         return True
-    order = np.lexsort(tuple(rel_pad[:, k] for k in range(rel_pad.shape[1] - 1, -1, -1)))
-    pad = rel_pad[order]
+    pad = rel_pad[_lex_order(*rel_pad.T)]
     anc = _ancestor_indices(pad, 1.0)
     top = pad[:, -1] >= HALF_SIDE - TOP_STRIP
     if mode == "successor":

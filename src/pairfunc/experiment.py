@@ -57,10 +57,12 @@ def read_config_file(path: str | Path, label: str = "config file") -> dict:
     return rec
 
 
-def _list(value) -> tuple:
+def _floats(value) -> tuple[float, ...]:
     if isinstance(value, str):  # not a list of characters
         raise TypeError(f"expected a list, got {value!r}")
-    return tuple(value)
+    if any(isinstance(x, bool) for x in value):  # not 1.0 and 0.0
+        raise TypeError(f"expected a list of numbers, got {value!r}")
+    return tuple(float(x) for x in value)
 
 
 def _integer(value) -> int:
@@ -72,13 +74,13 @@ def _integer(value) -> int:
 # The converter of every config key from its JSON value.
 _CONVERTERS = {
     "model": str,
-    "n_grid": lambda value: tuple(float(n) for n in _list(value)),
+    "n_grid": _floats,
     "reps": _integer,
     "seed": _integer,
     "d": _integer,
     "intensity": float,
-    "a": lambda value: _list(value) or None,
-    "alpha": lambda value: _list(value) or None,
+    "a": lambda value: _floats(value) or None,
+    "alpha": lambda value: _floats(value) or None,
     "margin": float,
     "cutoff": float,
     "jobs": lambda value: value,
@@ -300,61 +302,56 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _records(header: str, rows) -> list[dict]:
+    return [dict(zip(header.split(","), row)) for row in rows]
+
+
+def _csv(header: str, table: list[dict]) -> str:
+    return "\n".join([header] + [",".join(map(_fmt, rec.values())) for rec in table]) + "\n"
+
+
+def _json(table: list[dict]) -> str:
+    """The records as JSON, with NaN (a degenerate cell's distances) as null."""
+    table = [
+        {key: None if isinstance(v, float) and math.isnan(v) else v for key, v in rec.items()}
+        for rec in table
+    ]
+    return json.dumps(table, indent=1) + "\n"
+
+
 def write_outputs(record: RunRecord, out_dir: str | Path, fmt: str = "csv") -> list[Path]:
     """Write results, summaries, long-format metrics, scaling fit and metadata.
 
     Every file is a deterministic function of (config, seed); wall time is
-    deliberately omitted.
+    deliberately omitted.  The results and summary tables are built once, as
+    records keyed by the pinned header names, and written in either format.
     """
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"unknown output format {fmt!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
     cfg = record.config
-
+    results = _records(RESULTS_HEADER, (
+        (cfg.model, r.n, r.rep, r.value, r.admissible, r.dropped_zero_g) for r in record.rows
+    ))
+    summary = _records(SUMMARY_HEADER, (
+        (cfg.model, s.n, s.count, s.mean, s.variance, s.w1, s.ks, cfg.seed)
+        for s in record.summaries
+    ))
+    written = []
+    for name, header, table in (
+        ("results", RESULTS_HEADER, results), ("summary", SUMMARY_HEADER, summary)
+    ):
+        text = _csv(header, table) if fmt == "csv" else _json(table)
+        written.append(_write(out / f"{name}.{fmt}", text))
     if fmt == "csv":
-        lines = [RESULTS_HEADER]
-        for r in record.rows:
-            lines.append(
-                f"{cfg.model},{_fmt(r.n)},{r.rep},{_fmt(r.value)},"
-                f"{_fmt(r.admissible)},{_fmt(r.dropped_zero_g)}"
-            )
-        written.append(_write(out / "results.csv", "\n".join(lines) + "\n"))
-        lines = [SUMMARY_HEADER]
-        for s in record.summaries:
-            lines.append(
-                f"{cfg.model},{_fmt(s.n)},{s.count},{_fmt(s.mean)},"
-                f"{_fmt(s.variance)},{_fmt(s.w1)},{_fmt(s.ks)},{cfg.seed}"
-            )
-        written.append(_write(out / "summary.csv", "\n".join(lines) + "\n"))
         lines = [LONG_HEADER]
-        for s in record.summaries:
-            for metric, value in (
-                ("mean", s.mean), ("var", s.variance), ("w1", s.w1), ("ks", s.ks)
-            ):
-                lines.append(f"{_fmt(s.n)},{metric},{_fmt(value)}")
+        for rec, s in zip(summary, record.summaries):
+            for metric in ("mean", "var", "w1", "ks"):
+                lines.append(f"{_fmt(s.n)},{metric},{_fmt(rec[metric])}")
             if s.degenerate:
                 lines.append(f"{_fmt(s.n)},degenerate,1")
         written.append(_write(out / "long.csv", "\n".join(lines) + "\n"))
-    elif fmt == "json":
-        results = [
-            {
-                "model": cfg.model, "n": r.n, "rep": r.rep, "value": r.value,
-                "admissible": r.admissible, "dropped_zero_g": r.dropped_zero_g,
-            }
-            for r in record.rows
-        ]
-        written.append(_write(out / "results.json", json.dumps(results, indent=1) + "\n"))
-        summaries = [
-            {
-                "model": cfg.model, "n": s.n, "M": s.count, "mean": s.mean,
-                "var": s.variance, "w1": None if s.degenerate else s.w1,
-                "ks": None if s.degenerate else s.ks, "seed": cfg.seed,
-            }
-            for s in record.summaries
-        ]
-        written.append(_write(out / "summary.json", json.dumps(summaries, indent=1) + "\n"))
-    else:
-        raise ConfigError(f"unknown output format {fmt!r}")
 
     if record.scaling is not None:
         fit = record.scaling.to_record()
@@ -416,6 +413,8 @@ def stabilization_survey(
     from .stats import loglinear_fit
 
     model = resolve_model(model_id, cutoff, d)
+    if with_admissibility and model.compound_all is None:
+        raise ConfigError(f"model {model_id} has no compound scores to admit points by")
     rule = model.admissibility if with_admissibility else None
     window = checked_window(rule, n=n, dim=d)
     radii = []

@@ -2,15 +2,15 @@
 
 The crossing number is a purely combinatorial quantity and is kept as an exact
 integer unordered-pair count; the 1/8-weighted ordered form only appears in
-``crossing_score``.  Edges and crossings are found through cKDTree queries,
-so the work grows with the number of nearby pairs, not with N^2;
-``crossing_number_direct`` is a plain double loop over edge pairs, and the two
-must agree exactly.
+the crossing models' pair score, which reads ``crossing_pair_scores``.  Edges
+and crossings are found through cKDTree queries, so the work grows with the
+number of nearby pairs, not with N^2; ``crossing_number_direct`` is a plain
+double loop over edge pairs, and the two must agree exactly.
 
 A ``GeometricGraph`` holds its edges, segments and retained flags as
 read-only columns (``edge_ids``, ``segment_ids``, ``retained_mask``), and the
 crossing path stays in arrays from ``build_edges`` to the count; the tuple
-views ``edges``, ``segments`` and ``retained`` are built only when read.
+views ``edges`` and ``retained`` are built only when read.
 Candidate crossing pairs (midpoints within the slab cutoff) lose the adjacent
 pairs and the pairs whose projected bounding boxes are strictly disjoint on
 an axis before any orientation test.  That reject is exact: a proper crossing
@@ -28,7 +28,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import _CCW_ERRBOUND, segments_properly_cross
-from .process import MarkedPoint, PointConfiguration, id_rows
+from .process import PointConfiguration, id_rows
 
 __all__ = [
     "FixedRadius",
@@ -40,7 +40,6 @@ __all__ = [
     "build_edges",
     "crossing_number",
     "crossing_number_direct",
-    "crossing_score",
     "crossing_pair_scores",
     "kernel_from_flag",
     "parse_cap",
@@ -79,10 +78,6 @@ class Localized:
 ConnectivityKernel = Union[FixedRadius, DirectedRandom, MaxKernel, Localized]
 
 
-def kernel_needs_marks(kernel: ConnectivityKernel) -> bool:
-    return not isinstance(kernel, FixedRadius)
-
-
 def parse_cap(flag: str, name: str) -> int | None:
     """The crowding cap of ``name`` or ``name:<cap>``: None without a suffix
     (no cut), else the decimal integer ``<cap>``, which must be >= 1 because
@@ -106,11 +101,6 @@ def kernel_from_flag(flag: str) -> ConnectivityKernel:
     if flag.partition(":")[0] == "localized":
         return Localized(parse_cap(flag, "localized"))
     raise ValueError(f"unknown kernel flag {flag!r}")
-
-
-def _pair_tuples(pairs: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """An (E, 2) int array as a tuple of builtin-int pairs."""
-    return tuple(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +139,7 @@ class GeometricGraph:
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return _pair_tuples(self.edge_ids)
+        return tuple(zip(self.edge_ids[:, 0].tolist(), self.edge_ids[:, 1].tolist()))
 
     @cached_property
     def retained(self) -> tuple[bool, ...]:
@@ -197,7 +187,7 @@ def build_edges(
     limit: ``radius``, ``R_i`` (directed) or ``min(R_i, R_j)`` (max and
     localized).  Localized crowding counts come from the same decisions.
     """
-    if kernel_needs_marks(kernel) and not cfg.mark_model.has_marks:
+    if not isinstance(kernel, FixedRadius) and not cfg.mark_model.has_marks:
         raise ValueError(f"kernel {type(kernel).__name__} requires radius marks")
     if cfg.window.dim < 2:
         raise ValueError(f"crossing graphs need points of dimension >= 2, got {cfg.window.dim}")
@@ -349,33 +339,6 @@ def crossing_pair_scores(graph: GeometricGraph) -> dict[tuple[int, int], int]:
     counts = np.diff(np.append(starts, len(order)))
     keys = order[starts]
     return dict(zip(zip(lo[keys].tolist(), hi[keys].tolist()), counts.tolist()))
-
-
-def crossing_score(Z, V, graph: GeometricGraph) -> float:
-    """Ordered-sum pair score: 1/8 times the number of ordered partner pairs
-    whose segments properly cross; 0 on the diagonal."""
-    z_id = Z.id if isinstance(Z, MarkedPoint) else int(Z)
-    v_id = V.id if isinstance(V, MarkedPoint) else int(V)
-    if not np.isin([z_id, v_id], graph.cfg.ids).all():
-        raise KeyError(f"unknown point ids ({z_id}, {v_id})")
-    if z_id == v_id:
-        return 0.0
-    coords, ends = _segment_geometry(graph)
-    count = 0
-    inc_z = np.flatnonzero((ends == z_id).any(axis=1)).tolist()
-    inc_v = np.flatnonzero((ends == v_id).any(axis=1)).tolist()
-    for i in inc_z:
-        for j in inc_v:
-            if i == j:
-                continue
-            shared = set(map(int, ends[i])) & set(map(int, ends[j]))
-            if shared:
-                continue
-            p1, q1 = (coords[i, 0], coords[i, 1]), (coords[i, 2], coords[i, 3])
-            p2, q2 = (coords[j, 0], coords[j, 1]), (coords[j, 2], coords[j, 3])
-            if segments_properly_cross(p1, q1, p2, q2):
-                count += 1
-    return count / 8.0
 
 
 def graph_to_text(graph: GeometricGraph, points_ref: str = "-") -> str:

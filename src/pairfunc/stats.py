@@ -102,6 +102,16 @@ def summarize_sample(values) -> SampleSummary:
     return SampleSummary(len(v), mean, var, z)
 
 
+def _sorted_sample(sample) -> np.ndarray:
+    """The sample sorted; ValueError when it is empty or not all finite."""
+    x = np.sort(np.asarray(sample, dtype=float))
+    if len(x) == 0:
+        raise ValueError("empty sample")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("sample contains NaN or infinity")
+    return x
+
+
 def wasserstein1_to_standard_normal(sample) -> float:
     """Integral of |F_hat - Phi| over the line, exact piecewise.
 
@@ -109,11 +119,7 @@ def wasserstein1_to_standard_normal(sample) -> float:
     level i/M is integrated against Phi, splitting at the quantile when the
     level is crossed.
     """
-    x = np.sort(np.asarray(sample, dtype=float))
-    if len(x) == 0:
-        raise ValueError("empty sample")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("sample contains NaN or infinity")
+    x = _sorted_sample(sample)
     m = len(x)
     total = float(_H(x[0]))                     # level 0 below the minimum
     total += float(_H(x[-1]) - x[-1])           # level 1 above the maximum
@@ -141,11 +147,7 @@ def wasserstein1_to_standard_normal(sample) -> float:
 
 def kolmogorov_to_standard_normal(sample) -> float:
     """sup_t |F_hat(t) - Phi(t)| via the order-statistic max formula."""
-    x = np.sort(np.asarray(sample, dtype=float))
-    if len(x) == 0:
-        raise ValueError("empty sample")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("sample contains NaN or infinity")
+    x = _sorted_sample(sample)
     m = len(x)
     p = _Phi(x)
     upper = np.arange(1, m + 1) / m - p

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from scipy import stats as sps
 from pairfunc.barcodes import (
     Bar,
     Barcode,
-    barcode_from_text,
     barcode_to_text,
     build_merge_forest,
     elder_lifetimes,
@@ -619,26 +619,8 @@ def test_compound_counts_memory_stays_banded_at_scale():
 
 def test_barcode_text_round_trip():
     bars = Barcode([0, 3, 7], [0.1, 1.0, 2.0], [0.5, math.inf, 0.0])
-    assert barcode_from_text(barcode_to_text(bars)) == bars
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "0 0.1\n",                      # missing field
-        "0 0.1 0.5 7\n",                # extra field
-        "0 soon 0.5\n",                 # non-numeric birth
-        "0 inf 0.5\n",                  # non-finite birth
-        "0 0.1 -0.5\n",                 # negative lifetime
-        "0 0.1 nan\n",                  # NaN lifetime
-        "0 0.0 0.9\n0 0.1 0.5\n",      # duplicate owner
-    ],
-    ids=["missing-field", "extra-field", "non-numeric-birth", "non-finite-birth",
-         "negative-lifetime", "nan-lifetime", "duplicate-owner"],
-)
-def test_barcode_from_text_rejects_malformed_lines(text):
-    with pytest.raises(ValueError):
-        barcode_from_text(text)
+    owners, births, lifetimes = np.loadtxt(io.StringIO(barcode_to_text(bars))).T
+    assert Barcode(owners.astype(np.int64), births, lifetimes) == bars
 
 
 def test_barcode_columns_are_read_only_and_validated():
@@ -650,6 +632,21 @@ def test_barcode_columns_are_read_only_and_validated():
     assert [b.owner for b in bc.bars] == [4, 1]
     with pytest.raises(ValueError, match="equal length"):
         Barcode([0, 1], [0.0], [0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "owners, births, lifetimes, message",
+    [
+        ([0], [math.inf], [0.5], "births must be finite"),
+        ([0], [0.1], [-0.5], "nonnegative"),
+        ([0], [0.1], [math.nan], "NaN is not a lifetime"),
+        ([0, 0], [0.0, 0.1], [0.9, 0.5], "owners must be unique"),
+    ],
+    ids=["non-finite-birth", "negative-lifetime", "nan-lifetime", "duplicate-owner"],
+)
+def test_barcode_rejects_malformed_columns(owners, births, lifetimes, message):
+    with pytest.raises(ValueError, match=message):
+        Barcode(owners, births, lifetimes)
 
 
 # -- shields ---------------------------------------------------------------------

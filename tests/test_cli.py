@@ -282,6 +282,11 @@ def test_csv_headers_are_pinned(tmp_path):
     assert (tmp_path / "long.csv").read_text().splitlines()[0] == LONG_HEADER
     meta = json.loads((tmp_path / "meta.json").read_text())
     assert meta["schema"] == "pairfunc-v1"
+    # the json tables carry the csv columns as keys, in the same order
+    write_outputs(record, tmp_path, "json")
+    for name, header in (("results", RESULTS_HEADER), ("summary", SUMMARY_HEADER)):
+        for rec in json.loads((tmp_path / f"{name}.json").read_text()):
+            assert ",".join(rec) == header
 
 
 def test_config_file_round_trip(tmp_path, capsys):
@@ -345,6 +350,9 @@ def test_retired_beta3_config_key_rejected(tmp_path, capsys):
         ({"seed": False}, "malformed config value for 'seed'"),
         ({"d": 2.5}, "malformed config value for 'd'"),
         ({"d": True}, "malformed config value for 'd'"),
+        ({"n_grid": [4, True]}, "malformed config value for 'n_grid'"),
+        ({"a": [True]}, "malformed config value for 'a'"),
+        ({"alpha": [False]}, "malformed config value for 'alpha'"),
     ],
 )
 def test_invalid_config_value_rejected_up_front(tmp_path, capsys, edit, message):
@@ -370,6 +378,23 @@ def test_integral_floats_and_string_seeds_still_convert(tmp_path, capsys):
     assert code == 0, err
     config = json.loads((tmp_path / "out" / "meta.json").read_text())["config"]
     assert (config["n_grid"], config["reps"], config["seed"], config["d"]) == ([4.0, 6.0], 2, 7, 2)
+
+
+def test_window_elements_convert_to_floats(tmp_path, capsys):
+    # one window, written three ways, is one configuration
+    hashes = set()
+    for i, value in enumerate([[1], [1.0], ["1"]]):
+        path = tmp_path / f"config{i}.json"
+        path.write_text(json.dumps({"model": "inversion-uniform", "n_grid": [4, 6], "reps": 2,
+                                    "seed": 7, "a": value, "alpha": value, "jobs": 1}))
+        out = tmp_path / f"out{i}"
+        code, _, err = run_cli(["clt", "--config", str(path), "--out", str(out)], capsys)
+        assert code == 0, err
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["config"]["a"] == meta["config"]["alpha"] == [1.0]
+        assert all(type(v) is float for v in meta["config"]["a"] + meta["config"]["alpha"])
+        hashes.add(meta["config_hash"])
+    assert len(hashes) == 1
 
 
 def test_jobs_flag_validated_up_front(capsys):
@@ -503,6 +528,18 @@ def test_crossing_stabilization_below_two_dimensions_is_config_error(capsys):
     )
     assert code == 2 and out == ""
     assert "needs dimension >= 2" in _one_error_line(err, 2)
+
+
+@pytest.mark.parametrize("model", ["crossing-fixed", "crossing-max", "crossing-localized:4"])
+def test_stabilization_admissibility_on_a_crossing_model_is_config_error(capsys, model):
+    # a crossing model has no compound scores, so no point is admitted or not
+    code, out, err = run_cli(
+        ["stabilization", "--model", model, "--admissibility", "--n", "24", "--draws", "20",
+         "--seed", "3"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert "has no compound scores" in _one_error_line(err, 2)
 
 
 def test_tree_experiment_below_two_dimensions_is_config_error(tmp_path, capsys):

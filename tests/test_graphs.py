@@ -19,7 +19,6 @@ from pairfunc.graphs import (
     crossing_number,
     crossing_number_direct,
     crossing_pair_scores,
-    crossing_score,
     graph_to_text,
     kernel_from_flag,
 )
@@ -122,14 +121,15 @@ def _x_crossing_cfg():
 
 
 def test_crossing_score_x_configuration():
+    score = get_model("crossing-fixed").pair_value
     cfg = _x_crossing_cfg()
     g = build_edges(cfg, FixedRadius())
     assert set(_segments(g)) == {(0, 1), (2, 3)}
     for z, v in [(0, 2), (0, 3), (1, 2), (1, 3)]:
-        assert crossing_score(z, v, g) == pytest.approx(1 / 8)
-        assert crossing_score(v, z, g) == pytest.approx(1 / 8)
+        assert score(z, v, g) == pytest.approx(1 / 8)
+        assert score(v, z, g) == pytest.approx(1 / 8)
     total = sum(
-        crossing_score(z, v, g)
+        score(z, v, g)
         for z in (0, 1, 2, 3)
         for v in (0, 1, 2, 3)
         if z != v
@@ -140,15 +140,14 @@ def test_crossing_score_x_configuration():
 
 
 def test_crossing_score_diagonal_and_isolated():
+    score = get_model("crossing-fixed").pair_value
     cfg = _x_crossing_cfg()
     g = build_edges(cfg, FixedRadius())
-    assert crossing_score(0, 0, g) == 0.0
+    assert score(0, 0, g) == 0.0
     cfg2 = insert_point(cfg, (5.0, 5.0, 5.0))
     g2 = build_edges(cfg2, FixedRadius())
     iso = max(p.id for p in cfg2.points)
-    assert crossing_score(iso, 0, g2) == 0.0
-    with pytest.raises(KeyError):
-        crossing_score(99, 0, g)
+    assert score(iso, 0, g2) == 0.0
 
 
 def test_crossing_number_empty_and_single_edge():
