@@ -11,11 +11,11 @@ literal definitions (``inversion_score``) take.
 The merge forest uses the column-type locality of the model: a point's
 ancestor lies within the cylinder radius r in coordinates 2..d.  Bucket
 those coordinates into cells a little wider than r; a pair within the
-cylinder then lies in the same or in neighbouring cells, so each point's
-earliest later partner is found by walking the later rows of the 3^(d-1)
-cells around its own in row order, each candidate decided by the exact
-predicate (``_ancestor_indices``).  Memory stays linear in N, and no N x N
-array is built on the tree-lifetime path.  Likewise the pairs whose
+cylinder then lies in the same or in neighbouring cells.  One dense pass
+tests the first later row of each of the 3^(d-1) cells around a point by
+the exact predicate, and the few searches left walk on in row order
+(``_ancestor_indices``).  Memory stays linear in N, and no N x N array is
+built on the tree-lifetime path.  Likewise the pairs whose
 inversion score changes between two bar tables are found among the pairs
 that touch a changed bar (``changed_inversion_pairs``).
 
@@ -149,14 +149,13 @@ def _ancestor_indices(positions: np.ndarray, cylinder_radius: float) -> np.ndarr
     would overflow int64; coarser cells only add candidates.
 
     One sorted int64 key ``cell * N + row`` makes the later rows of each
-    neighbour cell a contiguous run in ascending row order; both ends come
-    from ``searchsorted`` with needles in sorted order.  All (row, offset)
-    runs walk together: k candidates per step (k = 1, 4, 16, ...) are
-    decided by the predicate, each run's hits fold into the row's best with
-    ``np.minimum.at``, and a run drops out once it hits, is exhausted, or
-    its next row is no earlier than the row's best.  Boundaries, ties and
-    repeated positions decide as in a dense all-pairs test, and memory stays
-    linear in N.
+    neighbour cell a contiguous run in ascending row order.  A dense
+    (3^(d-1), N) pass decides every run's first candidate, found by
+    ``searchsorted`` on one sorted needle row per offset, and folds the hits
+    with a min over the offsets.  A run that missed walks on, k = 4, 16, ...
+    candidates per step (hits fold in by ``np.minimum.at``), only while rows
+    before the row's best are left.  Boundaries, ties and repeated positions
+    decide as in a dense all-pairs test, and memory stays linear in N.
     """
     if not (math.isfinite(cylinder_radius) and cylinder_radius > 0):
         raise ValueError(f"cylinder radius must be finite and > 0, got {cylinder_radius}")
@@ -178,32 +177,36 @@ def _ancestor_indices(positions: np.ndarray, cylinder_radius: float) -> np.ndarr
     key = key[order]
     cell_start = key - key % n  # key of the sorted row's cell, row 0
 
-    # one run of candidates per (sorted row, neighbour offset)
+    # the first candidate of every (neighbour offset, sorted row) run, in one pass
     offsets = np.array(list(itertools.product((-1, 0, 1), repeat=rest.shape[1]))) @ strides * n
-    lo = np.concatenate([np.searchsorted(key, key + (o + 1)) for o in offsets])
-    hi = np.concatenate([np.searchsorted(key, cell_start + (o + n)) for o in offsets])
-    row = np.tile(order, len(offsets))
-    live = lo < hi
-    row, lo, hi = row[live], lo[live], hi[live]
-
+    lo = np.searchsorted(key, key + offsets[:, None] + 1)
+    live = (lo < n) & (key.take(lo, mode="clip") < cell_start + offsets[:, None] + n)
+    cand = order.take(lo, mode="clip")
+    diff = rest[order] - rest[cand]
     r2 = cylinder_radius**2 + 0.0
+    hit = live & (np.einsum("ijk,ijk->ij", diff, diff) <= r2)
     best = np.full(n, n, dtype=np.int64)
-    k = 1
-    while len(row):
+    best[order] = np.where(hit, cand, n).min(axis=0)
+
+    # a run that missed walks on while its next row comes before the best
+    off, pos = np.nonzero(live & (cand < best[order]))
+    row, lo = order[pos], lo[off, pos] + 1
+    hi = np.searchsorted(key, cell_start[pos] + offsets[off] + n)
+    k = 4
+    while True:
+        open_ = lo < hi
+        open_[open_] = order[lo[open_]] < best[row[open_]]
+        row, lo, hi = row[open_], lo[open_], hi[open_]
+        if not len(row):
+            return np.where(best < n, best, -1)
         take = np.minimum(hi - lo, k)
         run = np.repeat(np.arange(len(row)), take)
-        first = np.cumsum(take) - take
-        cand = order[lo[run] + np.arange(len(run)) - first[run]]
+        cand = order[(lo + take - np.cumsum(take))[run] + np.arange(len(run))]
         diff = rest[row[run]] - rest[cand]
         within = np.einsum("ij,ij->i", diff, diff) <= r2
         np.minimum.at(best, row[run[within]], cand[within])
         lo += take
-        open_ = lo < hi
-        open_[run[within]] = False
-        open_[open_] = order[lo[open_]] < best[row[open_]]
-        row, lo, hi = row[open_], lo[open_], hi[open_]
         k *= 4
-    return np.where(best < n, best, -1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -166,6 +166,8 @@ class ExperimentConfig:
         if self.jobs is not None and (type(self.jobs) is not int or self.jobs < 1):
             raise ConfigError(f"jobs must be null or an integer >= 1, got {self.jobs!r}")
         object.__setattr__(self, "n_grid", grid)
+        for key in ("a", "alpha"):  # elements as parse_config converts them
+            object.__setattr__(self, key, parse_config({key: getattr(self, key)}).get(key))
         for n in grid:
             self.window(n, model.admissibility)
 

@@ -84,7 +84,7 @@ class FunctionalValue:
             "kind": self.kind,
             "value": self.value,
             "admissible_count": self.admissible_count,
-            "dropped_zero_G": self.dropped_zero_g,
+            "dropped_zero_g": self.dropped_zero_g,
         }
 
 

@@ -159,11 +159,6 @@ class Slab(_Region):
         near = (np.abs(m - col) <= self.half_width for m, col in zip(centers, pos.T))
         return self.window.mask(pos) & self._all_columns(near)
 
-    @property
-    def volume_bound(self) -> float:
-        sides = self.window.sides
-        return float((2 * self.half_width) ** self.order * np.prod(sides[self.order:]))
-
 
 @dataclass(frozen=True)
 class Cube(_Region):

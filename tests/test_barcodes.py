@@ -306,6 +306,59 @@ def test_cell_walk_with_more_cells_than_int64_keys_hold():
     assert np.array_equal(_ancestor_indices(positions, 1e-9), expected)
 
 
+def _rows_on_one_axis(d, xs):
+    """Rows 0, 1, ... at times 0, 1, ... with coordinate 2 from ``xs`` and the
+    rest 0, and the cells of coordinates 2..d as the cell walk computes them
+    at radius 1."""
+    positions = np.zeros((len(xs), d))
+    positions[:, 0] = np.arange(len(xs))
+    positions[:, 1] = xs
+    side = 1.0 + 1e-9 + float(np.abs(positions[:, 1:]).max()) * 2.0**-50
+    return positions, np.floor(positions[:, 1:] / side)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_cell_walk_continues_past_an_own_cell_successor_that_misses(d):
+    # row 1 shares row 0's cell at |dx| in (r, side]: the first candidate of
+    # row 0's own cell misses, and the walk goes on to row 2
+    positions, cells = _rows_on_one_axis(d, [0.0, 1.0 + 1e-10, 0.5])
+    assert (cells == cells[0]).all()
+    got = _ancestor_indices(positions, 1.0)
+    assert got.tolist() == [2, 2, -1]
+    assert np.array_equal(got, ancestor_indices_oracle(positions, 1.0))
+    if d > 2:  # a diagonal miss inside one cell
+        positions[:, 1:3] = [[0.1, 0.1], [0.9, 0.9], [0.5, 0.5]]
+        assert np.array_equal(_ancestor_indices(positions, 1.0), [2, 2, -1])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("misses", [1, 5, 21])
+def test_cell_walk_crosses_the_step_boundaries_in_a_neighbour_cell(d, misses):
+    # the first `misses` later rows of the next cell lie just outside r of
+    # row 0, and the row after them within it: the run ends at candidate 2, 6
+    # or 22, after the dense pass and 1, 2 or 3 walk steps of k = 4, 16, 64
+    positions, cells = _rows_on_one_axis(d, [0.5] + [1.5 + 1e-6] * misses + [1.25])
+    assert (cells[1:] == cells[-1]).all() and cells[0, 0] == cells[-1, 0] - 1
+    got = _ancestor_indices(positions, 1.0)
+    assert got[0] == misses + 1
+    assert np.array_equal(got, ancestor_indices_oracle(positions, 1.0))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize(
+    "xs, last, expected",
+    [([1.5, 0.75], 0, [1, -1]), ([5.0, 0.0], 0, [-1, -1]), ([1.5, 1.6, 0.75], 1, [1, 2, -1])],
+)
+def test_cell_walk_when_a_run_starts_past_the_last_key(d, xs, last, expected):
+    # the last row of the highest cell has the largest key, so its own and
+    # upper-neighbour runs start at N; only its lower neighbour may link it
+    positions, cells = _rows_on_one_axis(d, xs)
+    assert np.flatnonzero(cells[:, 0] == cells[:, 0].max())[-1] == last
+    got = _ancestor_indices(positions, 1.0)
+    assert got.tolist() == expected
+    assert np.array_equal(got, ancestor_indices_oracle(positions, 1.0))
+
+
 @pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan])
 def test_merge_forest_rejects_bad_cylinder_radius(radius):
     cfg = make_configuration(W2, [(1.0, 1.0), (2.0, 1.5)])
@@ -352,6 +405,21 @@ def test_merge_forest_memory_stays_linear_at_n_256():
         tracemalloc.stop()
     assert len(forest.merge_points) > 0
     assert peak < 150 * 2**20
+
+
+def test_merge_forest_memory_stays_linear_in_three_dimensions():
+    # ~64k points in d = 3: the first pass holds nine candidate rows per point
+    import tracemalloc
+
+    cfg = sample_ppp(Window(n=40.0, dim=3), 1.0, MarkModel.none(), seed=40)
+    assert len(cfg) > 60_000
+    tracemalloc.start()
+    try:
+        build_merge_forest(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def _carried_loop(anc: np.ndarray) -> np.ndarray:

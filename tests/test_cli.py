@@ -397,6 +397,33 @@ def test_window_elements_convert_to_floats(tmp_path, capsys):
     assert len(hashes) == 1
 
 
+def test_direct_config_window_elements_convert_to_floats():
+    # a config built in code hashes and records as the same config read from a file
+    kw = dict(model="inversion-uniform", n_grid=(4, 6), reps=2, seed=7)
+    raw = ExperimentConfig(**kw, a=(1,), alpha=(1,))
+    assert raw.hash() == ExperimentConfig(**kw, a=(1.0,), alpha=(1.0,)).hash()
+    assert raw.result_record()["a"] == raw.result_record()["alpha"] == [1.0]
+    assert all(type(v) is float for v in raw.a + raw.alpha)
+    assert ExperimentConfig(**kw).a is None and ExperimentConfig(**kw).alpha is None
+    for bad in [(True,), ("x",), "1"]:
+        with pytest.raises(ConfigError, match="malformed config value for 'a'"):
+            ExperimentConfig(**kw, a=bad)
+
+
+def test_evaluate_json_names_the_dropped_count_as_the_results_column(tmp_path, capsys):
+    points = tmp_path / "p.txt"
+    code, _, err = run_cli(["sample", "--model", "treelog-uniform", "--n", "8", "--seed", "5",
+                            "--out", str(points)], capsys)
+    assert code == 0, err
+    code, out, err = run_cli(["evaluate", "--model", "treelog-uniform", "--points", str(points),
+                              "--format", "json"], capsys)
+    assert code == 0, err
+    rec = json.loads(out)
+    dropped = RESULTS_HEADER.split(",")[-1]
+    assert set(rec) == {"kind", "value", "admissible_count", dropped}
+    assert rec["kind"] == "sum_log_sum" and type(rec[dropped]) is int
+
+
 def test_jobs_flag_validated_up_front(capsys):
     code, _, err = run_cli(
         ["clt", "--model", "inversion-uniform", "--n-grid", "4,6", "--reps", "2",

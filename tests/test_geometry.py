@@ -65,12 +65,6 @@ def test_slab_membership_and_monotonicity():
             assert looser.contains(p)
 
 
-def test_slab_volume_bound():
-    w = Window(n=10.0, dim=3)
-    slab = Slab((5.0, 5.0, 5.0), 1.0, 2, w)
-    assert slab.volume_bound == pytest.approx(4.0 * 10.0)
-
-
 def test_cube_is_chebyshev_ball():
     c = Cube((0.0, 0.0), 1.5)
     assert c.contains((1.5, -1.5))
