@@ -38,9 +38,8 @@ from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.spatial import cKDTree
 
-from .geometry import Cube, _g17
+from .geometry import Cube, _g17, _kd_tree
 from .process import MarkedPoint, PointConfiguration, _all_unique, _lex_order, id_rows, insert_point
 
 __all__ = [
@@ -421,8 +420,7 @@ def _pads_covered(rel_pad: np.ndarray, t_lo: float, t_hi: float) -> bool:
     hs = np.arange(-HALF_SIDE, HALF_SIDE + COVERAGE_GRID / 2, COVERAGE_GRID)
     tt, hh = np.meshgrid(ts, hs, indexing="ij")
     queries = np.column_stack([tt.ravel(), hh.ravel()])
-    tree = cKDTree(rel_pad)
-    dists, _ = tree.query(queries, k=1)
+    dists, _ = _kd_tree(rel_pad).query(queries, k=1)
     return bool(np.all(dists <= slack))
 
 

@@ -12,7 +12,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
@@ -154,10 +153,17 @@ class ExperimentConfig:
     jobs: int | None = None  # execution only: outside hash() and meta.json
 
     def __post_init__(self):
-        """Validate every key, so that a bad value exits as a configuration
-        error before any replication runs."""
+        """Convert every key as ``parse_config`` converts a file's value, a None
+        taken as an absent key, then validate it: a config built in code
+        accepts what a config file accepts, and a bad value exits as a
+        configuration error before any replication runs."""
+        values = parse_config({f.name: getattr(self, f.name) for f in fields(self)})
+        for f in fields(self):
+            if f.name not in values and f.default is MISSING:
+                raise ConfigError(f"missing config key: {f.name!r}")
+            object.__setattr__(self, f.name, values.get(f.name, f.default))
         model = resolve_model(self.model, self.cutoff, self.d)
-        grid = tuple(float(n) for n in self.n_grid)
+        grid = self.n_grid
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("n_grid must be non-empty and strictly increasing")
         if self.reps < 2:
@@ -165,9 +171,6 @@ class ExperimentConfig:
         require_positive("intensity", self.intensity)
         if self.jobs is not None and (type(self.jobs) is not int or self.jobs < 1):
             raise ConfigError(f"jobs must be null or an integer >= 1, got {self.jobs!r}")
-        object.__setattr__(self, "n_grid", grid)
-        for key in ("a", "alpha"):  # elements as parse_config converts them
-            object.__setattr__(self, key, parse_config({key: getattr(self, key)}).get(key))
         for n in grid:
             self.window(n, model.admissibility)
 
@@ -198,10 +201,7 @@ class ExperimentConfig:
     @classmethod
     def from_record(cls, rec: dict) -> "ExperimentConfig":
         kwargs = parse_config(rec)
-        for field in fields(cls):
-            if field.default is MISSING and field.name not in kwargs:
-                raise ConfigError(f"missing config key: {field.name!r}")
-        return cls(**kwargs)
+        return cls(**{f.name: kwargs.get(f.name) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -259,6 +259,8 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     ]
     jobs = config.jobs if config.jobs is not None else (os.cpu_count() or 1)
     if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_one_replication, tasks, chunksize=16))
     else:

@@ -303,6 +303,15 @@ def segments_properly_cross(p1, q1, p2, q2) -> bool:
     return d1 * d2 < 0 and d3 * d4 < 0
 
 
+def _kd_tree(points: np.ndarray):
+    """A ``scipy.spatial.cKDTree`` over ``points``.  Every tree of the package
+    is built here, so scipy.spatial loads on the first call: the models and
+    commands that never query a tree do not pay for its import."""
+    from scipy.spatial import cKDTree
+
+    return cKDTree(points)
+
+
 def window_to_text(window: Window) -> str:
     a = ", ".join(_g17(v) for v in window.coefficients)
     al = ", ".join(_g17(v) for v in window.exponents)

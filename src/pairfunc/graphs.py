@@ -25,9 +25,8 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .geometry import _CCW_ERRBOUND, segments_properly_cross
+from .geometry import _CCW_ERRBOUND, _kd_tree, segments_properly_cross
 from .process import PointConfiguration, id_rows
 
 __all__ = [
@@ -168,7 +167,7 @@ def _distances(pos: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 def _ball_pairs(pos: np.ndarray, radii: np.ndarray):
     """Rows (i, j, |pos[i] - pos[j]|) of every j within the widened radius
     of i, the pair (i, i) included."""
-    hits = cKDTree(pos).query_ball_point(pos, radii * _WIDEN, return_sorted=False)
+    hits = _kd_tree(pos).query_ball_point(pos, radii * _WIDEN, return_sorted=False)
     lens = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
     i = np.repeat(np.arange(len(hits)), lens)
     j = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp, count=int(lens.sum()))
@@ -194,7 +193,7 @@ def build_edges(
     ids = cfg.ids
     pos = cfg.positions
     if isinstance(kernel, FixedRadius):
-        i, j = cKDTree(pos).query_pairs(kernel.radius * _WIDEN, output_type="ndarray").T
+        i, j = _kd_tree(pos).query_pairs(kernel.radius * _WIDEN, output_type="ndarray").T
         keep = _distances(pos, i, j) <= kernel.radius
     elif isinstance(kernel, DirectedRandom):
         radii = cfg.marks
@@ -267,7 +266,7 @@ def _crossing_pairs(coords: np.ndarray, ends: np.ndarray, slab_cutoff: float) ->
         return np.empty((0, 2), dtype=np.intp)
     mid = (coords[:, :2] + coords[:, 2:]) / 2.0
     reach = slab_cutoff * _WIDEN + 4.0 * np.finfo(float).eps * np.abs(mid).max()
-    ii, jj = cKDTree(mid).query_pairs(reach, p=np.inf, output_type="ndarray").T
+    ii, jj = _kd_tree(mid).query_pairs(reach, p=np.inf, output_type="ndarray").T
     e0, e1 = ends[:, 0], ends[:, 1]
     keep = (e0[ii] != e0[jj]) & (e0[ii] != e1[jj]) & (e1[ii] != e0[jj]) & (e1[ii] != e1[jj])
     ii, jj = ii[keep], jj[keep]

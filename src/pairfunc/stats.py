@@ -4,7 +4,8 @@ concentration bounds.
 The Wasserstein-1 distance to N(0,1) is integrated exactly piecewise between
 order statistics using the Gaussian antiderivative H(t) = t*Phi(t) + phi(t)
 and closed-form tails; no sample-vs-sample transport enters.  Phi and its
-inverse come from scipy.special (erfc-based, accurate to ~1e-16).
+inverse come from scipy.special (erfc-based, accurate to ~1e-16), imported
+where they are called so that ``import pairfunc`` does not load it.
 """
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "SampleSummary",
@@ -38,7 +38,9 @@ def _phi(t: np.ndarray) -> np.ndarray:
 
 
 def _Phi(t: np.ndarray) -> np.ndarray:
-    return special.ndtr(t)
+    from scipy.special import ndtr
+
+    return ndtr(t)
 
 
 def _H(t: np.ndarray) -> np.ndarray:
@@ -119,6 +121,8 @@ def wasserstein1_to_standard_normal(sample) -> float:
     level i/M is integrated against Phi, splitting at the quantile when the
     level is crossed.
     """
+    from scipy.special import ndtri
+
     x = _sorted_sample(sample)
     m = len(x)
     total = float(_H(x[0]))                     # level 0 below the minimum
@@ -137,7 +141,7 @@ def wasserstein1_to_standard_normal(sample) -> float:
     seg[below] = c[below] * (b[below] - a[below]) - (Hb[below] - Ha[below])
     seg[above] = (Hb[above] - Ha[above]) - c[above] * (b[above] - a[above])
     if np.any(cross):
-        t = special.ndtri(c[cross])
+        t = ndtri(c[cross])
         Ht = _H(t)
         left = c[cross] * (t - a[cross]) - (Ht - Ha[cross])
         right = (Hb[cross] - Ht) - c[cross] * (b[cross] - t)

@@ -367,6 +367,11 @@ def test_invalid_config_value_rejected_up_front(tmp_path, capsys, edit, message)
     assert message in lines[0]
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+    if "malformed config value" in message:
+        # a config built in code converts through the same table
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(**rec)
+        assert lines[0].endswith(f'message="{exc.value}"')
 
 
 def test_integral_floats_and_string_seeds_still_convert(tmp_path, capsys):
@@ -809,3 +814,25 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert float(proc.stdout) == pytest.approx(5.52e-3, rel=2e-3)
+
+
+def test_closed_stdout_is_not_a_failure(tmp_path):
+    # the reader has gone before the first byte is written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    out = tmp_path / "out"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pairfunc.cli", "clt", "--model", "inversion-uniform",
+             "--n-grid", "4,6", "--reps", "3", "--seed", "5", "--jobs", "1", "--out", str(out)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    # the output files are written before anything is printed
+    config = ExperimentConfig(model="inversion-uniform", n_grid=(4, 6), reps=3, seed=5, jobs=1)
+    expected = write_outputs(run_experiment(config), tmp_path / "expected")
+    for path in expected:
+        assert (out / path.name).read_bytes() == path.read_bytes()
