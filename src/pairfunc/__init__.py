@@ -61,7 +61,6 @@ from .stats import (
     SampleSummary,
     ScalingFit,
     binomial_lower_tail_bound,
-    concentration_check_G,
     kolmogorov_to_standard_normal,
     poisson_upper_tail_bound,
     summarize_sample,

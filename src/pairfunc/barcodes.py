@@ -119,6 +119,18 @@ class Barcode:
             map(Bar, self.owners.tolist(), self.births.tolist(), self.lifetimes.tolist())
         )
 
+    def changed_pairs(self, other: "Barcode") -> np.ndarray:
+        """(P, 2) int64 array of the owner pairs, both owners in both
+        barcodes, whose inversion score differs."""
+        keep_self = np.flatnonzero(np.isin(self.owners, other.owners))
+        common = self.owners[keep_self]
+        keep_other = id_rows(other.owners, common)
+        pairs = changed_inversion_pairs(
+            self.births[keep_self], self.lifetimes[keep_self],
+            other.births[keep_other], other.lifetimes[keep_other],
+        )
+        return common[pairs]
+
 
 def uniform_lifetimes(cfg: PointConfiguration) -> Barcode:
     """Pass-through lifetimes: each point's bar takes its uniform mark.  Bars

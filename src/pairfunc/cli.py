@@ -24,6 +24,7 @@ from .experiment import (
     checked_window,
     parse_config,
     read_config_file,
+    require_dimension,
     require_positive,
     resolve_model,
     run_experiment,
@@ -117,7 +118,8 @@ def _cmd_evaluate(args) -> int:
     cutoff = args.cutoff if args.cutoff is not None else defaults.get("cutoff", 1.0)
     model = resolve_model(args.model or defaults.get("model") or "inversion-uniform", cutoff)
     cfg = load_configuration(Path(args.points).read_text())
-    if kernel is not None:
+    if kernel is not None:  # a crossing graph, so the crossing models' min_dim of 2
+        require_dimension(f"kernel {args.kernel}", 2, cfg.window.dim)
         graph = build_edges(cfg, kernel, slab_cutoff=cutoff)
         value = crossing_number(graph)
         if args.format == "json":
@@ -127,6 +129,7 @@ def _cmd_evaluate(args) -> int:
         if args.out:
             Path(args.out).write_text(graph_to_text(graph, points_ref=args.points))
         return 0
+    require_dimension(f"model {model.name}", model.min_dim, cfg.window.dim)
     fv = model.evaluate(cfg)
     if args.format == "json":
         line = json.dumps(fv.to_record())

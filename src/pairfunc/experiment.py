@@ -133,9 +133,15 @@ def resolve_model(model_id: str, cutoff: float = 1.0, d: int | None = None) -> M
         model = get_model(model_id, cutoff)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if d is not None and d < model.min_dim:
-        raise ConfigError(f"model {model_id} needs dimension >= {model.min_dim}")
+    if d is not None:
+        require_dimension(f"model {model_id}", model.min_dim, d)
     return model
+
+
+def require_dimension(what: str, min_dim: int, d: int) -> None:
+    """A ConfigError when ``what`` (a model or kernel) needs more than ``d`` axes."""
+    if d < min_dim:
+        raise ConfigError(f"{what} needs dimension >= {min_dim}")
 
 
 @dataclass(frozen=True)
@@ -265,9 +271,8 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
             rows = list(pool.map(_one_replication, tasks, chunksize=16))
     else:
         rows = [_one_replication(t) for t in tasks]
-    rows.sort(key=lambda r: (r.n, r.rep))
-
-    cells = [np.array([r.value for r in rows if r.n == n]) for n in config.n_grid]
+    # rows come back in task order, so each grid cell's replications are one row
+    cells = np.array([r.value for r in rows]).reshape(len(config.n_grid), config.reps)
     degenerate = [is_degenerate(values) for values in cells]
     summaries = []
     for n, values, skip in zip(config.n_grid, cells, degenerate):

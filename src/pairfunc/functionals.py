@@ -3,10 +3,10 @@ difference operators and empirical stabilization radii.
 
 Each functional takes a ``pairfunc.models.Model``, which carries what the
 functionals need: a context builder (graph, barcode, ...), a per-pair value,
-the total over ordered pairs, a pair-score snapshot used to measure
-stabilization and, where the model has them, the compound scores.  Difference
-operators recompute the model from scratch on augmented configurations;
-correctness first, desk-scale inputs keep that cheap.
+the total over ordered pairs and, where the model has them, the compound
+scores.  Stabilization diffs two contexts with the context's own
+``changed_pairs``.  Difference operators recompute the model from scratch on
+augmented configurations; correctness first, desk-scale inputs keep that cheap.
 """
 from __future__ import annotations
 
@@ -16,7 +16,8 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .barcodes import changed_inversion_pairs
+from .barcodes import Barcode
+from .graphs import GeometricGraph
 from .process import MarkedPoint, PointConfiguration, id_rows, insert_point
 
 if TYPE_CHECKING:
@@ -32,6 +33,10 @@ __all__ = [
     "diff_second",
     "empirical_stabilization_radius",
 ]
+
+# The names under which bench/tracing.py imports the two contexts to wrap
+# their pair-score diffs; they go when the tracer no longer imports them.
+SparsePairSnapshot, BarPairSnapshot = GeometricGraph, Barcode
 
 
 @dataclass(frozen=True)
@@ -136,46 +141,6 @@ def diff_second(cfg: PointConfiguration, x, y, functional: Callable[[PointConfig
     return functional(cfg_xy) - functional(cfg_x) - functional(cfg_y) + functional(cfg)
 
 
-class SparsePairSnapshot:
-    """Scores stored as a sparse map (id_min, id_max) -> value over the point
-    ids ``ids``; a pair missing from the map scores 0."""
-
-    def __init__(self, scores: dict[tuple[int, int], int], ids: np.ndarray):
-        self.scores = scores
-        self.ids = ids
-
-    def changed_pairs(self, other: "SparsePairSnapshot") -> np.ndarray:
-        """(P, 2) int64 array of the id pairs, both ids of this snapshot, whose
-        score differs in ``other``, in ascending order.  Pairs involving the
-        inserted point are unconstrained."""
-        keys = {key for key, _ in self.scores.items() ^ other.scores.items()}
-        pairs = np.array(sorted(keys), dtype=np.int64).reshape(-1, 2)
-        return pairs[np.isin(pairs, self.ids).all(axis=1)]
-
-
-class BarPairSnapshot:
-    """Scores determined by per-point (birth, lifetime) rows; changed pairs are
-    found among the pairs touching a row that changed, restricted to the
-    original ids."""
-
-    def __init__(self, ids: np.ndarray, births: np.ndarray, lifetimes: np.ndarray):
-        self.ids = ids
-        self.births = births
-        self.lifetimes = lifetimes
-
-    def changed_pairs(self, other: "BarPairSnapshot") -> np.ndarray:
-        """(P, 2) int64 array of the id pairs, both ids in both snapshots,
-        whose inversion score differs."""
-        keep_self = np.flatnonzero(np.isin(self.ids, other.ids))
-        common = self.ids[keep_self]
-        keep_other = id_rows(other.ids, common)
-        pairs = changed_inversion_pairs(
-            self.births[keep_self], self.lifetimes[keep_self],
-            other.births[keep_other], other.lifetimes[keep_other],
-        )
-        return common[pairs]
-
-
 def empirical_stabilization_radius(
     cfg: PointConfiguration,
     x,
@@ -193,12 +158,10 @@ def empirical_stabilization_radius(
     ctx_before = model.build_context(cfg)
     cfg2 = insert_point(cfg, x)
     ctx_after = model.build_context(cfg2)
-    before = model.snapshot(ctx_before)
-    after = model.snapshot(ctx_after)
     dist = np.abs(cfg.positions - np.array(x_pos)).max(axis=1)  # Chebyshev, per row
     # list(): the benchmark's tracer (bench/tracing.py) hands the pairs back as
     # an iterator of rows, on which np.asarray would make a 0-d object array
-    changed = np.array(list(before.changed_pairs(after)), dtype=np.int64).reshape(-1, 2)
+    changed = np.array(list(ctx_before.changed_pairs(ctx_after)), dtype=np.int64).reshape(-1, 2)
     worst = float(np.minimum(*dist[id_rows(cfg.ids, changed)].T).max(initial=0.0))
     if rule is not None:
         members_before = _positive_membership(cfg, ctx_before, model, rule)

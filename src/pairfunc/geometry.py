@@ -82,6 +82,12 @@ class Window(_Region):
             raise ValueError("boundary_margin must lie in (0, 1)")
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "exponents", expos)
+        try:
+            finite = math.isfinite(self.volume)
+        except OverflowError:  # a side a_j n^alpha_j beyond the float range
+            finite = False
+        if not finite:
+            raise ValueError("window volume is not finite")
 
     @property
     def sides(self) -> tuple[float, ...]:
@@ -91,7 +97,7 @@ class Window(_Region):
 
     @property
     def volume(self) -> float:
-        return float(np.prod(self.sides))
+        return math.prod(self.sides)
 
     def _mask(self, pos: np.ndarray) -> np.ndarray:
         return self._all_columns((col >= 0.0) & (col <= s) for col, s in zip(pos.T, self.sides))
@@ -179,20 +185,6 @@ class Cube(_Region):
     def _mask(self, pos: np.ndarray) -> np.ndarray:
         near = (np.abs(m - col) <= self.half_side for m, col in zip(self.center, pos.T))
         return self._all_columns(near)
-
-
-def reference_slab_volume(window: Window, order: int, half_width: float = 1.0) -> float:
-    """Volume of the slab anchored at the origin corner, the normalizing
-    constant used by concentration thresholds."""
-    sides = window.sides
-    if not 1 <= order <= window.dim:
-        raise ValueError("locality order must lie in [1, d]")
-    vol = 1.0
-    for j in range(order):
-        vol *= min(half_width, sides[j])
-    for j in range(order, window.dim):
-        vol *= sides[j]
-    return vol
 
 
 @dataclass(frozen=True)

@@ -150,6 +150,14 @@ class GeometricGraph:
         score reads it once per pair."""
         return crossing_pair_scores(self)
 
+    def changed_pairs(self, other: "GeometricGraph") -> np.ndarray:
+        """(P, 2) int64 array of the id pairs, both ids of this graph's
+        configuration, whose pair score differs in ``other``, in ascending
+        order.  Pairs with a point absent here (an inserted one) are left out."""
+        keys = {key for key, _ in self.pair_scores.items() ^ other.pair_scores.items()}
+        pairs = np.array(sorted(keys), dtype=np.int64).reshape(-1, 2)
+        return pairs[np.isin(pairs, self.cfg.ids).all(axis=1)]
+
 
 # Tree queries are widened by a relative 1e-9; every candidate is then decided
 # by the float expressions below, never by the tree's own distance arithmetic,

@@ -3,6 +3,9 @@
 crossing-fixed | crossing-max | crossing-localized:<cap>   (double sum, k = 2)
 inversion-uniform | inversion-tree                         (double sum, k = 1)
 treelog-uniform | treelog-tree                             (sum-log-sum, k = 1)
+
+Each model's context (a ``GeometricGraph`` or a ``Barcode``) answers
+``changed_pairs(other)``, the pair-score diff that stabilization radii read.
 """
 from __future__ import annotations
 
@@ -12,14 +15,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import barcodes, graphs
-from .functionals import (
-    AdmissibilityRule,
-    BarPairSnapshot,
-    FunctionalValue,
-    SparsePairSnapshot,
-    double_sum,
-    sum_log_sum,
-)
+from .functionals import AdmissibilityRule, FunctionalValue, double_sum, sum_log_sum
 from .process import MarkModel, PointConfiguration, id_rows, sample_ppp
 from .geometry import Window
 
@@ -47,11 +43,6 @@ def _crossing_total(graph: graphs.GeometricGraph) -> float:
     return float(graphs.crossing_number(graph))
 
 
-def _crossing_snapshot(graph: graphs.GeometricGraph) -> SparsePairSnapshot:
-    # the integer counts themselves: x / 8 != y / 8 exactly when x != y
-    return SparsePairSnapshot(graph.pair_scores, graph.cfg.ids)
-
-
 def _inversion_pair_value(a: int, b: int, barcode: barcodes.Barcode) -> float:
     if a == b:
         return 0.0
@@ -67,16 +58,12 @@ def _inversion_compound(barcode: barcodes.Barcode) -> np.ndarray:
     return barcodes.inversion_compound_counts(barcode.births, barcode.lifetimes)
 
 
-def _inversion_snapshot(barcode: barcodes.Barcode) -> BarPairSnapshot:
-    return BarPairSnapshot(barcode.owners, barcode.births, barcode.lifetimes)
-
-
 @dataclass(frozen=True)
 class Model:
     """A named model: mark distribution, the functional it feeds (double sum
     or sum-log-sum) and the kernels of its pair score on a context (a graph or
-    a barcode): the score of ids a and b, the total over ordered pairs, a
-    snapshot for stabilization and, barcode models only, G of every row."""
+    a barcode): the score of ids a and b, the total over ordered pairs and,
+    barcode models only, G of every row."""
 
     name: str
     functional_kind: str          # "double_sum" | "sum_log_sum"
@@ -87,7 +74,6 @@ class Model:
     build_context: Callable[[PointConfiguration], Any]
     pair_value: Callable[[int, int, Any], float]
     total: Callable[[Any], float]
-    snapshot: Callable[[Any], BarPairSnapshot | SparsePairSnapshot]
     locality_cutoff: float        # pairs farther apart in a local coordinate score 0
     compound_all: Callable[[Any], np.ndarray] | None = None
 
@@ -109,8 +95,7 @@ def _crossing_model(name: str, kernel, mark_model: MarkModel, cutoff: float) -> 
 
     return Model(
         name, "double_sum", 2, 2, mark_model, AdmissibilityRule.all(), build_context=build,
-        pair_value=_crossing_pair_value, total=_crossing_total, snapshot=_crossing_snapshot,
-        locality_cutoff=2.0 * cutoff,
+        pair_value=_crossing_pair_value, total=_crossing_total, locality_cutoff=2.0 * cutoff,
     )
 
 
@@ -137,7 +122,7 @@ def _barcode_model(name: str, cutoff: float) -> Model:
         functional_kind, rule = "double_sum", AdmissibilityRule.all()
     return Model(
         name, functional_kind, 1, min_dim, mark_model, rule, build_context=build,
-        pair_value=_inversion_pair_value, total=_inversion_total, snapshot=_inversion_snapshot,
+        pair_value=_inversion_pair_value, total=_inversion_total,
         locality_cutoff=1.0, compound_all=_inversion_compound,
     )
 

@@ -26,8 +26,6 @@ __all__ = [
     "binomial_lower_tail_bound",
     "poisson_upper_tail_bound",
     "loglinear_fit",
-    "ConcentrationReport",
-    "concentration_check_G",
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -225,57 +223,6 @@ def binomial_lower_tail_bound(m: int, p: float) -> float:
 
 def poisson_upper_tail_bound(ell: float) -> float:
     """Closed-form bound on P(Poisson(ell) > 8 ell)."""
-    if not ell > 0:
-        raise ValueError("ell must be positive")
+    if not (ell > 0 and math.isfinite(ell)):
+        raise ValueError("ell must be positive and finite")
     return math.exp(-math.log(8.0) / 4.0 * ell)
-
-
-@dataclass(frozen=True)
-class ConcentrationReport:
-    """Empirical exceedance of {G(Z) < beta3 * |slab|} per window scale."""
-
-    n_values: tuple[float, ...]
-    slab_volumes: tuple[float, ...]
-    frequencies: tuple[float, ...]
-    admissible_counts: tuple[int, ...]
-    slope: float | None  # log-frequency vs slab volume; None when degenerate
-
-
-def concentration_check_G(model, n_values, beta3: float, replications: int, seed: int, d: int = 2) -> ConcentrationReport:
-    """Sample admissible points and record how often their compound score G
-    falls below beta3 times the reference slab volume."""
-    from .geometry import Window, reference_slab_volume
-
-    if model.functional_kind != "sum_log_sum":
-        raise ValueError("concentration check applies to sum-log-sum models")
-    freqs, slabs, counts = [], [], []
-    for e, n in enumerate(n_values):
-        window = Window(n=n, dim=d)
-        slab = reference_slab_volume(window, model.locality_order)
-        threshold = beta3 * slab
-        exceed = 0
-        admissible = 0
-        for r in range(replications):
-            cfg = model.sample(window, (seed, e, r))
-            ctx = model.build_context(cfg)
-            G = model.compound_all(ctx)[model.admissibility.mask(cfg, ctx)]
-            admissible += len(G)
-            exceed += int((G < threshold).sum())
-        if admissible == 0:
-            raise ValueError(f"no admissible points observed at n = {n}")
-        freqs.append(exceed / admissible)
-        slabs.append(slab)
-        counts.append(admissible)
-    positive = [(s, f) for s, f in zip(slabs, freqs) if f > 0]
-    slope = None
-    if len(positive) >= 2:
-        xs = np.array([s for s, _ in positive])
-        ys = np.log([f for _, f in positive])
-        slope = loglinear_fit(xs, ys)[0]
-    return ConcentrationReport(
-        tuple(float(n) for n in n_values),
-        tuple(map(float, slabs)),
-        tuple(map(float, freqs)),
-        tuple(counts),
-        slope,
-    )

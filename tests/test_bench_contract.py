@@ -37,6 +37,18 @@ def test_bench_modules_import_and_tracer_installs():
         sys.path.remove(str(BENCH))
 
 
+def test_tracer_wraps_each_function_once():
+    # two targets that resolve to one function (a context class inheriting
+    # another's changed_pairs, say) would wrap it twice and double its counts
+    sys.path.insert(0, str(BENCH))
+    try:
+        tracing = importlib.import_module("tracing")
+        targets = [getattr(owner, attr) for owner, attr, *_ in tracing._TARGETS]
+        assert len({id(fn) for fn in targets}) == len(targets)
+    finally:
+        sys.path.remove(str(BENCH))
+
+
 def test_traced_graph_counters_are_builtin_ints():
     # the tracer sums graph fields and pair scores into counters that it
     # writes with json.dumps; numpy integers there would fail the dump
@@ -57,8 +69,8 @@ def test_traced_graph_counters_are_builtin_ints():
 
 
 def test_traced_stabilization_radius_counts_changed_pairs():
-    # the tracer consumes each snapshot diff, counts its rows and hands them
-    # back as an iterator of rows; the radius must read them as before
+    # the tracer consumes each context's pair-score diff, counts its rows and
+    # hands them back as an iterator of rows; the radius must read them as before
     sys.path.insert(0, str(BENCH))
     try:
         tracing = importlib.import_module("tracing")
@@ -68,8 +80,8 @@ def test_traced_stabilization_radius_counts_changed_pairs():
         ):
             model = get_model(model_id)
             cfg = model.sample(window, (seed, 0, 0))
-            before = model.snapshot(model.build_context(cfg))
-            after = model.snapshot(model.build_context(insert_point(cfg, x)))
+            before = model.build_context(cfg)
+            after = model.build_context(insert_point(cfg, x))
             changed = len(before.changed_pairs(after))
             assert changed > 0
             radius = functionals.empirical_stabilization_radius(cfg, x, model)

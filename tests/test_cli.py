@@ -596,14 +596,15 @@ def test_tree_stabilization_below_two_dimensions_is_config_error(capsys):
     assert "needs dimension >= 2" in _one_error_line(err, 2)
 
 
-def test_kernel_on_one_dimensional_points_is_runtime_error(tmp_path, capsys):
+def test_kernel_on_one_dimensional_points_is_config_error(tmp_path, capsys):
+    # the point file's dimension is checked as sample checks --d
     points = tmp_path / "p.txt"
     code, _, _ = run_cli(["sample", "--n", "6", "--d", "1", "--seed", "2", "--out", str(points)],
                          capsys)
     assert code == 0
     code, out, err = run_cli(["evaluate", "--points", str(points), "--kernel", "fixed"], capsys)
-    assert code == 3 and out == ""
-    assert "dimension >= 2" in _one_error_line(err, 3)
+    assert code == 2 and out == ""
+    assert "kernel fixed needs dimension >= 2" in _one_error_line(err, 2)
 
 
 @pytest.mark.parametrize(
@@ -724,6 +725,7 @@ def test_scaling_without_degenerate_cells_lists_no_exclusions(tmp_path, capsys):
         # the same shrunk-window check as clt, before any draw
         (["stabilization", "--model", "treelog-tree", "--admissibility", "--n", "2",
           "--draws", "3"], "window at n=2: shrunk window is empty"),
+        (["bounds", "poisson", "inf"], "ell must be positive and finite"),
     ],
 )
 def test_bad_flag_value_is_config_error(capsys, command, message):
@@ -836,3 +838,31 @@ def test_closed_stdout_is_not_a_failure(tmp_path):
     expected = write_outputs(run_experiment(config), tmp_path / "expected")
     for path in expected:
         assert (out / path.name).read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["sample", "--n", "1e300", "--seed", "1"],
+        ["clt", "--n-grid", "1e200,1e201", "--reps", "2", "--seed", "1"],
+    ],
+)
+def test_window_volume_overflow_is_config_error(tmp_path, command):
+    # a subprocess, so that a numpy overflow warning would show on stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "pairfunc.cli", *command, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "window volume is not finite" in _one_error_line(proc.stderr, 2)
+
+
+@pytest.mark.parametrize("model_id", ["inversion-tree", "crossing-fixed"])
+def test_model_on_one_dimensional_points_is_config_error(tmp_path, capsys, model_id):
+    points = tmp_path / "p.txt"
+    code, _, _ = run_cli(["sample", "--n", "6", "--d", "1", "--seed", "1", "--out", str(points)],
+                         capsys)
+    assert code == 0
+    code, out, err = run_cli(["evaluate", "--model", model_id, "--points", str(points)], capsys)
+    assert code == 2 and out == ""
+    assert f"model {model_id} needs dimension >= 2" in _one_error_line(err, 2)

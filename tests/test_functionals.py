@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairfunc.barcodes import Bar, inversion_score
+from pairfunc.barcodes import Bar, Barcode, inversion_score
 from pairfunc.functionals import (
     AdmissibilityRule,
-    BarPairSnapshot,
     FunctionalValue,
     compound_score,
     diff_first,
@@ -326,12 +325,12 @@ def test_local_changed_pairs_match_dense_comparison(rows, how, pick):
         [b if nb is None or not m else nb for (b, _, nb, _, _), m in zip(rows, moved)], dtype=float
     )
     lifetimes2 = np.array([l2 if m else l for (_, l, _, l2, _), m in zip(rows, moved)], dtype=float)
-    # the rebuilt snapshot carries one extra id (the inserted point), first in row order
-    after = BarPairSnapshot(
+    # the rebuilt barcode carries one extra owner (the inserted point), first in row order
+    after = Barcode(
         np.concatenate(([-1], ids)), np.concatenate(([0.5], births2)),
         np.concatenate(([0.5], lifetimes2)),
     )
-    pairs = BarPairSnapshot(ids, births, lifetimes).changed_pairs(after)
+    pairs = Barcode(ids, births, lifetimes).changed_pairs(after)
     assert pairs.dtype == np.int64 and pairs.shape == (len(pairs), 2)
     got = pairs.tolist()
 

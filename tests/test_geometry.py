@@ -33,6 +33,10 @@ def test_window_rejects_degenerate_scale():
         Window(n=0.0, dim=2)
     with pytest.raises(ValueError):
         Window(n=-3.0, dim=2)
+    # a finite n whose volume, or one side n^alpha, overflows
+    for kw in ({"n": 1e300}, {"n": 1e200, "exponents": (2.0,)}):
+        with pytest.raises(ValueError, match="window volume is not finite"):
+            Window(dim=2, **kw)
 
 
 def test_shrunk_window_nested_and_nonempty():

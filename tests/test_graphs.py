@@ -23,7 +23,7 @@ from pairfunc.graphs import (
     kernel_from_flag,
 )
 from pairfunc.models import get_model
-from pairfunc.process import MarkModel, PointConfiguration, insert_point
+from pairfunc.process import MarkModel, MarkedPoint, PointConfiguration, insert_point
 
 from conftest import build_edges_oracle, make_configuration, random_configuration
 
@@ -313,6 +313,26 @@ def test_pair_scores_match_literal_double_loop_on_lattice(cfg, kernel, cutoff):
     assert crossing_pair_scores(g) == pair_scores_literal(g)
     pairs = _crossing_pairs(*_segment_geometry(g), cutoff).tolist()
     assert pairs == sorted(pairs) and all(i < j for i, j in pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lattice_configurations(), st.sampled_from(_KERNELS), _RADII,
+    st.tuples(_QUARTER, _QUARTER, _QUARTER), _RADII,
+)
+def test_changed_pairs_match_literal_scores_after_an_insertion(cfg, kernel, cutoff, x, mark):
+    g = build_edges(cfg, kernel, slab_cutoff=cutoff)
+    x = MarkedPoint(x[: cfg.window.dim], mark, -1)
+    g2 = build_edges(insert_point(cfg, x), kernel, slab_cutoff=cutoff)
+    before, after = pair_scores_literal(g), pair_scores_literal(g2)
+    ids = set(cfg.ids.tolist())
+    expected = sorted(
+        key for key in before.keys() | after.keys()
+        if before.get(key, 0) != after.get(key, 0) and ids.issuperset(key)
+    )
+    pairs = g.changed_pairs(g2)
+    assert pairs.dtype == np.int64 and pairs.shape == (len(expected), 2)
+    assert pairs.tolist() == [list(key) for key in expected]
 
 
 def _explicit_graph(points, segments):

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from pairfunc.models import get_model
 from pairfunc.stats import (
     SampleSummary,
     binomial_lower_tail_bound,
-    concentration_check_G,
     is_degenerate,
     kolmogorov_to_standard_normal,
     loglinear_fit,
@@ -177,28 +175,6 @@ def test_poisson_bound_dominates_monte_carlo():
     draws = rng.poisson(10.0, 1_000_000)
     freq = float(np.mean(draws > 80))
     assert freq <= poisson_upper_tail_bound(10.0)
-
-
-# -- compound-score concentration --------------------------------------------------
-
-def test_concentration_exceedance_decreases_with_n():
-    model = get_model("treelog-uniform")
-    report = concentration_check_G(model, [16, 32, 64], beta3=0.125, replications=30, seed=404)
-    assert report.frequencies[0] > report.frequencies[-1]
-    assert all(f1 >= f2 for f1, f2 in zip(report.frequencies, report.frequencies[1:]))
-
-
-def test_concentration_extreme_thresholds():
-    model = get_model("treelog-uniform")
-    huge = concentration_check_G(model, [16], beta3=1e3, replications=5, seed=1)
-    assert huge.frequencies[0] == pytest.approx(1.0)
-    zero = concentration_check_G(model, [16], beta3=0.0, replications=5, seed=1)
-    assert zero.frequencies[0] == 0.0
-
-
-def test_concentration_requires_sum_log_sum_model():
-    with pytest.raises(ValueError):
-        concentration_check_G(get_model("inversion-uniform"), [16], 0.1, 2, 1)
 
 
 def test_ulp_apart_replications_are_a_degenerate_sample():
