@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -47,58 +48,43 @@ def _error(kind: str, message: str) -> int:
     return code
 
 
-def _run_seed(args, configured):
-    """PAIRFUNC_SEED when it is set, else --seed, else the configured seed;
-    ConfigError when none is set or the variable does not hold an integer."""
-    env = os.environ.get("PAIRFUNC_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"PAIRFUNC_SEED must be an integer, got {env!r}") from exc
-    seed = args.seed if args.seed is not None else configured
-    if seed is None:
-        raise ConfigError(f"{args.command} needs --seed, a config seed, or PAIRFUNC_SEED")
-    return seed
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are configuration errors, reported as
+    one PAIRFUNC_ERROR line in place of a usage text."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
-_DEFAULT_GRIDS = {"clt": [8, 16, 32], "scaling": [8, 12, 16, 24, 32]}
-
-
-def _load_experiment_config(args) -> ExperimentConfig:
-    """The --config record (or the defaults of ``args.command``), then the
-    flags that are set, then PAIRFUNC_SEED, validated once."""
+def _inputs(args) -> dict:
+    """The config keys of a run, each layer overriding the one before: the
+    subcommand's defaults, the whole --config record as ``parse_config``
+    parses it, the flags that are set, and PAIRFUNC_SEED when the subcommand
+    draws.  ConfigError for a bad record or variable, or a draw with no seed."""
+    inputs = dict(args.defaults)
     if args.config:
-        rec = read_config_file(args.config)
-    else:
-        rec = {"model": "inversion-uniform", "n_grid": _DEFAULT_GRIDS[args.command], "reps": 200}
-    flags = {
-        "model": args.model or None,
-        "n_grid": args.n_grid.split(",") if args.n_grid else None,
-        "reps": args.reps,
-        "jobs": args.jobs,
-    }
-    rec.update((key, value) for key, value in flags.items() if value is not None)
-    rec["seed"] = _run_seed(args, rec.get("seed"))
-    return ExperimentConfig.from_record(rec)
+        inputs.update(parse_config(read_config_file(args.config)))
+    keys = {f.name for f in fields(ExperimentConfig)}
+    inputs.update((k, v) for k, v in vars(args).items() if k in keys and v is not None)
+    if args.seeded:
+        env = os.environ.get("PAIRFUNC_SEED")
+        if env is not None:
+            try:
+                inputs["seed"] = int(env)
+            except ValueError as exc:
+                raise ConfigError(f"PAIRFUNC_SEED must be an integer, got {env!r}") from exc
+        if "seed" not in inputs:
+            raise ConfigError(f"{args.command} needs --seed, a config seed, or PAIRFUNC_SEED")
+    return inputs
 
 
-def _config_defaults(args) -> dict:
-    """The keys model, seed, d and cutoff of --config, when given, parsed as
-    in an experiment config.  Other keys are not read."""
-    rec = read_config_file(args.config) if args.config else {}
-    return parse_config({key: rec[key] for key in ("model", "seed", "d", "cutoff") if key in rec})
-
-
-def _cmd_sample(args) -> int:
-    defaults = _config_defaults(args)
-    seed = _run_seed(args, defaults.get("seed"))
-    model_id = args.model or defaults.get("model")
-    dim = args.d if args.d is not None else defaults.get("d", 2)
-    model = resolve_model(model_id, d=dim) if model_id else None
+def _cmd_sample(args, inputs) -> int:
+    dim = inputs["d"]
+    model = resolve_model(inputs["model"], d=dim) if "model" in inputs else None
     window = checked_window(n=args.n, dim=dim)
     marks = model.mark_model if model else MarkModel.none()
-    cfg = sample_ppp(window, require_positive("intensity", args.intensity), marks, seed)
+    intensity = require_positive("intensity", inputs["intensity"])
+    cfg = sample_ppp(window, intensity, marks, inputs["seed"])
     text = dump_configuration(cfg)
     if args.format == "json":
         text = json.dumps({"points": len(cfg), "configuration": text}) + "\n"
@@ -109,14 +95,13 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _cmd_evaluate(args) -> int:
-    defaults = _config_defaults(args)
+def _cmd_evaluate(args, inputs) -> int:
     try:
         kernel = kernel_from_flag(args.kernel) if args.kernel else None
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    cutoff = args.cutoff if args.cutoff is not None else defaults.get("cutoff", 1.0)
-    model = resolve_model(args.model or defaults.get("model") or "inversion-uniform", cutoff)
+    cutoff = inputs["cutoff"]
+    model = resolve_model(inputs["model"], cutoff)
     cfg = load_configuration(Path(args.points).read_text())
     if kernel is not None:  # a crossing graph, so the crossing models' min_dim of 2
         require_dimension(f"kernel {args.kernel}", 2, cfg.window.dim)
@@ -140,7 +125,7 @@ def _cmd_evaluate(args) -> int:
         mant, expo = fv.product_mantissa_exponent()
         line = (
             f"sum_log_sum={fv.value!r} admissible={fv.admissible_count} "
-            f"dropped_zero_G={fv.dropped_zero_g} product={mant:.6f}e{expo:+d}"
+            f"dropped_zero_g={fv.dropped_zero_g} product={mant:.6f}e{expo:+d}"
         )
     print(line)
     if args.out:
@@ -148,10 +133,10 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args, inputs) -> int:
     """``clt`` and ``scaling``: one experiment run, differing only in the
     default grid, the output directory and the printed report."""
-    record = run_experiment(_load_experiment_config(args))
+    record = run_experiment(ExperimentConfig(**inputs))
     paths = write_outputs(record, args.out or f"{args.command}-out", args.format)
     degenerate = [f"{s.n:g}" for s in record.summaries if s.degenerate]
     if degenerate:
@@ -166,13 +151,10 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_stabilization(args) -> int:
-    defaults = _config_defaults(args)
-    seed = _run_seed(args, defaults.get("seed"))
+def _cmd_stabilization(args, inputs) -> int:
     survey = stabilization_survey(
-        args.model or defaults.get("model") or "inversion-tree", args.n, args.draws, seed,
-        d=args.d if args.d is not None else defaults.get("d", 2),
-        cutoff=defaults.get("cutoff", 1.0), with_admissibility=args.admissibility,
+        inputs["model"], args.n, args.draws, inputs["seed"], d=inputs["d"],
+        cutoff=inputs["cutoff"], with_admissibility=args.admissibility,
     )
     rec = survey.to_record()
     if args.format == "csv":
@@ -201,8 +183,7 @@ def _is_point(value, d: int) -> bool:
         return False
 
 
-def _cmd_shield_check(args) -> int:
-    _config_defaults(args)  # no key applies, but a bad --config is still an error
+def _cmd_shield_check(args, inputs) -> int:
     rec = read_config_file(args.fixture, "shield fixture")
     text = rec.get("configuration")
     if isinstance(text, list) and all(isinstance(line, str) for line in text):
@@ -237,8 +218,7 @@ def _cmd_shield_check(args) -> int:
     return 0 if member and prop else 3
 
 
-def _cmd_bounds(args) -> int:
-    _config_defaults(args)  # no key applies, but a bad --config is still an error
+def _cmd_bounds(args, inputs) -> int:
     bound, types, usage = {
         "binomial": (binomial_lower_tail_bound, (int, float), "m p"),
         "poisson": (poisson_upper_tail_bound, (float,), "ell"),
@@ -259,16 +239,18 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, default_format: str = "csv") -> None:
-    """Flags every subcommand accepts: --config, --seed, --out, --format."""
+def _add_common(p, func, defaults: dict, seeded: bool, default_format: str = "csv") -> None:
+    """Flags every subcommand accepts (--config, --seed, --out, --format); the
+    subcommand's function, the defaults of its inputs and whether it draws."""
     p.add_argument("--config", default=None, help="JSON config supplying defaults")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default=default_format)
+    p.set_defaults(func=func, defaults=defaults, seeded=seeded)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pairfunc",
         description="Pair functionals of marked Poisson processes: experiments and checks",
     )
@@ -278,26 +260,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None, help="model id fixing the mark model")
     p.add_argument("--n", type=float, required=True)
     p.add_argument("--d", type=int, default=None)
-    p.add_argument("--intensity", type=float, default=1.0)
-    _add_common(p)
-    p.set_defaults(func=_cmd_sample)
+    p.add_argument("--intensity", type=float, default=None)
+    _add_common(p, _cmd_sample, {"d": 2, "intensity": 1.0}, seeded=True)
 
     p = sub.add_parser("evaluate", help="evaluate a functional on a point file")
     p.add_argument("--model", default=None)
     p.add_argument("--points", required=True)
     p.add_argument("--kernel", default=None, help="fixed|directed|max|localized[:<cap>]")
     p.add_argument("--cutoff", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_evaluate)
+    _add_common(p, _cmd_evaluate, {"model": "inversion-uniform", "cutoff": 1.0}, seeded=False)
 
-    for name in _DEFAULT_GRIDS:
+    for name, grid in (("clt", [8, 16, 32]), ("scaling", [8, 12, 16, 24, 32])):
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--model", default=None)
-        p.add_argument("--n-grid", default=None, help="comma-separated scales")
+        p.add_argument("--n-grid", type=lambda s: s.split(","), help="comma-separated scales")
         p.add_argument("--reps", type=int, default=None)
         p.add_argument("--jobs", type=int, default=None)
-        _add_common(p)
-        p.set_defaults(func=_cmd_experiment)
+        defaults = {"model": "inversion-uniform", "n_grid": grid, "reps": 200}
+        _add_common(p, _cmd_experiment, defaults, seeded=True)
 
     p = sub.add_parser("stabilization", help="survey empirical stabilization radii")
     p.add_argument("--model", default=None)
@@ -305,32 +285,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--draws", type=int, default=200)
     p.add_argument("--admissibility", action="store_true")
-    _add_common(p, default_format="json")
-    p.set_defaults(func=_cmd_stabilization)
+    defaults = {"model": "inversion-tree", "d": 2, "cutoff": 1.0}
+    _add_common(p, _cmd_stabilization, defaults, seeded=True, default_format="json")
 
     p = sub.add_parser("shield-check", help="verify a shield fixture")
     p.add_argument("--fixture", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_shield_check)
+    _add_common(p, _cmd_shield_check, {}, seeded=False)
 
     p = sub.add_parser("bounds", help="closed-form concentration bounds")
     p.add_argument("family", choices=("binomial", "poisson"))
     p.add_argument("params", nargs="*")
-    _add_common(p)
-    p.set_defaults(func=_cmd_bounds)
+    _add_common(p, _cmd_bounds, {}, seeded=False)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        code = args.func(args)
+        args = build_parser().parse_args(argv)
+        code = args.func(args, _inputs(args))
         sys.stdout.flush()
         return code
+    except SystemExit as exc:  # --help, after printing it
+        return exc.code
     except BrokenPipeError:
         # the reader closed stdout (`| head`): not a failure; later flushes,
         # the one at exit included, go to the null device

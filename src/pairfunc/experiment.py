@@ -204,11 +204,6 @@ class ExperimentConfig:
         payload = json.dumps(self.result_record(), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
-    @classmethod
-    def from_record(cls, rec: dict) -> "ExperimentConfig":
-        kwargs = parse_config(rec)
-        return cls(**{f.name: kwargs.get(f.name) for f in fields(cls)})
-
 
 @dataclass(frozen=True)
 class ReplicationRow:

@@ -360,5 +360,5 @@ def graph_to_text(graph: GeometricGraph, points_ref: str = "-") -> str:
     else:
         desc = f"localized:{k.cap if k.cap is not None else ''}"
     lines = [f"points={points_ref} kernel={desc} cutoff={graph.slab_cutoff!r}"]
-    lines += [f"{a} {b}" for a, b in graph.edges]
+    lines += [f"{a} {b}" for a, b in graph.edge_ids.tolist()]
     return "\n".join(lines) + "\n"

@@ -168,8 +168,8 @@ class PointConfiguration:
     (``None`` under the ``none`` mark model) and ``ids`` an (N,) int64 array of
     unique point ids (``arange(N)`` when not given).  Rows are sorted by
     coordinate 1, ties broken by the remaining coordinates and then by id, so
-    row order is deterministic.  The columns are read-only; insertion and
-    removal return new configurations.  ``points`` is a tuple of
+    row order is deterministic.  The columns are read-only; ``insert_point``
+    returns a new configuration.  ``points`` is a tuple of
     ``MarkedPoint`` views of the rows, built on first access.
     """
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pairfunc.cli import main
+from pairfunc.cli import build_parser, main
 from pairfunc.experiment import (
     LONG_HEADER,
     RESULTS_HEADER,
@@ -866,3 +867,121 @@ def test_model_on_one_dimensional_points_is_config_error(tmp_path, capsys, model
     code, out, err = run_cli(["evaluate", "--model", model_id, "--points", str(points)], capsys)
     assert code == 2 and out == ""
     assert f"model {model_id} needs dimension >= 2" in _one_error_line(err, 2)
+
+
+# one valid invocation of each subcommand, to which a test adds what it checks
+_EVERY_SUBCOMMAND = {
+    "sample": ["sample", "--n", "4", "--seed", "1"],
+    "evaluate": ["evaluate", "--points", str(FIXTURES / "snowflake.txt"), "--kernel", "fixed"],
+    "clt": ["clt", "--n-grid", "4,6", "--reps", "2", "--seed", "1", "--jobs", "1"],
+    "scaling": ["scaling", "--n-grid", "4,6,8", "--reps", "2", "--seed", "1", "--jobs", "1"],
+    "stabilization": ["stabilization", "--n", "4", "--draws", "2", "--seed", "1"],
+    "shield-check": ["shield-check", "--fixture", str(FIXTURES / "shield_ok.txt")],
+    "bounds": ["bounds", "poisson", "10"],
+}
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [({"seeed": 5}, "unknown config keys: ['seeed']"),
+     ({"reps": "x"}, "malformed config value for 'reps'")],
+    ids=["unknown-key", "malformed-value"],
+)
+@pytest.mark.parametrize("command", list(_EVERY_SUBCOMMAND))
+def test_every_subcommand_parses_the_whole_config_record(tmp_path, capsys, command, record,
+                                                         message):
+    # only clt and scaling use reps, and there --reps replaces the file's value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(record))
+    code, out, err = run_cli(
+        _EVERY_SUBCOMMAND[command] + ["--config", str(path), "--out", str(tmp_path / "out")],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert message in _one_error_line(err, 2)
+    assert not (tmp_path / "out").exists()
+
+
+def test_file_value_loses_to_a_flag_and_an_omitted_key_takes_the_default(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"n_grid": [4, 6], "reps": 9, "seed": 3, "d": 3, "jobs": 1}))
+    out = tmp_path / "out"
+    code, _, err = run_cli(["clt", "--config", str(path), "--reps", "2", "--out", str(out)],
+                           capsys)
+    assert code == 0, err
+    config = json.loads((out / "meta.json").read_text())["config"]
+    assert (config["reps"], config["d"], config["model"]) == (2, 3, "inversion-uniform")
+    points = tmp_path / "p.txt"
+    code, _, err = run_cli(["sample", "--n", "6", "--config", str(path), "--d", "1",
+                            "--out", str(points)], capsys)
+    assert code == 0, err
+    from pairfunc.process import load_configuration
+
+    assert load_configuration(points.read_text()).window.dim == 1
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["sample", "--n", "abc"], "argument --n: invalid float value: 'abc'"),
+        (["sample", "--n", "4", "--bogus"], "unrecognized arguments: --bogus"),
+        (["sample", "--seed", "1"], "the following arguments are required: --n"),
+        (["clt", "--reps", "x"], "argument --reps: invalid int value: 'x'"),
+        (["bogus"], "invalid choice: 'bogus'"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["bad-float", "unknown-flag", "missing-flag", "bad-int", "unknown-command", "no-command"],
+)
+def test_argument_error_is_one_config_line(capsys, command, message):
+    code, out, err = run_cli(command, capsys)
+    assert code == 2 and out == ""
+    assert message in _one_error_line(err, 2)
+
+
+@pytest.mark.parametrize("command", [["--help"], ["sample", "--help"], ["bounds", "-h"]])
+def test_help_exits_zero(capsys, command):
+    code, out, err = run_cli(command, capsys)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: pairfunc")
+
+
+def test_evaluate_text_names_the_dropped_count_as_the_results_column(tmp_path, capsys):
+    points = tmp_path / "p.txt"
+    code, _, err = run_cli(["sample", "--model", "treelog-uniform", "--n", "8", "--seed", "5",
+                            "--out", str(points)], capsys)
+    assert code == 0, err
+    code, out, err = run_cli(["evaluate", "--model", "treelog-uniform", "--points", str(points)],
+                             capsys)
+    assert code == 0, err
+    labels = [field.split("=")[0] for field in out.split()]
+    assert labels == ["sum_log_sum", "admissible", RESULTS_HEADER.split(",")[-1], "product"]
+
+
+def test_cli_surface_is_pinned():
+    # every subcommand's options and positionals, the defaults of its inputs and
+    # whether it draws; adding a knob or changing a default must be deliberate
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: ([s for action in p._actions for s in (action.option_strings or [action.dest])],
+               p.get_default("defaults"), p.get_default("seeded"))
+        for name, p in sub.choices.items()
+    }
+    common = ["--config", "--seed", "--out", "--format"]
+    experiment = ["-h", "--help", "--model", "--n-grid", "--reps", "--jobs"] + common
+    assert surface == {
+        "sample": (["-h", "--help", "--model", "--n", "--d", "--intensity"] + common,
+                   {"d": 2, "intensity": 1.0}, True),
+        "evaluate": (["-h", "--help", "--model", "--points", "--kernel", "--cutoff"] + common,
+                     {"model": "inversion-uniform", "cutoff": 1.0}, False),
+        "clt": (experiment, {"model": "inversion-uniform", "n_grid": [8, 16, 32], "reps": 200},
+                True),
+        "scaling": (experiment,
+                    {"model": "inversion-uniform", "n_grid": [8, 12, 16, 24, 32], "reps": 200},
+                    True),
+        "stabilization": (["-h", "--help", "--model", "--n", "--d", "--draws",
+                           "--admissibility"] + common,
+                          {"model": "inversion-tree", "d": 2, "cutoff": 1.0}, True),
+        "shield-check": (["-h", "--help", "--fixture"] + common, {}, False),
+        "bounds": (["-h", "--help", "family", "params"] + common, {}, False),
+    }

@@ -221,6 +221,14 @@ def test_graph_dump_format():
     assert set(lines[1:]) == {"0 1", "2 3"}
 
 
+def test_graph_dump_reads_the_edge_column():
+    # the dump prints the edge_ids column; the tuple view stays unbuilt
+    g = build_edges(snowflake_configuration(), SNOWFLAKE_KERNEL)
+    text = graph_to_text(g)
+    assert "edges" not in vars(g)
+    assert text.splitlines()[1:] == [f"{a} {b}" for a, b in g.edges]
+
+
 def test_kernel_flag_parsing():
     assert kernel_from_flag("fixed") == FixedRadius()
     assert kernel_from_flag("directed") == DirectedRandom()
