@@ -18,8 +18,8 @@ cfg = sample_shielded_configuration(window, center, seed=40)
 print("points in total:", len(cfg))
 print("shield membership:", shield_membership(cfg, center))
 
-ids, before = outside_pair_scores(cfg, center)
-print("outside points:", len(ids), "| outside inversions:", int(before.sum()) // 2)
+ids, pairs = outside_pair_scores(cfg, center)
+print("outside points:", len(ids), "| outside inversions:", len(pairs))
 
 rng = derive_rng(40, 99)
 all_clean = True

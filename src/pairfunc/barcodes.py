@@ -15,9 +15,7 @@ cylinder then lies in the same or in neighbouring cells.  One dense pass
 tests the first later row of each of the 3^(d-1) cells around a point by
 the exact predicate, and the few searches left walk on in row order
 (``_ancestor_indices``).  Memory stays linear in N, and no N x N array is
-built on the tree-lifetime path.  Likewise the pairs whose
-inversion score changes between two bar tables are found among the pairs
-that touch a changed bar (``changed_inversion_pairs``).
+built on the tree-lifetime path.
 
 Inversions are local in time, too.  Only admissible bars invert, so
 0 < l < 1, and a bar dies at the rounded sum d = fl(b + l).  If
@@ -25,9 +23,10 @@ b_j >= fl(b_i + 1), then, because rounding is monotone,
 d_i = fl(b_i + l_i) <= fl(b_i + 1) <= b_j <= fl(b_j + l_j) = d_j, and the two
 bars cannot invert.  With the admissible bars sorted by birth, every partner
 of a bar lies in its unit band: among the bars born later but before
-fl(b + 1), or among the bars whose own band reaches it.  So the compound
-counts and the inversion count take one banded pass (``_inversion_partners``)
-instead of an all-pairs comparison.
+fl(b + 1), or among the bars whose own band reaches it.  One band set-up
+(``_unit_band``) gives the compound counts (``_inversion_partners``) and the
+inverting pairs (``_inversion_pairs``), whose tables the pair-score diff and
+the shield check compare: no N x N array is built.
 """
 from __future__ import annotations
 
@@ -40,7 +39,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import Cube, _g17, _kd_tree
-from .process import MarkedPoint, PointConfiguration, _all_unique, _lex_order, id_rows, insert_point
+from .process import MarkedPoint, PointConfiguration, _all_unique, _lex_order, insert_point
 
 __all__ = [
     "Bar",
@@ -119,17 +118,28 @@ class Barcode:
             map(Bar, self.owners.tolist(), self.births.tolist(), self.lifetimes.tolist())
         )
 
+    @cached_property
+    def inversion_pairs(self) -> np.ndarray:
+        """(K, 2) int64 array of the owner pairs that invert, each pair once
+        as a (min, max) row, rows in ascending order; read-only."""
+        pairs = np.sort(self.owners[_inversion_pairs(self.births, self.lifetimes)], axis=1)
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        pairs.flags.writeable = False
+        return pairs
+
     def changed_pairs(self, other: "Barcode") -> np.ndarray:
-        """(P, 2) int64 array of the owner pairs, both owners in both
-        barcodes, whose inversion score differs."""
-        keep_self = np.flatnonzero(np.isin(self.owners, other.owners))
-        common = self.owners[keep_self]
-        keep_other = id_rows(other.owners, common)
-        pairs = changed_inversion_pairs(
-            self.births[keep_self], self.lifetimes[keep_self],
-            other.births[keep_other], other.lifetimes[keep_other],
-        )
-        return common[pairs]
+        """(P, 2) int64 array of the owner pairs whose inversion score differs
+        in ``other``, as (min, max) rows in ascending order.  Only pairs of
+        owners present in both barcodes count: a pair with an owner missing
+        from either (an inserted or a removed point) is left out."""
+        both = np.concatenate((self.inversion_pairs, other.inversion_pairs))
+        both = both[np.lexsort((both[:, 1], both[:, 0]))]
+        # each table lists a pair at most once: a pair seen once inverts in one table only
+        edge = np.ones(len(both) + 1, dtype=bool)  # edge[k]: rows k - 1 and k differ
+        edge[1:-1] = (both[1:] != both[:-1]).any(axis=1)
+        pairs = both[edge[:-1] & edge[1:]]
+        kept = np.isin(pairs, self.owners).all(axis=1) & np.isin(pairs, other.owners).all(axis=1)
+        return pairs[kept]
 
 
 def uniform_lifetimes(cfg: PointConfiguration) -> Barcode:
@@ -305,67 +315,35 @@ def inversion_score(x_bar: Bar, y_bar: Bar) -> int:
     return 1 if (db < 0 < dd) or (dd < 0 < db) else 0
 
 
-def _inversion_rows(births: np.ndarray, lifetimes: np.ndarray, rows) -> np.ndarray:
-    """``inversion_score`` between the bars at ``rows`` and every bar: a
-    (len(rows), N) boolean matrix."""
-    ok = (lifetimes > 0) & (lifetimes < 1)
-    d = np.where(ok, births + np.where(ok, lifetimes, 0.0), 0.0)  # masked rows never compare
-    bb = births[rows, None] - births[None, :]
-    dd = d[rows, None] - d[None, :]
-    inv = ((bb < 0) & (dd > 0)) | ((bb > 0) & (dd < 0))
-    return inv & ok[rows, None] & ok[None, :]
-
-
-def changed_inversion_pairs(
-    births0: np.ndarray, lifetimes0: np.ndarray, births1: np.ndarray, lifetimes1: np.ndarray
-) -> np.ndarray:
-    """Row pairs (i < j, ascending) whose inversion score differs between two
-    row-aligned bar tables, as a (P, 2) int64 array.
-
-    A score depends only on its two bars, so only the pairs that touch one of
-    the k rows whose birth or lifetime changed are evaluated: k x N scores per
-    table, in blocks of bounded size.
-    """
-    n = len(births0)
-    moved = np.flatnonzero((births0 != births1) | (lifetimes0 != lifetimes1))
-    found = [np.empty((0, 2), dtype=np.int64)]
-    block = max(1, 2_000_000 // max(1, n))
-    for start in range(0, len(moved), block):
-        rows = moved[start : start + block]
-        diff = _inversion_rows(births0, lifetimes0, rows) != _inversion_rows(
-            births1, lifetimes1, rows
-        )
-        k, j = np.nonzero(diff)
-        i = rows[k]
-        found.append(np.column_stack((np.minimum(i, j), np.maximum(i, j))))
-    return np.unique(np.concatenate(found), axis=0)  # a pair of two moved rows shows twice
+def _unit_band(births: np.ndarray, lifetimes: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The admissible bars sorted by (birth, death): their rows ``idx``, their
+    deaths fl(b + l) in that order, and ``width``, the most later rows in any
+    one bar's unit band.  A later row with a tied birth never has a smaller
+    death, so rows i < j invert exactly when d_j < d_i, and j <= i + width."""
+    idx = np.flatnonzero((lifetimes > 0.0) & (lifetimes < 1.0))
+    idx = idx[_lex_order(births[idx], births[idx] + lifetimes[idx])]
+    b = births[idx]
+    width = int((np.searchsorted(b, b + 1.0) - np.arange(len(b))).max(initial=1)) - 1
+    return idx, b + lifetimes[idx], width
 
 
 def _inversion_partners(births: np.ndarray, lifetimes: np.ndarray) -> np.ndarray:
     """G for every bar: how many bars invert with it (0 if inadmissible).
 
-    The admissible bars are sorted by (birth, death), so a later row with a
-    tied birth never has a smaller death, and one strict death comparison
-    decides whether two rows invert.  A bar's partners lie in its unit band
-    (module docstring), so each row is compared with the ``width`` rows on
-    either side only, ``width`` the widest band, through sliding windows
-    padded with infinities, in row chunks of about 1M cells.
+    Each row of the unit band is compared with the ``width`` rows on either
+    side only, through sliding windows padded with infinities, in row chunks
+    of about 1M cells.
     """
     G = np.zeros(len(births), dtype=np.int64)
-    idx = np.flatnonzero((lifetimes > 0.0) & (lifetimes < 1.0))
-    idx = idx[_lex_order(births[idx], births[idx] + lifetimes[idx])]
-    b = births[idx]
-    d = b + lifetimes[idx]
-    n = len(b)
-    width = int((np.searchsorted(b, b + 1.0) - np.arange(n)).max(initial=1)) - 1
+    idx, d, width = _unit_band(births, lifetimes)
     if width <= 0:
         return G
     pad = np.full(width, np.inf)
     later = sliding_window_view(np.concatenate((d[1:], pad)), width)
     earlier = sliding_window_view(np.concatenate((-pad, d[:-1])), width)
-    counts = np.empty(n, dtype=np.int64)
+    counts = np.empty(len(d), dtype=np.int64)
     step = max(1, 2**20 // width)
-    for start in range(0, n, step):
+    for start in range(0, len(d), step):
         rows = slice(start, start + step)
         own = d[rows, None]
         counts[rows] = np.count_nonzero(later[rows] < own, axis=1) + np.count_nonzero(
@@ -373,6 +351,23 @@ def _inversion_partners(births: np.ndarray, lifetimes: np.ndarray) -> np.ndarray
         )
     G[idx] = counts
     return G
+
+
+def _inversion_pairs(births: np.ndarray, lifetimes: np.ndarray) -> np.ndarray:
+    """(K, 2) int64 array of the row pairs that invert, each pair once: the
+    hits of the same later-rows window as ``_inversion_partners``, in the
+    same row chunks, so memory stays linear in N plus K."""
+    idx, d, width = _unit_band(births, lifetimes)
+    found = [np.empty((0, 2), dtype=np.int64)]
+    if width <= 0:
+        return found[0]
+    later = sliding_window_view(np.concatenate((d[1:], np.full(width, np.inf))), width)
+    step = max(1, 2**20 // width)
+    for start in range(0, len(d), step):
+        row, k = np.nonzero(later[start : start + step] < d[start : start + step, None])
+        row += start
+        found.append(np.column_stack((row, row + 1 + k)))
+    return idx[np.concatenate(found)]
 
 
 def inversion_count(barcode: Barcode) -> int:
@@ -492,18 +487,14 @@ def _outside_box(cfg: PointConfiguration, center) -> np.ndarray:
     return ~Cube(tuple(center), HALF_SIDE).mask(cfg.positions)
 
 
-def _tree_barcode_rows(cfg: PointConfiguration, ids):
-    """Tree-lifetime (birth, lifetime) columns of the points with the given ids."""
-    barcode = elder_lifetimes(build_merge_forest(cfg))
-    rows = id_rows(cfg.ids, ids)
-    return barcode.births[rows], barcode.lifetimes[rows]
-
-
 def outside_pair_scores(cfg: PointConfiguration, center):
-    """Tree-lifetime inversion scores between all pairs of points outside the
-    side-8 box at ``center``: returns (outside ids, boolean score matrix)."""
-    outside = cfg.ids[_outside_box(cfg, center)].tolist()
-    return outside, _inversion_rows(*_tree_barcode_rows(cfg, outside), slice(None))
+    """Tree-lifetime inversions between the points outside the side-8 box at
+    ``center``: returns (outside ids in row order, the outside bars'
+    ``Barcode.inversion_pairs``)."""
+    outside = _outside_box(cfg, center)
+    barcode = elder_lifetimes(build_merge_forest(cfg))
+    sub = Barcode(barcode.owners[outside], barcode.births[outside], barcode.lifetimes[outside])
+    return cfg.ids[outside].tolist(), sub.inversion_pairs
 
 
 def shield_property_check(
@@ -523,7 +514,7 @@ def shield_property_check(
         raise ValueError("insertion point must lie in the inner cube")
     if require_membership and not shield_membership(cfg, center):
         raise ValueError("box content is not a shield configuration")
-    outside = cfg.ids[_outside_box(cfg, center)]
-    before = _tree_barcode_rows(cfg, outside)
-    after = _tree_barcode_rows(insert_point(cfg, x), outside)
-    return len(changed_inversion_pairs(*before, *after)) == 0
+    # x lies inside the box, so both tables cover the same outside points
+    _, before = outside_pair_scores(cfg, center)
+    _, after = outside_pair_scores(insert_point(cfg, x), center)
+    return np.array_equal(before, after)

@@ -26,7 +26,6 @@ from .experiment import (
     parse_config,
     read_config_file,
     require_dimension,
-    require_positive,
     resolve_model,
     run_experiment,
     stabilization_survey,
@@ -58,14 +57,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _inputs(args) -> dict:
     """The config keys of a run, each layer overriding the one before: the
-    subcommand's defaults, the whole --config record as ``parse_config``
-    parses it, the flags that are set, and PAIRFUNC_SEED when the subcommand
-    draws.  ConfigError for a bad record or variable, or a draw with no seed."""
+    subcommand's defaults, the whole --config record and the flags that are
+    set, each as ``parse_config`` parses and range-checks it, and
+    PAIRFUNC_SEED when the subcommand draws.  ConfigError for a bad record,
+    flag or variable, or a draw with no seed."""
     inputs = dict(args.defaults)
     if args.config:
         inputs.update(parse_config(read_config_file(args.config)))
     keys = {f.name for f in fields(ExperimentConfig)}
-    inputs.update((k, v) for k, v in vars(args).items() if k in keys and v is not None)
+    inputs.update(parse_config({k: v for k, v in vars(args).items() if k in keys}))
     if args.seeded:
         env = os.environ.get("PAIRFUNC_SEED")
         if env is not None:
@@ -83,8 +83,7 @@ def _cmd_sample(args, inputs) -> int:
     model = resolve_model(inputs["model"], d=dim) if "model" in inputs else None
     window = checked_window(n=args.n, dim=dim)
     marks = model.mark_model if model else MarkModel.none()
-    intensity = require_positive("intensity", inputs["intensity"])
-    cfg = sample_ppp(window, intensity, marks, inputs["seed"])
+    cfg = sample_ppp(window, inputs["intensity"], marks, inputs["seed"])
     text = dump_configuration(cfg)
     if args.format == "json":
         text = json.dumps({"points": len(cfg), "configuration": text}) + "\n"

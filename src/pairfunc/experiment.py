@@ -70,26 +70,32 @@ def _integer(value) -> int:
     return int(value)
 
 
-# The converter of every config key from its JSON value.
+def _jobs(value) -> int:
+    if type(value) is not int or value < 1:
+        raise ConfigError(f"jobs must be null or an integer >= 1, got {value!r}")
+    return value
+
+
+# The converter of every config key from its JSON value, with the key's range check.
 _CONVERTERS = {
     "model": str,
     "n_grid": _floats,
     "reps": _integer,
     "seed": _integer,
     "d": _integer,
-    "intensity": float,
+    "intensity": lambda value: require_positive("intensity", float(value)),
     "a": lambda value: _floats(value) or None,
     "alpha": lambda value: _floats(value) or None,
     "margin": float,
-    "cutoff": float,
-    "jobs": lambda value: value,
+    "cutoff": lambda value: require_positive("cutoff", float(value)),
+    "jobs": _jobs,
 }
 
 
 def parse_config(rec: dict) -> dict:
     """The keys of a config record converted to their types, with a null value
     taken as an absent key; ConfigError for an unknown key or a value that does
-    not convert."""
+    not convert or lies out of its key's range."""
     unknown = set(rec) - set(_CONVERTERS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -99,6 +105,8 @@ def parse_config(rec: dict) -> dict:
             continue
         try:
             out[key] = _CONVERTERS[key](value)
+        except ConfigError:  # a range check, which names the key itself
+            raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config value for {key!r}: {exc}") from exc
     return out
@@ -174,9 +182,6 @@ class ExperimentConfig:
             raise ConfigError("n_grid must be non-empty and strictly increasing")
         if self.reps < 2:
             raise ConfigError("need at least 2 replications")
-        require_positive("intensity", self.intensity)
-        if self.jobs is not None and (type(self.jobs) is not int or self.jobs < 1):
-            raise ConfigError(f"jobs must be null or an integer >= 1, got {self.jobs!r}")
         for n in grid:
             self.window(n, model.admissibility)
 

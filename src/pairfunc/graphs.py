@@ -151,12 +151,14 @@ class GeometricGraph:
         return crossing_pair_scores(self)
 
     def changed_pairs(self, other: "GeometricGraph") -> np.ndarray:
-        """(P, 2) int64 array of the id pairs, both ids of this graph's
-        configuration, whose pair score differs in ``other``, in ascending
-        order.  Pairs with a point absent here (an inserted one) are left out."""
+        """(P, 2) int64 array of the id pairs whose pair score differs in
+        ``other``, in ascending order.  Only pairs of ids present in both
+        configurations count: a pair with a point missing from either (an
+        inserted or a removed point) is left out."""
         keys = {key for key, _ in self.pair_scores.items() ^ other.pair_scores.items()}
         pairs = np.array(sorted(keys), dtype=np.int64).reshape(-1, 2)
-        return pairs[np.isin(pairs, self.cfg.ids).all(axis=1)]
+        kept = np.isin(pairs, self.cfg.ids).all(axis=1) & np.isin(pairs, other.cfg.ids).all(axis=1)
+        return pairs[kept]
 
 
 # Tree queries are widened by a relative 1e-9; every candidate is then decided

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 
 import numpy as np
@@ -16,10 +17,13 @@ from pairfunc.barcodes import (
     inversion_compound_counts,
     inversion_count,
     inversion_score,
+    outside_pair_scores,
     shield_membership,
     shield_property_check,
     uniform_lifetimes,
+    HALF_SIDE,
     _ancestor_indices,
+    _inversion_pairs,
     _inversion_partners,
     _pad_gaps_ok,
     _pad_masks,
@@ -32,7 +36,7 @@ from pairfunc.fixtures import (
     shield_template_points,
 )
 from pairfunc.geometry import Window
-from pairfunc.process import MarkModel, PointConfiguration, id_rows, sample_ppp
+from pairfunc.process import MarkModel, PointConfiguration, id_rows, insert_point, sample_ppp
 
 from conftest import (
     ancestor_indices_oracle,
@@ -685,6 +689,56 @@ def test_compound_counts_memory_stays_banded_at_scale():
     assert peak < 64 * 2**20
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 16), st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, math.inf])),
+        max_size=40,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_inversion_pairs_match_literal_double_loop_on_lattice(cells, random):
+    # quarter-step births tie and lie exactly 1 apart where the unit band
+    # ends, and quarter-step lifetimes tie deaths; shuffled owners make the
+    # (min, max) order differ from the row order
+    owners = list(range(100, 100 + len(cells)))
+    random.shuffle(owners)
+    bc = Barcode(owners, [k / 4 for k, _ in cells], [life for _, life in cells])
+    expected = sorted(
+        (min(x.owner, y.owner), max(x.owner, y.owner))
+        for x, y in itertools.combinations(bc.bars, 2)
+        if inversion_score(x, y)
+    )
+    pairs = bc.inversion_pairs
+    assert pairs.dtype == np.int64 and pairs.shape == (len(expected), 2)
+    assert not pairs.flags.writeable
+    assert [tuple(row) for row in pairs.tolist()] == expected
+    G = np.bincount(id_rows(bc.owners, pairs).ravel(), minlength=len(bc))
+    assert np.array_equal(G, inversion_compound_counts(bc.births, bc.lifetimes))
+
+
+def test_inversion_pairs_memory_per_pair_stays_flat():
+    # every bar of a uniform barcode may invert with any bar of its unit band,
+    # so the K pairs grow faster than N; the memory around them must not (an
+    # N x N comparison at n = 128 alone would take 256 MiB)
+    import tracemalloc
+
+    per_pair = []
+    for n in (64.0, 128.0):
+        cfg = sample_ppp(Window(n=n, dim=2), 1.0, MarkModel.uniform01(), seed=int(n))
+        births, lifetimes = cfg.positions[:, 0].copy(), cfg.marks.copy()
+        tracemalloc.start()
+        try:
+            pairs = _inversion_pairs(births, lifetimes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) > len(cfg)
+        per_pair.append(peak / pairs.nbytes)
+    assert per_pair[1] <= 1.25 * per_pair[0]
+    assert per_pair[1] < 8.0
+
+
 def test_barcode_text_round_trip():
     bars = Barcode([0, 3, 7], [0.1, 1.0, 2.0], [0.5, math.inf, 0.0])
     owners, births, lifetimes = np.loadtxt(io.StringIO(barcode_to_text(bars))).T
@@ -831,22 +885,84 @@ def test_shield_property_at_partition_box_center():
     assert shield_property_check(cfg, box.center, (12.3, 12.8))
 
 
+# an unshielded (empty) box: inserting (12.0, 12.6) bridges a dead-ended old
+# branch into the outside-right leaf B, re-leafing it and deleting its nested
+# inversion with the far-below bar cluster
+_BRIDGED_BRANCH = [
+    (6.0, 12.0), (7.0, 12.1),                      # old chain, dead-ends pre-insertion
+    (16.1, 13.5),                                  # B: young leaf dying at 16.55
+    (16.55, 13.9), (17.4, 13.7),                   # merge killing B, continuation
+    (15.3, 17.2), (15.9, 16.4), (16.3, 15.5), (16.45, 14.7),  # older chain into the merge
+    (16.2, 5.2), (16.25, 4.0), (16.4, 4.4), (17.3, 4.5),      # far-below cluster: bar (16.25, 0.15)
+]
+
+
 def test_property_checker_detects_changes_without_shield():
-    # an unshielded (empty) box: inserting x bridges a dead-ended old branch
-    # into the outside-right leaf B, re-leafing it and deleting its nested
-    # inversion with the far-below bar cluster
-    pts = [
-        (6.0, 12.0), (7.0, 12.1),                      # old chain, dead-ends pre-insertion
-        (16.1, 13.5),                                  # B: young leaf dying at 16.55
-        (16.55, 13.9), (17.4, 13.7),                   # merge killing B, continuation
-        (15.3, 17.2), (15.9, 16.4), (16.3, 15.5), (16.45, 14.7),  # older chain into the merge
-        (16.2, 5.2), (16.25, 4.0), (16.4, 4.4), (17.3, 4.5),      # far-below cluster: bar (16.25, 0.15)
-    ]
-    cfg = PointConfiguration(W24, MarkModel.none(), pts)
+    cfg = PointConfiguration(W24, MarkModel.none(), _BRIDGED_BRANCH)
     ok = shield_property_check(cfg, CENTER, (12.0, 12.6), require_membership=False)
     assert ok is False
     with pytest.raises(ValueError):
         shield_property_check(cfg, CENTER, (12.0, 12.6))  # membership precondition
+
+
+def _literal_outside_pairs(cfg, center):
+    """Inverting id pairs, as sorted (min, max) tuples, among the points
+    outside the side-8 box at ``center``, by the literal score on the
+    tree-lifetime bars."""
+    barcode = elder_lifetimes(build_merge_forest(cfg))
+    bars = [
+        bar for bar, pos in zip(barcode.bars, cfg.positions.tolist())
+        if max(abs(c - v) for c, v in zip(center, pos)) > HALF_SIDE and bar.admissible
+    ]
+    return sorted(
+        (min(x.owner, y.owner), max(x.owner, y.owner))
+        for x, y in itertools.combinations(bars, 2)
+        if inversion_score(x, y)
+    )
+
+
+def test_shield_check_without_membership_matches_literal_outside_scores():
+    from pairfunc.process import derive_rng
+
+    # the bridged branch reports a change; Poisson content rarely does
+    configs = [PointConfiguration(W24, MarkModel.none(), _BRIDGED_BRANCH)] + [
+        sample_ppp(W24, 1.0, MarkModel.none(), seed=seed) for seed in range(5)
+    ]
+    outcomes = set()
+    for seed, cfg in enumerate(configs):
+        assert not shield_membership(cfg, CENTER)
+        ids, pairs = outside_pair_scores(cfg, CENTER)
+        outside = [
+            pid for pid, pos in zip(cfg.ids.tolist(), cfg.positions.tolist())
+            if max(abs(c - v) for c, v in zip(CENTER, pos)) > HALF_SIDE
+        ]
+        before = _literal_outside_pairs(cfg, CENTER)
+        assert ids == outside
+        assert [tuple(row) for row in pairs.tolist()] == before
+        rng = derive_rng(seed, 4321)
+        for x in [(12.0, 12.6)] + [tuple(rng.uniform(10.0, 14.0, 2)) for _ in range(3)]:
+            after = _literal_outside_pairs(insert_point(cfg, x), CENTER)
+            changed = not shield_property_check(cfg, CENTER, x, require_membership=False)
+            assert changed == (after != before)
+            outcomes.add(changed)
+    assert outcomes == {False, True}
+
+
+def test_shield_check_memory_stays_linear_at_n_48():
+    # about 2,400 points: an N x N float comparison takes tens of MiB here
+    import tracemalloc
+
+    center = (24.0, 24.0)
+    cfg = sample_shielded_configuration(Window(n=48.0), center, seed=0)
+    tracemalloc.start()
+    try:
+        ids, pairs = outside_pair_scores(cfg, center)
+        held = shield_property_check(cfg, center, (23.0, 25.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held and len(ids) > 2000 and len(pairs) > 0
+    assert peak < 8 * 2**20
 
 
 def test_shield_property_monte_carlo_small():

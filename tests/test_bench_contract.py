@@ -74,19 +74,23 @@ def test_traced_stabilization_radius_counts_changed_pairs():
     sys.path.insert(0, str(BENCH))
     try:
         tracing = importlib.import_module("tracing")
-        for model_id, window, seed, x in (
-            ("crossing-fixed", Window(n=6.0, dim=3), 3, (3.0, 3.0, 3.0)),
-            ("inversion-tree", Window(n=12.0, dim=2), 0, (10.3, 6.0)),
+        # the stabilization workload's three survey calls, the second with
+        # its admissibility rule
+        for model_id, window, seed, x, admit in (
+            ("crossing-fixed", Window(n=6.0, dim=3), 3, (3.0, 3.0, 3.0), False),
+            ("inversion-tree", Window(n=12.0, dim=2), 0, (10.3, 6.0), False),
+            ("treelog-tree", Window(n=12.0, dim=2), 0, (10.3, 6.0), True),
         ):
             model = get_model(model_id)
+            rule = model.admissibility if admit else None
             cfg = model.sample(window, (seed, 0, 0))
             before = model.build_context(cfg)
             after = model.build_context(insert_point(cfg, x))
             changed = len(before.changed_pairs(after))
             assert changed > 0
-            radius = functionals.empirical_stabilization_radius(cfg, x, model)
+            radius = functionals.empirical_stabilization_radius(cfg, x, model, rule)
             with tracing.Tracer() as tracer:
-                traced = functionals.empirical_stabilization_radius(cfg, x, model)
+                traced = functionals.empirical_stabilization_radius(cfg, x, model, rule)
             assert traced == radius
             count = tracer.counts["functionals.changed_pairs"]
             assert type(count) is int and count == changed

@@ -884,8 +884,12 @@ _EVERY_SUBCOMMAND = {
 @pytest.mark.parametrize(
     "record, message",
     [({"seeed": 5}, "unknown config keys: ['seeed']"),
-     ({"reps": "x"}, "malformed config value for 'reps'")],
-    ids=["unknown-key", "malformed-value"],
+     ({"reps": "x"}, "malformed config value for 'reps'"),
+     # a value that converts but lies out of its key's range
+     ({"jobs": "x"}, "jobs must be null or an integer >= 1, got 'x'"),
+     ({"cutoff": -1}, "cutoff must be finite and > 0, got -1.0"),
+     ({"intensity": 0}, "intensity must be finite and > 0, got 0.0")],
+    ids=["unknown-key", "malformed-value", "jobs-range", "cutoff-range", "intensity-range"],
 )
 @pytest.mark.parametrize("command", list(_EVERY_SUBCOMMAND))
 def test_every_subcommand_parses_the_whole_config_record(tmp_path, capsys, command, record,

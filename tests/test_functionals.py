@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -343,3 +344,27 @@ def test_local_changed_pairs_match_dense_comparison(rows, how, pick):
         if score(births, lifetimes, i, j) != score(births2, lifetimes2, i, j)
     ]
     assert got == expected
+
+
+def test_changed_pairs_leave_out_a_removed_point():
+    # each diff counts only pairs of points present in both contexts, in
+    # either direction, although the removed point's own scores differ
+    model = get_model("crossing-fixed")
+    cfg = model.sample(Window(n=8.0, dim=2), (3, 0, 0))
+    keep = cfg.ids != 2
+    full = model.build_context(cfg)
+    cut = model.build_context(
+        PointConfiguration(cfg.window, cfg.mark_model, cfg.positions[keep], None, cfg.ids[keep])
+    )
+    assert any(2 in key for key, _ in full.pair_scores.items() ^ cut.pair_scores.items())
+    expected = [
+        [a, b] for a, b in itertools.combinations(sorted(cfg.ids[keep].tolist()), 2)
+        if model.pair_value(a, b, full) != model.pair_value(a, b, cut)
+    ]
+    assert expected
+    assert full.changed_pairs(cut).tolist() == cut.changed_pairs(full).tolist() == expected
+    # owner 12 inverts with 11 and is removed; owner 10 then outlives 11
+    before = Barcode([10, 11, 12, 13], [0.0, 0.25, 0.5, 0.75], [0.5, 0.5, 0.1, 0.5])
+    after = Barcode([13, 11, 10], [0.75, 0.25, 0.0], [0.5, 0.5, 0.9])
+    assert before.inversion_pairs.tolist() == [[11, 12]]
+    assert before.changed_pairs(after).tolist() == after.changed_pairs(before).tolist() == [[10, 11]]
