@@ -25,8 +25,9 @@ bars cannot invert.  With the admissible bars sorted by birth, every partner
 of a bar lies in its unit band: among the bars born later but before
 fl(b + 1), or among the bars whose own band reaches it.  One band set-up
 (``_unit_band``) gives the compound counts (``_inversion_partners``) and the
-inverting pairs (``_inversion_pairs``), whose tables the pair-score diff and
-the shield check compare: no N x N array is built.
+inverting pairs (``_inversion_pairs``).  The shield check compares two such
+tables; the pair-score diff bands only the bars near a bar that moved
+(``_changed_rows``).  No N x N array is built.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import Cube, _g17, _kd_tree
-from .process import MarkedPoint, PointConfiguration, _all_unique, _lex_order, insert_point
+from .process import MarkedPoint, PointConfiguration, _all_unique, _lex_order, id_rows, insert_point
 
 __all__ = [
     "Bar",
@@ -132,14 +133,13 @@ class Barcode:
         in ``other``, as (min, max) rows in ascending order.  Only pairs of
         owners present in both barcodes count: a pair with an owner missing
         from either (an inserted or a removed point) is left out."""
-        both = np.concatenate((self.inversion_pairs, other.inversion_pairs))
-        both = both[np.lexsort((both[:, 1], both[:, 0]))]
-        # each table lists a pair at most once: a pair seen once inverts in one table only
-        edge = np.ones(len(both) + 1, dtype=bool)  # edge[k]: rows k - 1 and k differ
-        edge[1:-1] = (both[1:] != both[:-1]).any(axis=1)
-        pairs = both[edge[:-1] & edge[1:]]
-        kept = np.isin(pairs, self.owners).all(axis=1) & np.isin(pairs, other.owners).all(axis=1)
-        return pairs[kept]
+        keep = np.flatnonzero(np.isin(self.owners, other.owners))
+        keep = keep[np.argsort(self.owners[keep])]  # common rows in owner order
+        rows = id_rows(other.owners, self.owners[keep])
+        pairs = _changed_rows(
+            self.births[keep], self.lifetimes[keep], other.births[rows], other.lifetimes[rows]
+        )
+        return self.owners[keep][pairs]
 
 
 def uniform_lifetimes(cfg: PointConfiguration) -> Barcode:
@@ -317,13 +317,13 @@ def inversion_score(x_bar: Bar, y_bar: Bar) -> int:
 
 def _unit_band(births: np.ndarray, lifetimes: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """The admissible bars sorted by (birth, death): their rows ``idx``, their
-    deaths fl(b + l) in that order, and ``width``, the most later rows in any
-    one bar's unit band.  A later row with a tied birth never has a smaller
+    deaths fl(b + l) in that order, and ``width`` >= 1, the most later rows in
+    any one bar's unit band.  A later row with a tied birth never has a smaller
     death, so rows i < j invert exactly when d_j < d_i, and j <= i + width."""
     idx = np.flatnonzero((lifetimes > 0.0) & (lifetimes < 1.0))
     idx = idx[_lex_order(births[idx], births[idx] + lifetimes[idx])]
     b = births[idx]
-    width = int((np.searchsorted(b, b + 1.0) - np.arange(len(b))).max(initial=1)) - 1
+    width = int((np.searchsorted(b, b + 1.0) - np.arange(len(b))).max(initial=2)) - 1
     return idx, b + lifetimes[idx], width
 
 
@@ -336,8 +336,6 @@ def _inversion_partners(births: np.ndarray, lifetimes: np.ndarray) -> np.ndarray
     """
     G = np.zeros(len(births), dtype=np.int64)
     idx, d, width = _unit_band(births, lifetimes)
-    if width <= 0:
-        return G
     pad = np.full(width, np.inf)
     later = sliding_window_view(np.concatenate((d[1:], pad)), width)
     earlier = sliding_window_view(np.concatenate((-pad, d[:-1])), width)
@@ -358,16 +356,34 @@ def _inversion_pairs(births: np.ndarray, lifetimes: np.ndarray) -> np.ndarray:
     hits of the same later-rows window as ``_inversion_partners``, in the
     same row chunks, so memory stays linear in N plus K."""
     idx, d, width = _unit_band(births, lifetimes)
-    found = [np.empty((0, 2), dtype=np.int64)]
-    if width <= 0:
-        return found[0]
     later = sliding_window_view(np.concatenate((d[1:], np.full(width, np.inf))), width)
+    found = [np.empty((0, 2), dtype=np.int64)]
     step = max(1, 2**20 // width)
     for start in range(0, len(d), step):
         row, k = np.nonzero(later[start : start + step] < d[start : start + step, None])
         row += start
         found.append(np.column_stack((row, row + 1 + k)))
     return idx[np.concatenate(found)]
+
+
+def _changed_rows(b0: np.ndarray, l0: np.ndarray, b1: np.ndarray, l1: np.ndarray) -> np.ndarray:
+    """Row pairs (i < j, ascending) whose inversion score differs between two
+    row-aligned bar tables, as a (P, 2) int64 array.  A score changes only at
+    a pair with a moved bar (birth or lifetime changed), and a bar born at b
+    inverts only with bars born at some v with fl(v + 1) > b and v < fl(b + 1)
+    (module docstring), so each table bands only the bars in those ranges
+    around a moved bar: none if no bar moved."""
+    moved, n, keys = (b0 != b1) | (l0 != l1), len(b0), []
+    if not moved.any():
+        return np.empty((0, 2), dtype=np.int64)
+    for births, lifetimes in ((b0, l0), (b1, l1)):
+        below = np.concatenate(([-np.inf], np.sort(births[moved])))  # -inf: no moved bar below
+        near = np.flatnonzero(births < below[np.searchsorted(below[1:], births + 1.0)] + 1.0)
+        pairs = near[_inversion_pairs(births[near], lifetimes[near])]
+        pairs = pairs[moved[pairs].any(axis=1)]
+        keys.append(pairs.min(axis=1) * n + pairs.max(axis=1))
+    # each table lists a pair at most once: a key seen once inverts in one table only
+    return np.column_stack(np.divmod(np.setxor1d(*keys, assume_unique=True), n))
 
 
 def inversion_count(barcode: Barcode) -> int:

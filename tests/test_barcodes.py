@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from pairfunc import barcodes
 from pairfunc.barcodes import (
     Bar,
     Barcode,
@@ -36,7 +37,9 @@ from pairfunc.fixtures import (
     shield_template_points,
 )
 from pairfunc.geometry import Window
-from pairfunc.process import MarkModel, PointConfiguration, id_rows, insert_point, sample_ppp
+from pairfunc.process import (
+    MarkModel, MarkedPoint, PointConfiguration, id_rows, insert_point, sample_ppp,
+)
 
 from conftest import (
     ancestor_indices_oracle,
@@ -717,6 +720,52 @@ def test_inversion_pairs_match_literal_double_loop_on_lattice(cells, random):
     assert np.array_equal(G, inversion_compound_counts(bc.births, bc.lifetimes))
 
 
+# lifetimes on a 1/16 lattice with the extremes 2^-60 and 1 - 2^-53, births on
+# a quarter lattice or one step below it: partners of a bar born at b then lie
+# at gaps up to just under 1, just inside or just outside its unit band
+_EDGE_BIRTH = st.builds(
+    lambda k, below: k / 4 - (2**-50 if below and k else 0.0), st.integers(0, 12), st.booleans()
+)
+_EDGE_LIFE = st.sampled_from(
+    [0.0, 2**-60, 1 / 16, 0.25, 0.5, 0.75, 15 / 16, 1 - 2**-53, 1.0, math.inf]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # per bar: birth, lifetime, the moved birth and lifetime, and whether it
+    # stays (one bar in four moves, so most partners are near one moved bar)
+    st.lists(
+        st.tuples(_EDGE_BIRTH, _EDGE_LIFE, _EDGE_BIRTH, _EDGE_LIFE, st.integers(0, 3).map(bool)),
+        max_size=16,
+    )
+)
+def test_changed_pairs_match_literal_scores_at_the_band_edges(rows):
+    owners = list(range(len(rows)))
+    before = Barcode(owners, [r[0] for r in rows], [r[1] for r in rows])
+    after = Barcode(
+        owners, [r[0] if r[4] else r[2] for r in rows], [r[1] if r[4] else r[3] for r in rows]
+    )
+    expected = [
+        [x.owner, y.owner]
+        for x, y in itertools.combinations(before.bars, 2)
+        if inversion_score(x, y) != inversion_score(after.bars[x.owner], after.bars[y.owner])
+    ]
+    assert before.changed_pairs(after).tolist() == expected
+
+
+@pytest.mark.parametrize("moves", [0, 1])
+def test_changed_pairs_find_a_partner_at_the_edge_of_the_band(moves):
+    # the bar born at 0.5 dies at fl(0.5 + 1) = 1.5 and inverts with the bar
+    # born one ulp before 1.5; moving either bar alone undoes the inversion
+    before = Barcode([0, 1], [0.5, 1.5 - 2**-52], [1 - 2**-53, 2**-60])
+    lifetimes = before.lifetimes.copy()
+    lifetimes[moves] = 0.5
+    after = Barcode([0, 1], before.births, lifetimes)
+    assert before.inversion_pairs.tolist() == [[0, 1]] and after.inversion_pairs.tolist() == []
+    assert before.changed_pairs(after).tolist() == after.changed_pairs(before).tolist() == [[0, 1]]
+
+
 def test_inversion_pairs_memory_per_pair_stays_flat():
     # every bar of a uniform barcode may invert with any bar of its unit band,
     # so the K pairs grow faster than N; the memory around them must not (an
@@ -737,6 +786,55 @@ def test_inversion_pairs_memory_per_pair_stays_flat():
         per_pair.append(peak / pairs.nbytes)
     assert per_pair[1] <= 1.25 * per_pair[0]
     assert per_pair[1] < 8.0
+
+
+def test_inversion_pairs_memory_stays_chunked_when_few_pairs_invert():
+    # near-equal lifetimes: ~2k later rows in every unit band but few
+    # inversions, so one unchunked (N, width) comparison would take ~64 MiB
+    import tracemalloc
+
+    rng = np.random.default_rng(16)
+    n = 2**15
+    births, lifetimes = rng.uniform(0.0, 16.0, n), 0.5 + 1e-4 * rng.uniform(size=n)
+    tracemalloc.start()
+    try:
+        pairs = _inversion_pairs(births, lifetimes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < len(pairs) < n
+    assert peak - pairs.nbytes < 2**21 + 64 * n
+
+
+def test_changed_pairs_band_only_the_bars_near_a_moved_bar(monkeypatch):
+    # an insertion moves no uniform-lifetime bar, so its diff builds no pair
+    # table; one moved bar bands only the bars born within about 1 of it
+    banded, inversion_pairs = [], barcodes._inversion_pairs
+
+    def counted(births, lifetimes):
+        banded.append(len(births))
+        return inversion_pairs(births, lifetimes)
+
+    monkeypatch.setattr(barcodes, "_inversion_pairs", counted)
+    cfg = sample_ppp(Window(n=64.0, dim=2), 1.0, MarkModel.uniform01(), seed=64)
+    before = uniform_lifetimes(cfg)
+    after = uniform_lifetimes(insert_point(cfg, MarkedPoint((32.1, 32.2), 0.5, -1)))
+    assert before.changed_pairs(after).shape == (0, 2)
+    assert banded == []
+    k = int(np.argmin(np.abs(before.births - 32.0)))
+    lifetimes = before.lifetimes.copy()
+    lifetimes[k] = 0.97 if lifetimes[k] < 0.5 else 0.03
+    moved = Barcode(before.owners, before.births, lifetimes)
+    pairs = before.changed_pairs(moved)
+    assert len(banded) == 2 and max(banded) < 4 * 64 < len(cfg)
+    x, y = before.bars[k], moved.bars[k]
+    expected = sorted(
+        (min(x.owner, z.owner), max(x.owner, z.owner))
+        for j, z in enumerate(before.bars)
+        if j != k and inversion_score(x, z) != inversion_score(y, z)
+    )
+    assert expected
+    assert [tuple(row) for row in pairs.tolist()] == expected
 
 
 def test_barcode_text_round_trip():
