@@ -24,10 +24,13 @@ d_i = fl(b_i + l_i) <= fl(b_i + 1) <= b_j <= fl(b_j + l_j) = d_j, and the two
 bars cannot invert.  With the admissible bars sorted by birth, every partner
 of a bar lies in its unit band: among the bars born later but before
 fl(b + 1), or among the bars whose own band reaches it.  One band set-up
-(``_unit_band``) gives the compound counts (``_inversion_partners``) and the
-inverting pairs (``_inversion_pairs``).  The shield check compares two such
-tables; the pair-score diff bands only the bars near a bar that moved
-(``_changed_rows``).  No N x N array is built.
+(``_unit_band``) lays the sorted deaths out in one column; comparing it with
+itself shifted by 1 .. width gives the compound counts
+(``_inversion_partners``) and the inverting pairs (``_inversion_pairs``).
+The column may stack barcodes (a batch of replications), NaN pads between
+them.  The shield check compares two pair tables; the pair-score diff bands
+only the bars near a bar that moved (``_changed_rows``).  No N x N array is
+built.
 """
 from __future__ import annotations
 
@@ -37,7 +40,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import Cube, _g17, _kd_tree
 from .process import MarkedPoint, PointConfiguration, _all_unique, _lex_order, id_rows, insert_point
@@ -315,54 +317,55 @@ def inversion_score(x_bar: Bar, y_bar: Bar) -> int:
     return 1 if (db < 0 < dd) or (dd < 0 < db) else 0
 
 
-def _unit_band(births: np.ndarray, lifetimes: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """The admissible bars sorted by (birth, death): their rows ``idx``, their
-    deaths fl(b + l) in that order, and ``width`` >= 1, the most later rows in
-    any one bar's unit band.  A later row with a tied birth never has a smaller
-    death, so rows i < j invert exactly when d_j < d_i, and j <= i + width."""
+def _unit_band(births: np.ndarray, lifetimes: np.ndarray, bounds=None):
+    """The admissible bars sorted by (group, birth, death), group k holding
+    rows ``bounds[k]:bounds[k + 1]`` (all rows when ``bounds`` is None): their
+    rows ``idx``, their deaths fl(b + l) in one column with ``width`` NaN pads
+    between groups, each bar's position ``at`` in it, and ``width`` >= 1, the
+    most later bars of its group in one bar's unit band.  A later bar of a
+    group with a tied birth never has a smaller death, so positions p < q
+    invert exactly when d_q < d_p, and then q <= p + width."""
+    bounds = np.asarray((0, len(births)) if bounds is None else bounds)
     idx = np.flatnonzero((lifetimes > 0.0) & (lifetimes < 1.0))
-    idx = idx[_lex_order(births[idx], births[idx] + lifetimes[idx])]
-    b = births[idx]
-    width = int((np.searchsorted(b, b + 1.0) - np.arange(len(b))).max(initial=2)) - 1
-    return idx, b + lifetimes[idx], width
+    cuts = np.searchsorted(idx, bounds)  # each group's first admissible bar
+    group = np.repeat(np.arange(len(bounds) - 1), np.diff(cuts))
+    b, d = births[idx], births[idx] + lifetimes[idx]
+    if not ((b[1:] > b[:-1]) | (b[1:] == b[:-1]) & (d[1:] >= d[:-1]) | (np.diff(group) > 0)).all():
+        order = np.lexsort((d, b, group))  # a configuration's bars come sorted
+        idx, b, d = idx[order], b[order], d[order]
+    band = [np.searchsorted(b[i:j], b[i:j] + 1) - np.arange(j - i) for i, j in zip(cuts, cuts[1:])]
+    width = int(np.concatenate(band).max(initial=2)) - 1
+    at = np.arange(len(d)) + width * group
+    deaths = np.full(len(d) + width * (len(bounds) - 2), np.nan)
+    deaths[at] = d
+    return idx, deaths, at, width
 
 
-def _inversion_partners(births: np.ndarray, lifetimes: np.ndarray) -> np.ndarray:
-    """G for every bar: how many bars invert with it (0 if inadmissible).
-
-    Each row of the unit band is compared with the ``width`` rows on either
-    side only, through sliding windows padded with infinities, in row chunks
-    of about 1M cells.
-    """
+def _inversion_partners(births: np.ndarray, lifetimes: np.ndarray, bounds=None) -> np.ndarray:
+    """G for every bar: how many bars of its group (``_unit_band``) invert
+    with it, 0 if inadmissible.  For k = 1 .. width, one comparison of the
+    death column with itself shifted by k finds the inverting pairs k
+    positions apart, a NaN pad never; each counts at both its bars."""
     G = np.zeros(len(births), dtype=np.int64)
-    idx, d, width = _unit_band(births, lifetimes)
-    pad = np.full(width, np.inf)
-    later = sliding_window_view(np.concatenate((d[1:], pad)), width)
-    earlier = sliding_window_view(np.concatenate((-pad, d[:-1])), width)
-    counts = np.empty(len(d), dtype=np.int64)
-    step = max(1, 2**20 // width)
-    for start in range(0, len(d), step):
-        rows = slice(start, start + step)
-        own = d[rows, None]
-        counts[rows] = np.count_nonzero(later[rows] < own, axis=1) + np.count_nonzero(
-            earlier[rows] > own, axis=1
-        )
-    G[idx] = counts
+    idx, deaths, at, width = _unit_band(births, lifetimes, bounds)
+    counts = np.zeros(len(deaths), dtype=np.int64)
+    for k in range(1, width + 1):
+        hit = deaths[k:] < deaths[:-k]
+        counts[:-k] += hit
+        counts[k:] += hit
+    G[idx] = counts[at]
     return G
 
 
 def _inversion_pairs(births: np.ndarray, lifetimes: np.ndarray) -> np.ndarray:
     """(K, 2) int64 array of the row pairs that invert, each pair once: the
-    hits of the same later-rows window as ``_inversion_partners``, in the
-    same row chunks, so memory stays linear in N plus K."""
-    idx, d, width = _unit_band(births, lifetimes)
-    later = sliding_window_view(np.concatenate((d[1:], np.full(width, np.inf))), width)
+    hits of the same shifted comparisons as ``_inversion_partners``, so
+    memory stays linear in N plus K."""
+    idx, deaths, _, width = _unit_band(births, lifetimes)  # one group: no pads
     found = [np.empty((0, 2), dtype=np.int64)]
-    step = max(1, 2**20 // width)
-    for start in range(0, len(d), step):
-        row, k = np.nonzero(later[start : start + step] < d[start : start + step, None])
-        row += start
-        found.append(np.column_stack((row, row + 1 + k)))
+    for k in range(1, width + 1):
+        p = np.flatnonzero(deaths[k:] < deaths[:-k])
+        found.append(np.column_stack((p, p + k)))
     return idx[np.concatenate(found)]
 
 
@@ -392,13 +395,13 @@ def inversion_count(barcode: Barcode) -> int:
     return int(_inversion_partners(barcode.births, barcode.lifetimes).sum())
 
 
-def inversion_compound_counts(births: np.ndarray, lifetimes: np.ndarray) -> np.ndarray:
+def inversion_compound_counts(births: np.ndarray, lifetimes: np.ndarray, bounds=None) -> np.ndarray:
     """G(Z) for every bar: the number of partners forming an inversion with it.
 
     Exact (sign comparisons only).  Bars with a lifetime outside (0, 1) get
-    G = 0.
+    G = 0.  ``bounds`` (row offsets 0 .. N) stacks barcodes, as ``_unit_band``.
     """
-    return _inversion_partners(births, lifetimes)
+    return _inversion_partners(births, lifetimes, bounds)
 
 
 def barcode_to_text(barcode: Barcode) -> str:

@@ -113,18 +113,31 @@ def compound_score(cfg: PointConfiguration, z, model: Model, ctx=None) -> float:
     return model.compound_all(ctx)[row].item()
 
 
-def sum_log_sum(cfg: PointConfiguration, model: Model) -> FunctionalValue:
+def sum_log_sum(cfg: PointConfiguration, model: Model, ctx=None, G=None) -> FunctionalValue:
     """Sum of log G over the points that the model's admissibility rule admits
-    with positive G; counts how many admitted points were dropped for G = 0."""
+    with positive G; counts how many admitted points were dropped for G = 0.
+    The context ``ctx`` and its compound scores ``G`` are built if not given."""
     _require_compound(model)
-    ctx = model.build_context(cfg)
-    mask = model.admissibility.mask(cfg, ctx)
-    G = model.compound_all(ctx)[mask].tolist()
+    ctx = model.build_context(cfg) if ctx is None else ctx
+    G = model.compound_all(ctx) if G is None else G
+    G = G[model.admissibility.mask(cfg, ctx)].tolist()
     positive = [g for g in G if g > 0]
     total = 0.0
     for g in positive:  # a left fold in row order keeps the value byte-stable
         total += math.log(g)
     return FunctionalValue("sum_log_sum", total, len(G), len(G) - len(positive))
+
+
+def evaluate_all(cfgs: list[PointConfiguration], model: Model) -> list[FunctionalValue]:
+    """``model.evaluate`` of each configuration.  With compound scores, G of all
+    comes from one ``compound_all`` call, each configuration's added or folded."""
+    if model.compound_all is None or not cfgs:
+        return [model.evaluate(cfg) for cfg in cfgs]
+    ctxs = [model.build_context(cfg) for cfg in cfgs]
+    groups = np.split(model.compound_all(*ctxs), np.cumsum([len(cfg) for cfg in cfgs])[:-1])
+    if model.functional_kind == "double_sum":
+        return [FunctionalValue("double_sum", float(G.sum())) for G in groups]
+    return [sum_log_sum(cfg, model, ctx, G) for cfg, ctx, G in zip(cfgs, ctxs, groups)]
 
 
 def diff_first(cfg: PointConfiguration, x, functional: Callable[[PointConfiguration], float]) -> float:

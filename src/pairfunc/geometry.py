@@ -31,6 +31,14 @@ def _g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def check_window_values(coefficients=(), exponents=(), boundary_margin=0.2) -> None:
+    """A ValueError unless coefficients, exponents and margin are in range."""
+    if any(v <= 0 for v in (*coefficients, *exponents)):
+        raise ValueError("coefficients and exponents must be positive")
+    if not (0.0 < boundary_margin < 1.0):
+        raise ValueError("boundary_margin must lie in (0, 1)")
+
+
 class _Region:
     """A closed region of dimension ``dim``.  ``mask(positions)`` maps an
     (N, dim) array to the (N,) boolean membership array: a shape check, then
@@ -76,10 +84,7 @@ class Window(_Region):
         expos = tuple(float(e) for e in self.exponents) or (1.0,) * (self.dim - 1)
         if len(coeffs) != self.dim - 1 or len(expos) != self.dim - 1:
             raise ValueError("need one coefficient and one exponent per axis j = 2..d")
-        if any(c <= 0 for c in coeffs) or any(e <= 0 for e in expos):
-            raise ValueError("coefficients and exponents must be positive")
-        if not (0.0 < self.boundary_margin < 1.0):
-            raise ValueError("boundary_margin must lie in (0, 1)")
+        check_window_values(coeffs, expos, self.boundary_margin)
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "exponents", expos)
         try:

@@ -54,8 +54,11 @@ def _inversion_total(barcode: barcodes.Barcode) -> float:
     return float(barcodes.inversion_count(barcode))
 
 
-def _inversion_compound(barcode: barcodes.Barcode) -> np.ndarray:
-    return barcodes.inversion_compound_counts(barcode.births, barcode.lifetimes)
+def _inversion_compound(*contexts: barcodes.Barcode) -> np.ndarray:
+    """G of every bar of the barcodes, stacked in order, from one band pass."""
+    columns = [np.concatenate([getattr(bc, c) for bc in contexts]) for c in ("births", "lifetimes")]
+    bounds = np.cumsum([0] + [len(bc) for bc in contexts])
+    return barcodes.inversion_compound_counts(*columns, bounds)
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,7 @@ class Model:
     """A named model: mark distribution, the functional it feeds (double sum
     or sum-log-sum) and the kernels of its pair score on a context (a graph or
     a barcode): the score of ids a and b, the total over ordered pairs and,
-    barcode models only, G of every row."""
+    barcode models only, G of every row of one or more contexts, stacked."""
 
     name: str
     functional_kind: str          # "double_sum" | "sum_log_sum"
@@ -75,7 +78,7 @@ class Model:
     pair_value: Callable[[int, int, Any], float]
     total: Callable[[Any], float]
     locality_cutoff: float        # pairs farther apart in a local coordinate score 0
-    compound_all: Callable[[Any], np.ndarray] | None = None
+    compound_all: Callable[..., np.ndarray] | None = None
 
     def sample(self, window: Window, seed, intensity: float = 1.0) -> PointConfiguration:
         return sample_ppp(window, intensity, self.mark_model, seed)

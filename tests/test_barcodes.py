@@ -568,6 +568,35 @@ def test_inversion_partners_with_tied_births_match_quadratic_oracle(bars):
     assert int(G.sum()) == inversion_count_quadratic(Barcode(np.arange(len(bars)), births, lifetimes))
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.lists(st.tuples(_TIED_BIRTH, _TIED_LIFETIME), max_size=10), min_size=1, max_size=6),
+    st.booleans(),
+    st.booleans(),
+)
+def test_grouped_partners_match_each_barcode_alone(groups, mirror, presorted):
+    # lattice births and lifetimes tie within and across groups; a group may
+    # be empty or hold no admissible bar; ``mirror`` starts each group after a
+    # non-empty one with a copy of its last bar, so equal births and deaths
+    # meet at the boundary; ``presorted`` takes the path that skips the sort
+    if mirror:
+        groups = [g if k == 0 or not groups[k - 1] else [groups[k - 1][-1]] + g
+                  for k, g in enumerate(groups)]
+    if presorted:
+        groups = [sorted(g, key=lambda bar: (bar[0], bar[0] + bar[1])) for g in groups]
+    bounds = np.cumsum([0] + [len(g) for g in groups])
+    births = np.array([b for g in groups for b, _ in g], dtype=float)
+    lifetimes = np.array([life for g in groups for _, life in g], dtype=float)
+    G = inversion_compound_counts(births, lifetimes, bounds)
+    assert G.dtype == np.int64 and G.shape == births.shape
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        alone = _inversion_partners(births[lo:hi], lifetimes[lo:hi])
+        assert np.array_equal(G[lo:hi], alone)
+        assert np.array_equal(alone, inversion_compound_counts_blocked(births[lo:hi], lifetimes[lo:hi]))
+        bc = Barcode(np.arange(hi - lo), births[lo:hi], lifetimes[lo:hi])
+        assert int(G[lo:hi].sum()) == inversion_count_quadratic(bc)
+
+
 def test_inversion_count_invariances():
     rng = np.random.default_rng(31)
     bars = [Bar(i, float(rng.uniform(0, 5)), float(rng.uniform(0, 1))) for i in range(40)]

@@ -841,6 +841,15 @@ def test_closed_stdout_is_not_a_failure(tmp_path):
         assert (out / path.name).read_bytes() == path.read_bytes()
 
 
+def test_window_volume_underflow_is_runtime_error(tmp_path, capsys):
+    # the volume rounds to 0.0: the task driver sizes its batches without
+    # dividing by it, and the first draw refuses the window
+    code, out, err = run_cli(["clt", "--n-grid", "1e-200,1e-190", "--reps", "2", "--seed", "1",
+                              "--jobs", "1", "--out", str(tmp_path / "out")], capsys)
+    assert code == 3 and out == ""
+    assert "degenerate window with zero volume" in _one_error_line(err, 3)
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -888,8 +897,13 @@ _EVERY_SUBCOMMAND = {
      # a value that converts but lies out of its key's range
      ({"jobs": "x"}, "jobs must be null or an integer >= 1, got 'x'"),
      ({"cutoff": -1}, "cutoff must be finite and > 0, got -1.0"),
-     ({"intensity": 0}, "intensity must be finite and > 0, got 0.0")],
-    ids=["unknown-key", "malformed-value", "jobs-range", "cutoff-range", "intensity-range"],
+     ({"intensity": 0}, "intensity must be finite and > 0, got 0.0"),
+     # the window's own ranges, also where no window is built from them
+     ({"margin": 1.5}, 'message="boundary_margin must lie in (0, 1)"'),
+     ({"a": [-1.0], "alpha": [1.0]}, 'message="coefficients and exponents must be positive"'),
+     ({"alpha": [0.0]}, 'message="coefficients and exponents must be positive"')],
+    ids=["unknown-key", "malformed-value", "jobs-range", "cutoff-range", "intensity-range",
+         "margin-range", "a-range", "alpha-range"],
 )
 @pytest.mark.parametrize("command", list(_EVERY_SUBCOMMAND))
 def test_every_subcommand_parses_the_whole_config_record(tmp_path, capsys, command, record,
