@@ -15,7 +15,6 @@ from pairfunc import (
     build_edges,
     crossing_number,
     crossing_number_direct,
-    get_model,
     sample_ppp,
 )
 from pairfunc.fixtures import SNOWFLAKE_KERNEL, snowflake_configuration
@@ -32,11 +31,10 @@ for kernel in (FixedRadius(), DirectedRandom(), MaxKernel(), Localized(cap=4)):
     print(f"  {name:<14} edges={len(g.edges):<4} crossings={fast} (direct: {slow})")
 
 # The ordered pair score carries a 1/8 weight that collapses onto the integer
-# count once summed over ordered point pairs.
+# count once summed over ordered point pairs: each unordered pair of ids in
+# pair_scores counts at both of its orders.
 g = build_edges(cfg, FixedRadius())
-ids = [p.id for p in cfg.points]
-score = get_model("crossing-fixed").pair_value
-ordered = sum(score(a, b, g) for a in ids for b in ids if a != b)
+ordered = 2 * sum(g.pair_scores.values()) / 8
 print("\nordered 1/8-weighted sum:", ordered, "| integer count:", crossing_number(g))
 
 # Six overlapping snowflake stars: three arm pairs overlap, crossing number 3.

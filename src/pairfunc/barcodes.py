@@ -130,6 +130,10 @@ class Barcode:
         pairs.flags.writeable = False
         return pairs
 
+    def total(self) -> int:
+        """The inversion count: the inversion score summed over ordered pairs."""
+        return inversion_count(self)
+
     def changed_pairs(self, other: "Barcode") -> np.ndarray:
         """(P, 2) int64 array of the owner pairs whose inversion score differs
         in ``other``, as (min, max) rows in ascending order.  Only pairs of

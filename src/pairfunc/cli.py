@@ -81,6 +81,9 @@ def _inputs(args) -> dict:
 def _cmd_sample(args, inputs) -> int:
     dim = inputs["d"]
     model = resolve_model(inputs["model"], d=dim) if "model" in inputs else None
+    # the drawn window ignores a and alpha, but their lengths must fit d, as under clt
+    checked_window(n=args.n, dim=dim, coefficients=inputs.get("a") or (),
+                   exponents=inputs.get("alpha") or ())
     window = checked_window(n=args.n, dim=dim)
     marks = model.mark_model if model else MarkModel.none()
     cfg = sample_ppp(window, inputs["intensity"], marks, inputs["seed"])

@@ -438,7 +438,7 @@ def stabilization_survey(
     from .stats import loglinear_fit
 
     model = resolve_model(model_id, cutoff, d)
-    if with_admissibility and model.compound_all is None:
+    if with_admissibility and model.name.startswith("crossing"):  # graphs have no G
         raise ConfigError(f"model {model_id} has no compound scores to admit points by")
     rule = model.admissibility if with_admissibility else None
     window = checked_window(rule, n=n, dim=d)

@@ -1,10 +1,10 @@
 """Generic pair functionals: double sums, compound scores, sum-log-sums,
 difference operators and empirical stabilization radii.
 
-Each functional takes a ``pairfunc.models.Model``, which carries what the
-functionals need: a context builder (graph, barcode, ...), a per-pair value,
-the total over ordered pairs and, where the model has them, the compound
-scores.  Stabilization diffs two contexts with the context's own
+Each functional takes a ``pairfunc.models.Model`` and asks the context it
+builds (a graph or a barcode): ``total()`` is the double sum, and the
+compound scores G of one or more barcodes come from one band pass over their
+stacked columns.  Stabilization diffs two contexts with the context's own
 ``changed_pairs``.  Difference operators recompute the model from scratch on
 augmented configurations; correctness first, desk-scale inputs keep that cheap.
 """
@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .barcodes import Barcode
+from . import barcodes
 from .graphs import GeometricGraph
 from .process import MarkedPoint, PointConfiguration, id_rows, insert_point
 
@@ -36,7 +36,7 @@ __all__ = [
 
 # The names under which bench/tracing.py imports the two contexts to wrap
 # their pair-score diffs; they go when the tracer no longer imports them.
-SparsePairSnapshot, BarPairSnapshot = GeometricGraph, Barcode
+SparsePairSnapshot, BarPairSnapshot = GeometricGraph, barcodes.Barcode
 
 
 @dataclass(frozen=True)
@@ -95,31 +95,32 @@ class FunctionalValue:
 
 def double_sum(cfg: PointConfiguration, model: Model) -> float:
     """Sum of the pair score over ordered pairs of configuration points."""
-    return model.total(model.build_context(cfg))
+    return float(model.build_context(cfg).total())
 
 
-def _require_compound(model: Model) -> None:
-    if model.compound_all is None:
-        raise ValueError(f"score {model.name!r} provides no compound scores")
+def _compound(*contexts) -> np.ndarray:
+    """G of every bar of the barcode contexts, stacked in order, from one band
+    pass; a ValueError for any other context."""
+    if not all(isinstance(ctx, barcodes.Barcode) for ctx in contexts):
+        raise ValueError("a context other than a barcode provides no compound scores")
+    columns = [np.concatenate([getattr(bc, c) for bc in contexts]) for c in ("births", "lifetimes")]
+    bounds = np.cumsum([0] + [len(bc) for bc in contexts])
+    return barcodes.inversion_compound_counts(*columns, bounds)
 
 
 def compound_score(cfg: PointConfiguration, z, model: Model, ctx=None) -> float:
     """G(Z): total score between Z and every other point."""
     z_id = z.id if isinstance(z, MarkedPoint) else int(z)
     row = id_rows(cfg.ids, [z_id])[0]  # KeyError on an unknown id
-    _require_compound(model)
-    if ctx is None:
-        ctx = model.build_context(cfg)
-    return model.compound_all(ctx)[row].item()
+    return _compound(model.build_context(cfg) if ctx is None else ctx)[row].item()
 
 
 def sum_log_sum(cfg: PointConfiguration, model: Model, ctx=None, G=None) -> FunctionalValue:
     """Sum of log G over the points that the model's admissibility rule admits
     with positive G; counts how many admitted points were dropped for G = 0.
     The context ``ctx`` and its compound scores ``G`` are built if not given."""
-    _require_compound(model)
     ctx = model.build_context(cfg) if ctx is None else ctx
-    G = model.compound_all(ctx) if G is None else G
+    G = _compound(ctx) if G is None else G
     G = G[model.admissibility.mask(cfg, ctx)].tolist()
     positive = [g for g in G if g > 0]
     total = 0.0
@@ -129,12 +130,12 @@ def sum_log_sum(cfg: PointConfiguration, model: Model, ctx=None, G=None) -> Func
 
 
 def evaluate_all(cfgs: list[PointConfiguration], model: Model) -> list[FunctionalValue]:
-    """``model.evaluate`` of each configuration.  With compound scores, G of all
-    comes from one ``compound_all`` call, each configuration's added or folded."""
-    if model.compound_all is None or not cfgs:
-        return [model.evaluate(cfg) for cfg in cfgs]
+    """``model.evaluate`` of each configuration: each graph's ``total()``, or G
+    of all barcodes from one band pass, each configuration's added or folded."""
     ctxs = [model.build_context(cfg) for cfg in cfgs]
-    groups = np.split(model.compound_all(*ctxs), np.cumsum([len(cfg) for cfg in cfgs])[:-1])
+    if not ctxs or not isinstance(ctxs[0], barcodes.Barcode):  # one model, one context type
+        return [FunctionalValue("double_sum", float(ctx.total())) for ctx in ctxs]
+    groups = np.split(_compound(*ctxs), np.cumsum([len(cfg) for cfg in cfgs])[:-1])
     if model.functional_kind == "double_sum":
         return [FunctionalValue("double_sum", float(G.sum())) for G in groups]
     return [sum_log_sum(cfg, model, ctx, G) for cfg, ctx, G in zip(cfgs, ctxs, groups)]
@@ -177,14 +178,13 @@ def empirical_stabilization_radius(
     changed = np.array(list(ctx_before.changed_pairs(ctx_after)), dtype=np.int64).reshape(-1, 2)
     worst = float(np.minimum(*dist[id_rows(cfg.ids, changed)].T).max(initial=0.0))
     if rule is not None:
-        members_before = _positive_membership(cfg, ctx_before, model, rule)
-        members_after = _positive_membership(cfg2, ctx_after, model, rule)
+        members_before = _positive_membership(cfg, ctx_before, rule)
+        members_after = _positive_membership(cfg2, ctx_after, rule)
         moved = members_before != members_after[id_rows(cfg2.ids, cfg.ids)]
         worst = max(worst, float(dist[moved].max(initial=0.0)))
     return max(1, math.ceil(worst))
 
 
-def _positive_membership(cfg, ctx, model: Model, rule: AdmissibilityRule) -> np.ndarray:
+def _positive_membership(cfg, ctx, rule: AdmissibilityRule) -> np.ndarray:
     """Row mask of the admissible points with positive compound score."""
-    _require_compound(model)
-    return rule.mask(cfg, ctx) & (model.compound_all(ctx) > 0)
+    return rule.mask(cfg, ctx) & (_compound(ctx) > 0)

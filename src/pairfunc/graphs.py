@@ -150,6 +150,11 @@ class GeometricGraph:
         score reads it once per pair."""
         return crossing_pair_scores(self)
 
+    def total(self) -> int:
+        """The crossing number: the 1/8-weighted pair score summed over
+        ordered pairs of ids."""
+        return crossing_number(self)
+
     def changed_pairs(self, other: "GeometricGraph") -> np.ndarray:
         """(P, 2) int64 array of the id pairs whose pair score differs in
         ``other``, in ascending order.  Only pairs of ids present in both

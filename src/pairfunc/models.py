@@ -4,19 +4,19 @@ crossing-fixed | crossing-max | crossing-localized:<cap>   (double sum, k = 2)
 inversion-uniform | inversion-tree                         (double sum, k = 1)
 treelog-uniform | treelog-tree                             (sum-log-sum, k = 1)
 
-Each model's context (a ``GeometricGraph`` or a ``Barcode``) answers
-``changed_pairs(other)``, the pair-score diff that stabilization radii read.
+A model holds no kernel code.  Its context (a ``GeometricGraph`` or a
+``Barcode``) answers ``total()``, the pair score summed over ordered pairs,
+and ``changed_pairs(other)``, the pair-score diff that stabilization radii
+read; the functionals take G of barcodes from their columns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Callable
 
-import numpy as np
-
 from . import barcodes, graphs
 from .functionals import AdmissibilityRule, FunctionalValue, double_sum, sum_log_sum
-from .process import MarkModel, PointConfiguration, id_rows, sample_ppp
+from .process import MarkModel, PointConfiguration, sample_ppp
 from .geometry import Window
 
 __all__ = ["Model", "get_model", "MODEL_NAMES"]
@@ -32,53 +32,18 @@ MODEL_NAMES = (
 )
 
 
-def _crossing_pair_value(a: int, b: int, graph: graphs.GeometricGraph) -> float:
-    if a == b:
-        return 0.0
-    key = (min(a, b), max(a, b))
-    return graph.pair_scores.get(key, 0) / 8.0
-
-
-def _crossing_total(graph: graphs.GeometricGraph) -> float:
-    return float(graphs.crossing_number(graph))
-
-
-def _inversion_pair_value(a: int, b: int, barcode: barcodes.Barcode) -> float:
-    if a == b:
-        return 0.0
-    ka, kb = id_rows(barcode.owners, (a, b)).tolist()  # the scalar view serves the oracles
-    return float(barcodes.inversion_score(barcode.bars[ka], barcode.bars[kb]))
-
-
-def _inversion_total(barcode: barcodes.Barcode) -> float:
-    return float(barcodes.inversion_count(barcode))
-
-
-def _inversion_compound(*contexts: barcodes.Barcode) -> np.ndarray:
-    """G of every bar of the barcodes, stacked in order, from one band pass."""
-    columns = [np.concatenate([getattr(bc, c) for bc in contexts]) for c in ("births", "lifetimes")]
-    bounds = np.cumsum([0] + [len(bc) for bc in contexts])
-    return barcodes.inversion_compound_counts(*columns, bounds)
-
-
 @dataclass(frozen=True)
 class Model:
     """A named model: mark distribution, the functional it feeds (double sum
-    or sum-log-sum) and the kernels of its pair score on a context (a graph or
-    a barcode): the score of ids a and b, the total over ordered pairs and,
-    barcode models only, G of every row of one or more contexts, stacked."""
+    or sum-log-sum), its admissibility rule and the builder of its context (a
+    graph or a barcode), which answers every query of the pair score."""
 
     name: str
     functional_kind: str          # "double_sum" | "sum_log_sum"
-    locality_order: int
     min_dim: int                  # smallest window dimension the context can be built in
     mark_model: MarkModel
     admissibility: AdmissibilityRule
     build_context: Callable[[PointConfiguration], Any]
-    pair_value: Callable[[int, int, Any], float]
-    total: Callable[[Any], float]
-    locality_cutoff: float        # pairs farther apart in a local coordinate score 0
-    compound_all: Callable[..., np.ndarray] | None = None
 
     def sample(self, window: Window, seed, intensity: float = 1.0) -> PointConfiguration:
         return sample_ppp(window, intensity, self.mark_model, seed)
@@ -96,10 +61,7 @@ def _crossing_model(name: str, kernel, mark_model: MarkModel, cutoff: float) -> 
     def build(cfg: PointConfiguration) -> graphs.GeometricGraph:
         return graphs.build_edges(cfg, kernel, slab_cutoff=cutoff)
 
-    return Model(
-        name, "double_sum", 2, 2, mark_model, AdmissibilityRule.all(), build_context=build,
-        pair_value=_crossing_pair_value, total=_crossing_total, locality_cutoff=2.0 * cutoff,
-    )
+    return Model(name, "double_sum", 2, mark_model, AdmissibilityRule.all(), build)
 
 
 def _barcode_model(name: str, cutoff: float) -> Model:
@@ -123,11 +85,7 @@ def _barcode_model(name: str, cutoff: float) -> Model:
         functional_kind, rule = "sum_log_sum", AdmissibilityRule.tree_realization()
     else:
         functional_kind, rule = "double_sum", AdmissibilityRule.all()
-    return Model(
-        name, functional_kind, 1, min_dim, mark_model, rule, build_context=build,
-        pair_value=_inversion_pair_value, total=_inversion_total,
-        locality_cutoff=1.0, compound_all=_inversion_compound,
-    )
+    return Model(name, functional_kind, min_dim, mark_model, rule, build)
 
 
 def get_model(model_id: str, cutoff: float = 1.0) -> Model:

@@ -68,6 +68,28 @@ def test_traced_graph_counters_are_builtin_ints():
         sys.path.remove(str(BENCH))
 
 
+def test_traced_evaluate_reaches_the_wrapped_kernels():
+    # the contexts' total() and the compound scores look the kernels up as
+    # module attributes at call time, so the tracer's wrappers see them
+    sys.path.insert(0, str(BENCH))
+    try:
+        tracing = importlib.import_module("tracing")
+        window = Window(n=12.0, dim=2)
+        models = [get_model(m) for m in ("inversion-tree", "treelog-tree", "crossing-fixed")]
+        cfgs = [model.sample(window, (11, 0, 0)) for model in models]
+        with tracing.Tracer() as tracer:
+            for model, cfg in zip(models, cfgs):
+                model.evaluate(cfg)
+        names = {span[0] for span in tracer.spans}
+        assert {
+            "barcodes.inversion_count", "barcodes.inversion_compound_counts",
+            "graphs.crossing_number",
+        } <= names
+        assert tracer.counts["functionals.admissible"] > 0
+    finally:
+        sys.path.remove(str(BENCH))
+
+
 def test_traced_stabilization_radius_counts_changed_pairs():
     # the tracer consumes each context's pair-score diff, counts its rows and
     # hands them back as an iterator of rows; the radius must read them as before

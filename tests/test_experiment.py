@@ -52,9 +52,13 @@ def test_outputs_do_not_depend_on_the_batch_size(tmp_path, monkeypatch, model_id
     assert _files(config, tmp_path / "batched") == whole
 
 
-@pytest.mark.parametrize("model_id", ["inversion-uniform", "treelog-tree", "crossing-max"])
+@pytest.mark.parametrize("model_id", [
+    "crossing-fixed", "crossing-max", "crossing-localized:16", "inversion-uniform",
+    "inversion-tree", "treelog-uniform", "treelog-tree",
+])
 def test_evaluate_all_matches_evaluate(model_id):
-    # the empty configuration is a group of no bars between two others
+    # the graph models take each context's total(), the barcode models one
+    # band pass; the empty configuration is a group of no bars between two others
     model = get_model(model_id)
     cfgs = [model.sample(Window(n=n, dim=2), (3, 0, k)) for k, n in enumerate((6.0, 7.0, 5.0))]
     cfgs.insert(1, PointConfiguration(Window(n=6.0, dim=2), model.mark_model, ()))

@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairfunc.barcodes import Bar, Barcode, inversion_score
+from pairfunc.barcodes import Bar, Barcode, inversion_compound_counts, inversion_score
 from pairfunc.functionals import (
     AdmissibilityRule,
     FunctionalValue,
@@ -29,6 +28,7 @@ from conftest import (
     double_sum_oracle,
     inversion_count_quadratic,
     make_configuration,
+    pair_value,
     random_configuration,
     stabilization_radius_oracle,
 )
@@ -84,11 +84,10 @@ def test_double_sum_equals_ordered_pair_loop(model_id):
             assert double_sum(cfg, model) == pytest.approx(
                 double_sum_oracle(cfg, model)
             )
-            if model.compound_all is not None:
-                ctx = model.build_context(cfg)
-                G = model.compound_all(ctx)
-                assert G.shape == (len(cfg),)
-                assert G.tolist() == compound_scores_oracle(cfg, model)
+            ctx = model.build_context(cfg)
+            if isinstance(ctx, Barcode):  # only barcodes have compound scores
+                G = [compound_score(cfg, z, model, ctx) for z in cfg.ids.tolist()]
+                assert G == compound_scores_oracle(cfg, model)
 
 
 def test_compound_routes_need_compound_scores():
@@ -97,9 +96,8 @@ def test_compound_routes_need_compound_scores():
         compound_score(cfg, 0, CROSS)
     with pytest.raises(ValueError, match="no compound scores"):
         empirical_stabilization_radius(cfg, (2.0, 2.0, 2.0), CROSS, AdmissibilityRule.all())
-    no_compound = replace(TREELOG, compound_all=None)
     with pytest.raises(ValueError, match="no compound scores"):
-        sum_log_sum(cfg, no_compound)
+        sum_log_sum(cfg, CROSS)
 
 
 def test_compound_score_examples():
@@ -145,7 +143,7 @@ def test_sum_log_sum_matches_big_integer_product():
         fv = sum_log_sum(cfg, TREELOG)
         ctx = TREELOG.build_context(cfg)
         mask = TREELOG.admissibility.mask(cfg, ctx)
-        G = TREELOG.compound_all(ctx)
+        G = inversion_compound_counts(ctx.births, ctx.lifetimes)
         product = 1
         for row in range(len(cfg)):
             if mask[row] and G[row] > 0:
@@ -359,7 +357,7 @@ def test_changed_pairs_leave_out_a_removed_point():
     assert any(2 in key for key, _ in full.pair_scores.items() ^ cut.pair_scores.items())
     expected = [
         [a, b] for a, b in itertools.combinations(sorted(cfg.ids[keep].tolist()), 2)
-        if model.pair_value(a, b, full) != model.pair_value(a, b, cut)
+        if pair_value(a, b, full) != pair_value(a, b, cut)
     ]
     assert expected
     assert full.changed_pairs(cut).tolist() == cut.changed_pairs(full).tolist() == expected

@@ -25,7 +25,7 @@ from pairfunc.graphs import (
 from pairfunc.models import get_model
 from pairfunc.process import MarkModel, MarkedPoint, PointConfiguration, insert_point
 
-from conftest import build_edges_oracle, make_configuration, random_configuration
+from conftest import build_edges_oracle, make_configuration, pair_value, random_configuration
 
 
 W2 = Window(n=10.0, dim=2)
@@ -121,15 +121,14 @@ def _x_crossing_cfg():
 
 
 def test_crossing_score_x_configuration():
-    score = get_model("crossing-fixed").pair_value
     cfg = _x_crossing_cfg()
     g = build_edges(cfg, FixedRadius())
     assert set(_segments(g)) == {(0, 1), (2, 3)}
     for z, v in [(0, 2), (0, 3), (1, 2), (1, 3)]:
-        assert score(z, v, g) == pytest.approx(1 / 8)
-        assert score(v, z, g) == pytest.approx(1 / 8)
+        assert pair_value(z, v, g) == pytest.approx(1 / 8)
+        assert pair_value(v, z, g) == pytest.approx(1 / 8)
     total = sum(
-        score(z, v, g)
+        pair_value(z, v, g)
         for z in (0, 1, 2, 3)
         for v in (0, 1, 2, 3)
         if z != v
@@ -140,14 +139,13 @@ def test_crossing_score_x_configuration():
 
 
 def test_crossing_score_diagonal_and_isolated():
-    score = get_model("crossing-fixed").pair_value
     cfg = _x_crossing_cfg()
     g = build_edges(cfg, FixedRadius())
-    assert score(0, 0, g) == 0.0
+    assert pair_value(0, 0, g) == 0.0
     cfg2 = insert_point(cfg, (5.0, 5.0, 5.0))
     g2 = build_edges(cfg2, FixedRadius())
     iso = max(p.id for p in cfg2.points)
-    assert score(iso, 0, g2) == 0.0
+    assert pair_value(iso, 0, g2) == 0.0
 
 
 def test_crossing_number_empty_and_single_edge():

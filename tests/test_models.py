@@ -1,12 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from pairfunc.functionals import diff_first
 from pairfunc.geometry import Window
-from pairfunc.models import MODEL_NAMES, get_model
+from pairfunc.models import MODEL_NAMES, Model, get_model
 from pairfunc.process import MarkModel
 
-from conftest import random_configuration
+from conftest import pair_value, random_configuration
 
 
 def test_model_catalog_resolves():
@@ -23,11 +25,11 @@ def test_model_catalog_resolves():
             get_model(bad)
 
 
-def test_locality_orders():
-    assert get_model("crossing-fixed").locality_order == 2
-    assert get_model("crossing-max").locality_order == 2
-    assert get_model("inversion-uniform").locality_order == 1
-    assert get_model("treelog-tree").locality_order == 1
+def test_model_is_a_record_of_names_and_a_builder():
+    # the context the builder returns answers every query of the pair score
+    assert [f.name for f in dataclasses.fields(Model)] == [
+        "name", "functional_kind", "min_dim", "mark_model", "admissibility", "build_context",
+    ]
 
 
 def test_minimum_dimensions():
@@ -41,9 +43,9 @@ def test_minimum_dimensions():
 
 
 def test_crossing_score_k_locality_spot_checks():
-    # pairs separated by more than twice the cut-off in a local coordinate
-    # cannot score
-    model = get_model("crossing-fixed")
+    # pairs separated by more than twice the cut-off (1 here) in a local
+    # coordinate cannot score
+    model = get_model("crossing-fixed", cutoff=1.0)
     rng = np.random.default_rng(2)
     w = Window(n=8.0, dim=3)
     cfg = random_configuration(rng, w, 60)
@@ -54,11 +56,12 @@ def test_crossing_score_k_locality_spot_checks():
             if a == b:
                 continue
             for j in range(2):
-                if abs(pos[a][j] - pos[b][j]) > model.locality_cutoff:
-                    assert model.pair_value(a, b, ctx) == 0.0
+                if abs(pos[a][j] - pos[b][j]) > 2.0:
+                    assert pair_value(a, b, ctx) == 0.0
 
 
 def test_inversion_score_one_locality_spot_checks():
+    # bars born more than one time unit apart cannot invert
     model = get_model("inversion-uniform")
     rng = np.random.default_rng(3)
     cfg = random_configuration(rng, Window(n=10.0, dim=2), 60, MarkModel.uniform01())
@@ -67,7 +70,7 @@ def test_inversion_score_one_locality_spot_checks():
     for a in pos:
         for b in pos:
             if a != b and abs(pos[a][0] - pos[b][0]) > 1.0:
-                assert model.pair_value(a, b, ctx) == 0.0
+                assert pair_value(a, b, ctx) == 0.0
 
 
 def test_fixed_radius_first_difference_nonnegative():
