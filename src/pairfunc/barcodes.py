@@ -338,9 +338,9 @@ def _unit_band(births: np.ndarray, lifetimes: np.ndarray, bounds=None):
         order = np.lexsort((d, b, group))  # a configuration's bars come sorted
         idx, b, d = idx[order], b[order], d[order]
     band = [np.searchsorted(b[i:j], b[i:j] + 1) - np.arange(j - i) for i, j in zip(cuts, cuts[1:])]
-    width = int(np.concatenate(band).max(initial=2)) - 1
+    width = int(np.concatenate([*band, [2]]).max()) - 1  # at least 1, also for no group
     at = np.arange(len(d)) + width * group
-    deaths = np.full(len(d) + width * (len(bounds) - 2), np.nan)
+    deaths = np.full(len(d) + width * max(len(bounds) - 2, 0), np.nan)
     deaths[at] = d
     return idx, deaths, at, width
 

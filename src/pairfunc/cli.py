@@ -66,6 +66,10 @@ def _inputs(args) -> dict:
         inputs.update(parse_config(read_config_file(args.config)))
     keys = {f.name for f in fields(ExperimentConfig)}
     inputs.update(parse_config({k: v for k, v in vars(args).items() if k in keys}))
+    if "n" in vars(args):  # sample and stabilization draw a window that ignores a and
+        # alpha, but their lengths must fit d, as under clt
+        checked_window(n=args.n, dim=inputs["d"], coefficients=inputs.get("a") or (),
+                       exponents=inputs.get("alpha") or ())
     if args.seeded:
         env = os.environ.get("PAIRFUNC_SEED")
         if env is not None:
@@ -81,9 +85,6 @@ def _inputs(args) -> dict:
 def _cmd_sample(args, inputs) -> int:
     dim = inputs["d"]
     model = resolve_model(inputs["model"], d=dim) if "model" in inputs else None
-    # the drawn window ignores a and alpha, but their lengths must fit d, as under clt
-    checked_window(n=args.n, dim=dim, coefficients=inputs.get("a") or (),
-                   exponents=inputs.get("alpha") or ())
     window = checked_window(n=args.n, dim=dim)
     marks = model.mark_model if model else MarkModel.none()
     cfg = sample_ppp(window, inputs["intensity"], marks, inputs["seed"])

@@ -2,9 +2,11 @@
 
 Replication r of grid entry e draws its configuration from the derived stream
 (master, e, r), so results are independent of execution order and parallelism
-degree; aggregation is a deterministic fold in replication-index order.  Output
-files contain only deterministic fields and reproduce byte-for-byte under any
-rerun of the same configuration.
+degree; aggregation is a deterministic fold in replication-index order.  A
+task samples its replications into one column stack and evaluates them
+together (``functionals.evaluate_all``).  Output files contain only
+deterministic fields and reproduce byte-for-byte under any rerun of the same
+configuration.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ from . import __version__
 from .functionals import AdmissibilityRule, evaluate_all
 from .geometry import Window, check_window_values
 from .models import Model, get_model
+from .process import sample_stack
 from .stats import (
     ScalingFit,
     is_degenerate,
@@ -258,14 +261,16 @@ _BATCH_POINTS = 2**16  # per task: a 7 MiB traced peak, and 2**20 runs no faster
 
 def _run_batch(task) -> list[ReplicationRow]:
     """Replications ``reps`` (a range) of grid entry ``e``, each drawn from its
-    own stream (seed, e, rep), evaluated together by ``evaluate_all``."""
+    own streams (seed, e, rep, 0) and (seed, e, rep, 1) into one column stack,
+    evaluated together by ``evaluate_all``."""
     config, e, reps = task
     n = config.n_grid[e]
     model, window = get_model(config.model, config.cutoff), config.window(n)
-    cfgs = [model.sample(window, (config.seed, e, rep), config.intensity) for rep in reps]
+    seeds = [(config.seed, e, rep) for rep in reps]
+    stack = sample_stack(window, config.intensity, model.mark_model, seeds)
     return [
         ReplicationRow(n, rep, fv.value, fv.admissible_count, fv.dropped_zero_g)
-        for rep, fv in zip(reps, evaluate_all(cfgs, model))
+        for rep, fv in zip(reps, evaluate_all(model, window, *stack))
     ]
 
 

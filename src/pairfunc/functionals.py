@@ -18,7 +18,7 @@ import numpy as np
 
 from . import barcodes
 from .graphs import GeometricGraph
-from .process import MarkedPoint, PointConfiguration, id_rows, insert_point
+from .process import MarkedPoint, PointConfiguration, _stacked_configurations, id_rows, insert_point
 
 if TYPE_CHECKING:
     from .models import Model
@@ -54,17 +54,13 @@ class AdmissibilityRule:
     def tree_realization(cls) -> "AdmissibilityRule":
         return cls("tree_realization")
 
-    def mask(self, cfg: PointConfiguration, ctx) -> np.ndarray:
-        """Admissibility of every point: a boolean (N,) array aligned with the
-        configuration's rows.  The tree-realization rule reads the lifetimes
-        of a barcode context."""
+    def mask(self, window, positions: np.ndarray, lifetimes: np.ndarray) -> np.ndarray:
+        """Admissibility of every row of a column store in ``window`` (one
+        configuration, or a stack of them): a boolean (N,) array.  The
+        tree-realization rule reads the rows' barcode lifetimes."""
         if self.kind == "all":
-            return np.ones(len(cfg), dtype=bool)
-        lifetimes = getattr(ctx, "lifetimes", None)
-        if lifetimes is None:
-            raise ValueError("admissibility rule needs a barcode-bearing context")
-        inside = cfg.window.shrunk().mask(cfg.positions)
-        return inside & (lifetimes > 0.0) & (lifetimes < 1.0)
+            return np.ones(len(positions), dtype=bool)
+        return window.shrunk().mask(positions) & (lifetimes > 0.0) & (lifetimes < 1.0)
 
 
 @dataclass(frozen=True)
@@ -98,14 +94,11 @@ def double_sum(cfg: PointConfiguration, model: Model) -> float:
     return float(model.build_context(cfg).total())
 
 
-def _compound(*contexts) -> np.ndarray:
-    """G of every bar of the barcode contexts, stacked in order, from one band
-    pass; a ValueError for any other context."""
-    if not all(isinstance(ctx, barcodes.Barcode) for ctx in contexts):
+def _compound(ctx) -> np.ndarray:
+    """G of every bar of a barcode context; a ValueError for any other context."""
+    if not isinstance(ctx, barcodes.Barcode):
         raise ValueError("a context other than a barcode provides no compound scores")
-    columns = [np.concatenate([getattr(bc, c) for bc in contexts]) for c in ("births", "lifetimes")]
-    bounds = np.cumsum([0] + [len(bc) for bc in contexts])
-    return barcodes.inversion_compound_counts(*columns, bounds)
+    return barcodes.inversion_compound_counts(ctx.births, ctx.lifetimes)
 
 
 def compound_score(cfg: PointConfiguration, z, model: Model, ctx=None) -> float:
@@ -115,30 +108,48 @@ def compound_score(cfg: PointConfiguration, z, model: Model, ctx=None) -> float:
     return _compound(model.build_context(cfg) if ctx is None else ctx)[row].item()
 
 
-def sum_log_sum(cfg: PointConfiguration, model: Model, ctx=None, G=None) -> FunctionalValue:
+def _sum_log_sums(G: np.ndarray, admitted: np.ndarray, bounds) -> list[FunctionalValue]:
+    """The sum-log-sum of each group of rows ``bounds[k]:bounds[k + 1]`` and
+    its admitted and dropped (G = 0) counts.  A sequential ``np.cumsum`` of
+    exact ``math.log`` values folds a group left in row order, bit for bit as
+    ``total += math.log(g)`` does (``np.sum`` adds pairwise)."""
+    kept = admitted & (G > 0)
+    logs = np.array([0.0, *map(math.log, range(1, int(G.max(initial=0)) + 1))])[G[kept]]
+    cuts = np.searchsorted(np.flatnonzero(kept), bounds).tolist()  # each group's kept logs
+    counts = np.diff(np.searchsorted(np.flatnonzero(admitted), bounds)).tolist()
+    return [
+        FunctionalValue("sum_log_sum", float(np.cumsum(logs[i:j])[-1]) if j > i else 0.0,
+                        n, n - (j - i))
+        for i, j, n in zip(cuts, cuts[1:], counts)
+    ]
+
+
+def sum_log_sum(cfg: PointConfiguration, model: Model) -> FunctionalValue:
     """Sum of log G over the points that the model's admissibility rule admits
-    with positive G; counts how many admitted points were dropped for G = 0.
-    The context ``ctx`` and its compound scores ``G`` are built if not given."""
-    ctx = model.build_context(cfg) if ctx is None else ctx
-    G = _compound(ctx) if G is None else G
-    G = G[model.admissibility.mask(cfg, ctx)].tolist()
-    positive = [g for g in G if g > 0]
-    total = 0.0
-    for g in positive:  # a left fold in row order keeps the value byte-stable
-        total += math.log(g)
-    return FunctionalValue("sum_log_sum", total, len(G), len(G) - len(positive))
+    with positive G; counts how many admitted points were dropped for G = 0."""
+    ctx = model.build_context(cfg)
+    G = _compound(ctx)
+    admitted = model.admissibility.mask(cfg.window, cfg.positions, ctx.lifetimes)
+    return _sum_log_sums(G, admitted, [0, len(cfg)])[0]
 
 
-def evaluate_all(cfgs: list[PointConfiguration], model: Model) -> list[FunctionalValue]:
-    """``model.evaluate`` of each configuration: each graph's ``total()``, or G
-    of all barcodes from one band pass, each configuration's added or folded."""
-    ctxs = [model.build_context(cfg) for cfg in cfgs]
-    if not ctxs or not isinstance(ctxs[0], barcodes.Barcode):  # one model, one context type
-        return [FunctionalValue("double_sum", float(ctx.total())) for ctx in ctxs]
-    groups = np.split(_compound(*ctxs), np.cumsum([len(cfg) for cfg in cfgs])[:-1])
-    if model.functional_kind == "double_sum":
-        return [FunctionalValue("double_sum", float(G.sum())) for G in groups]
-    return [sum_log_sum(cfg, model, ctx, G) for cfg, ctx, G in zip(cfgs, ctxs, groups)]
+def evaluate_all(model: Model, window, positions, marks, bounds) -> list[FunctionalValue]:
+    """``model.evaluate`` of each configuration of a column stack
+    (``process.sample_stack``): a graph's ``total()``, or G of all barcodes
+    from one band pass, each group's added or folded.  A *-uniform model's
+    lifetimes are its uniform01 marks, so it builds no configuration."""
+    lifetimes = marks
+    if model.mark_model.kind != "uniform01":
+        cfgs = _stacked_configurations(window, model.mark_model, positions, marks, bounds)
+        ctxs = [model.build_context(cfg) for cfg in cfgs]
+        if not all(isinstance(ctx, barcodes.Barcode) for ctx in ctxs):  # graphs have no G
+            return [FunctionalValue("double_sum", float(ctx.total())) for ctx in ctxs]
+        lifetimes = np.concatenate([bc.lifetimes for bc in ctxs] + [np.empty(0)])
+    G = barcodes.inversion_compound_counts(positions[:, 0], lifetimes, bounds)
+    if model.functional_kind == "double_sum":  # each group's G, added as integers
+        sums = np.diff(np.concatenate(([0], np.cumsum(G)))[bounds]).tolist()
+        return [FunctionalValue("double_sum", float(g)) for g in sums]
+    return _sum_log_sums(G, model.admissibility.mask(window, positions, lifetimes), bounds)
 
 
 def diff_first(cfg: PointConfiguration, x, functional: Callable[[PointConfiguration], float]) -> float:
@@ -187,4 +198,4 @@ def empirical_stabilization_radius(
 
 def _positive_membership(cfg, ctx, rule: AdmissibilityRule) -> np.ndarray:
     """Row mask of the admissible points with positive compound score."""
-    return rule.mask(cfg, ctx) & (_compound(ctx) > 0)
+    return (_compound(ctx) > 0) & rule.mask(cfg.window, cfg.positions, ctx.lifetimes)

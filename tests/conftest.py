@@ -273,7 +273,7 @@ def stabilization_radius_oracle(cfg, x, model, rule: AdmissibilityRule | None = 
     def member_map(c, ctx):
         if rule is None:
             return None
-        mask = rule.mask(c, ctx)
+        mask = rule.mask(c.window, c.positions, ctx.lifetimes)
         out = {}
         for row, p in enumerate(c.points):
             g = sum(pair_value(p.id, q.id, ctx) for q in c.points if q.id != p.id)

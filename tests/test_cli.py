@@ -938,6 +938,28 @@ def test_sample_checks_the_a_and_alpha_lengths_against_d(tmp_path, capsys, recor
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "record", [{"a": [1.0, 1.0]}, {"alpha": [1.0, 1.0]}, {"a": [1.0], "alpha": [1.0], "d": 3}],
+    ids=["a-length", "alpha-length", "d-3"],
+)
+def test_stabilization_checks_the_a_and_alpha_lengths_against_d(tmp_path, capsys, record):
+    # the survey draws its window without a and alpha, and checks their
+    # lengths as sample and clt do
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(record))
+    code, out, err = run_cli(
+        _EVERY_SUBCOMMAND["stabilization"] + ["--config", str(path), "--out", str(tmp_path / "out")],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert "need one coefficient and one exponent per axis j = 2..d" in _one_error_line(err, 2)
+    assert not (tmp_path / "out").exists()
+    d = record.get("d", 2)  # lengths that fit d pass
+    path.write_text(json.dumps({"d": d, "a": [1.0] * (d - 1), "alpha": [1.0] * (d - 1)}))
+    code, _, err = run_cli(_EVERY_SUBCOMMAND["stabilization"] + ["--config", str(path)], capsys)
+    assert code == 0, err
+
+
 def test_file_value_loses_to_a_flag_and_an_omitted_key_takes_the_default(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"n_grid": [4, 6], "reps": 9, "seed": 3, "d": 3, "jobs": 1}))

@@ -1,17 +1,20 @@
 """The task driver of ``run_experiment``: a task is a grid cell, one of
-``jobs`` chunks of it, or a run of about ``_BATCH_POINTS`` expected points,
-and a barcode model evaluates a task's replications in one band pass."""
+``jobs`` chunks of it, or a run of about ``_BATCH_POINTS`` expected points.
+A task samples its replications into one column stack, and a barcode model
+evaluates them in one band pass."""
 import concurrent.futures
 import tracemalloc
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from pairfunc import experiment
+from pairfunc import barcodes, experiment
 from pairfunc.experiment import ExperimentConfig, run_experiment, write_outputs
 from pairfunc.functionals import evaluate_all
 from pairfunc.geometry import Window
 from pairfunc.models import get_model
-from pairfunc.process import PointConfiguration
+from pairfunc.process import PointConfiguration, sample_stack
 
 
 def _files(config, out):
@@ -57,13 +60,18 @@ def test_outputs_do_not_depend_on_the_batch_size(tmp_path, monkeypatch, model_id
     "inversion-tree", "treelog-uniform", "treelog-tree",
 ])
 def test_evaluate_all_matches_evaluate(model_id):
-    # the graph models take each context's total(), the barcode models one
-    # band pass; the empty configuration is a group of no bars between two others
-    model = get_model(model_id)
-    cfgs = [model.sample(Window(n=n, dim=2), (3, 0, k)) for k, n in enumerate((6.0, 7.0, 5.0))]
-    cfgs.insert(1, PointConfiguration(Window(n=6.0, dim=2), model.mark_model, ()))
-    assert evaluate_all(cfgs, model) == [model.evaluate(cfg) for cfg in cfgs]
-    assert evaluate_all([], model) == []
+    # the graph models take each configuration's total(), the barcode models
+    # one band pass over the stack; an empty configuration is a group of no
+    # rows between two others
+    model, window = get_model(model_id), Window(n=6.0, dim=2)
+    seeds = [(3, 0, k) for k in range(3)]
+    positions, marks, bounds = sample_stack(window, 1.0, model.mark_model, seeds)
+    bounds = np.insert(bounds, 2, bounds[1])
+    cfgs = [model.sample(window, seed) for seed in seeds]
+    cfgs.insert(1, PointConfiguration(window, model.mark_model, ()))
+    values = evaluate_all(model, window, positions, marks, bounds)
+    assert values == [model.evaluate(cfg) for cfg in cfgs]
+    assert evaluate_all(model, window, *sample_stack(window, 1.0, model.mark_model, [])) == []
 
 
 def test_cell_memory_stays_flat_as_replications_grow():
@@ -85,3 +93,64 @@ def test_cell_memory_stays_flat_as_replications_grow():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0]
+
+
+# (model, d, n_grid, config keys): d = 1, 2 and 3, windows with non-default
+# a, alpha and margin, and low intensities whose small cells hold replications
+# of 0 or 1 points
+_ORACLE_CASES = [
+    pytest.param("inversion-uniform", 1, (2.0, 60.0), {"intensity": 0.4}, id="inversion-uniform-d1"),
+    pytest.param("treelog-uniform", 1, (30.0, 60.0), {"intensity": 3.0, "margin": 0.3},
+                 id="treelog-uniform-d1"),
+    pytest.param("treelog-uniform", 3, (5.0, 6.0),
+                 {"a": [1.2, 0.8], "alpha": [0.9, 1.0], "margin": 0.25}, id="treelog-uniform-d3"),
+    pytest.param("inversion-tree", 2, (1.0, 20.0),
+                 {"intensity": 1.5, "a": [2.0], "alpha": [0.6]}, id="inversion-tree-d2"),
+    pytest.param("treelog-tree", 3, (5.0, 7.0),
+                 {"a": [1.0, 1.3], "alpha": [1.0, 0.9], "margin": 0.15}, id="treelog-tree-d3"),
+    pytest.param("crossing-max", 2, (1.5, 8.0), {"intensity": 1.2, "margin": 0.4},
+                 id="crossing-max-d2"),
+]
+
+
+@pytest.mark.parametrize("jobs, batch_points", [(1, None), (1, 40), (2, None), (3, None)],
+                         ids=["jobs1", "jobs1-batched", "jobs2", "jobs3"])
+@pytest.mark.parametrize("model_id, d, grid, keys", _ORACLE_CASES)
+def test_rows_match_evaluate_of_each_replication(monkeypatch, model_id, d, grid, keys, jobs,
+                                                 batch_points):
+    # every row equals Model.evaluate of the configuration that Model.sample
+    # draws from the replication's stream, whichever task the row came from
+    if batch_points is not None:  # tasks of one to a few replications
+        monkeypatch.setattr(experiment, "_BATCH_POINTS", batch_points)
+    config = ExperimentConfig(model=model_id, n_grid=grid, reps=7, seed=23, d=d, jobs=jobs, **keys)
+    model = get_model(model_id)
+    sizes = []
+    for row in run_experiment(config).rows:
+        cfg = model.sample(config.window(row.n), (23, grid.index(row.n), row.rep), config.intensity)
+        fv = model.evaluate(cfg)
+        assert (row.value, row.admissible, row.dropped_zero_g) == (
+            fv.value, fv.admissible_count, fv.dropped_zero_g)
+        sizes.append(len(cfg))
+    if grid[0] <= 2.0:  # the small cell holds replications of 0 or 1 points
+        assert min(sizes) <= 1
+
+
+def test_a_uniform_task_makes_one_band_pass_and_builds_no_configuration(monkeypatch):
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[f"{owner.__name__}.{name}"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(barcodes, "inversion_compound_counts")
+    count(PointConfiguration, "__post_init__")
+    count(barcodes.Barcode, "__post_init__")
+    for model_id in ("inversion-uniform", "treelog-uniform"):
+        config = ExperimentConfig(model=model_id, n_grid=(8.0,), reps=20, seed=3, jobs=1)
+        assert len(run_experiment(config).rows) == 20
+    assert calls == {"pairfunc.barcodes.inversion_compound_counts": 2}

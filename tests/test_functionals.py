@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairfunc.barcodes import Bar, Barcode, inversion_compound_counts, inversion_score
 from pairfunc.functionals import (
     AdmissibilityRule,
     FunctionalValue,
+    _sum_log_sums,
     compound_score,
     diff_first,
     diff_second,
@@ -142,7 +143,7 @@ def test_sum_log_sum_matches_big_integer_product():
         cfg = _uniform_cfg(rng, w, int(rng.integers(2, 40)))
         fv = sum_log_sum(cfg, TREELOG)
         ctx = TREELOG.build_context(cfg)
-        mask = TREELOG.admissibility.mask(cfg, ctx)
+        mask = TREELOG.admissibility.mask(cfg.window, cfg.positions, ctx.lifetimes)
         G = inversion_compound_counts(ctx.births, ctx.lifetimes)
         product = 1
         for row in range(len(cfg)):
@@ -154,6 +155,38 @@ def test_sum_log_sum_matches_big_integer_product():
             log_exact = Fraction(product).numerator  # exact big integer
             assert math.exp(fv.value) == pytest.approx(product, rel=1e-10)
             assert fv.value == pytest.approx(math.log(log_exact), rel=1e-12)
+
+
+_G_VALUE = st.one_of(st.integers(0, 3), st.integers(0, 60), st.integers(0, 10**6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.tuples(_G_VALUE, st.booleans()), max_size=40), max_size=6))
+@example([])  # no group
+@example([[], [(5, True)], []])  # empty groups around one
+@example([[(0, True)] * 4, [(0, False), (0, True)]])  # all zero: every admitted row dropped
+@example([[(1, True)] * 7])  # all one: log 1 = 0
+@example([[(10**6, True), (10**6 - 1, True), (2, False), (3, True)], [(10**6, True)] * 3])
+@example([[(g, True) for g in range(2, 42)]])  # long enough that a pairwise sum differs
+@example([[(9170, True)], [(19143, True)]])  # G where np.log is not math.log on some hosts
+def test_grouped_log_fold_is_the_left_fold_bit_for_bit(groups):
+    # each group's value is the Python left fold over its admitted G > 0 in
+    # row order, compared by its bits; the counts are the admitted rows and
+    # those of them dropped for G = 0
+    G = np.array([g for group in groups for g, _ in group], dtype=np.int64)
+    admitted = np.array([a for group in groups for _, a in group], dtype=bool)
+    bounds = np.cumsum([0] + [len(group) for group in groups])
+    expected = []
+    for group in groups:
+        kept = [g for g, a in group if a and g > 0]
+        total = 0.0
+        for g in kept:
+            total += math.log(g)
+        count = sum(a for _, a in group)
+        expected.append((total.hex(), count, count - len(kept)))
+    got = _sum_log_sums(G, admitted, bounds)
+    assert [(fv.value.hex(), fv.admissible_count, fv.dropped_zero_g) for fv in got] == expected
+    assert all(type(fv.admissible_count) is int is type(fv.dropped_zero_g) for fv in got)
 
 
 def test_sum_log_sum_counts_dropped_points():

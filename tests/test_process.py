@@ -10,12 +10,14 @@ from pairfunc.process import (
     MarkedPoint,
     PointConfiguration,
     _lex_order,
+    _stacked_configurations,
     count_in,
     derive_rng,
     dump_configuration,
     insert_point,
     load_configuration,
     sample_ppp,
+    sample_stack,
 )
 
 
@@ -36,6 +38,32 @@ def test_sample_deterministic_given_seed():
     assert a == b
     c = sample_ppp(w, 1.0, MarkModel.uniform01(), seed=124)
     assert a != c
+
+
+def test_stack_rows_are_each_samples_configuration_rows():
+    # sample k of a stack holds the rows of sample_ppp at its seed, in the
+    # configuration's order; low intensity gives samples of 0 and 1 points
+    w = Window(n=3.0, dim=3, coefficients=(1.5, 0.5), exponents=(1.0, 0.8))
+    seeds = [(4, 0, r) for r in range(12)] + [11]
+    for marks in (MarkModel.none(), MarkModel.uniform01(), MarkModel.exponential(2.0)):
+        positions, values, bounds = sample_stack(w, 0.1, marks, seeds)
+        assert (values is None) == (not marks.has_marks) and len(bounds) == len(seeds) + 1
+        sizes = np.diff(bounds)
+        assert sizes.min() == 0 and 1 in sizes and bounds[-1] == len(positions)
+        stacked = _stacked_configurations(w, marks, positions, values, bounds)
+        for k, (seed, cfg) in enumerate(zip(seeds, stacked, strict=True)):
+            drawn = sample_ppp(w, 0.1, marks, seed)
+            rows = slice(bounds[k], bounds[k + 1])
+            assert np.array_equal(positions[rows], drawn.positions)
+            assert values is None or np.array_equal(values[rows], drawn.marks)
+            # the unchecked configuration of a sample is the checked one of its rows
+            assert cfg == PointConfiguration(w, marks, drawn.positions, drawn.marks)
+            assert not any(c.flags.writeable for c in (cfg.positions, cfg.ids))
+            assert cfg.marks is None or not cfg.marks.flags.writeable
+    positions, values, bounds = sample_stack(w, 1.0, MarkModel.uniform01(), [])
+    assert positions.shape == (0, 3) and values.shape == (0,) and bounds.tolist() == [0]
+    with pytest.raises(ValueError, match="intensity"):
+        sample_stack(w, 0.0, MarkModel.none(), [1])
 
 
 def test_sample_mean_count_matches_poisson():
