@@ -435,11 +435,14 @@ def stabilization_survey(
     with_admissibility: bool = False,
 ) -> StabilizationSurvey:
     """Draw (configuration, insertion point) pairs and measure the empirical
-    stabilization radius of the model's pair score at each insertion."""
+    stabilization radius of the model's pair score at each insertion.  Draw r
+    takes its configuration from stream (seed, 0, r) and its insertion from
+    (seed, 1, r); draws go to ``stabilization_radii`` in runs of about
+    ``_BATCH_POINTS`` expected points."""
     if draws < 1:
         raise ConfigError(f"draws must be >= 1, got {draws}")
-    from .functionals import empirical_stabilization_radius
-    from .process import MarkedPoint, derive_rng
+    from .functionals import stabilization_radii
+    from .process import derive_rng
     from .stats import loglinear_fit
 
     model = resolve_model(model_id, cutoff, d)
@@ -447,14 +450,17 @@ def stabilization_survey(
         raise ConfigError(f"model {model_id} has no compound scores to admit points by")
     rule = model.admissibility if with_admissibility else None
     window = checked_window(rule, n=n, dim=d)
+    step = max(1, int(_BATCH_POINTS / max(window.volume, 1.0)))
     radii = []
-    for r in range(draws):
-        cfg = model.sample(window, (seed, 0, r))
-        rng = derive_rng(seed, 1, r)
-        x = tuple(rng.uniform(0.0, 1.0, d) * np.array(window.sides))
-        mark = model.mark_model.sample(rng, 1)
-        insert = x if mark is None else MarkedPoint(x, float(mark[0]), -1)
-        radii.append(empirical_stabilization_radius(cfg, insert, model, rule))
+    for lo in range(0, draws, step):
+        cfgs, x_pos, x_marks = [], [], []
+        for r in range(lo, min(lo + step, draws)):
+            cfgs.append(model.sample(window, (seed, 0, r)))
+            rng = derive_rng(seed, 1, r)
+            x_pos.append(rng.uniform(0.0, 1.0, d) * np.array(window.sides))
+            x_marks.append(model.mark_model.sample(rng, 1))
+        marks = None if x_marks[0] is None else np.concatenate(x_marks)
+        radii += stabilization_radii(model, cfgs, np.array(x_pos), marks, rule)
     radii_arr = np.array(radii, dtype=int)
     ms, survival = [], []
     for m in range(1, int(radii_arr.max()) + 1):

@@ -5,7 +5,8 @@ Each functional takes a ``pairfunc.models.Model`` and asks the context it
 builds (a graph or a barcode): ``total()`` is the double sum, and the
 compound scores G of one or more barcodes come from one band pass over their
 stacked columns.  Stabilization diffs two contexts with the context's own
-``changed_pairs``.  Difference operators recompute the model from scratch on
+``changed_pairs``, the contexts of many insertions built from one stack per
+side.  Difference operators recompute the model from scratch on
 augmented configurations; correctness first, desk-scale inputs keep that cheap.
 """
 from __future__ import annotations
@@ -136,15 +137,13 @@ def sum_log_sum(cfg: PointConfiguration, model: Model) -> FunctionalValue:
 def evaluate_all(model: Model, window, positions, marks, bounds) -> list[FunctionalValue]:
     """``model.evaluate`` of each configuration of a column stack
     (``process.sample_stack``): a graph's ``total()``, or G of all barcodes
-    from one band pass, each group's added or folded.  A *-uniform model's
-    lifetimes are its uniform01 marks, so it builds no configuration."""
-    lifetimes = marks
-    if model.mark_model.kind != "uniform01":
+    from one band pass over the model's ``stack_lifetimes`` (one merge-forest
+    pass for a tree model, the marks for a *-uniform one), each group's added
+    or folded.  A barcode model builds no configuration."""
+    if model.stack_lifetimes is None:  # graphs have no G
         cfgs = _stacked_configurations(window, model.mark_model, positions, marks, bounds)
-        ctxs = [model.build_context(cfg) for cfg in cfgs]
-        if not all(isinstance(ctx, barcodes.Barcode) for ctx in ctxs):  # graphs have no G
-            return [FunctionalValue("double_sum", float(ctx.total())) for ctx in ctxs]
-        lifetimes = np.concatenate([bc.lifetimes for bc in ctxs] + [np.empty(0)])
+        return [FunctionalValue("double_sum", float(model.build_context(cfg).total())) for cfg in cfgs]
+    lifetimes = model.stack_lifetimes(positions, marks, bounds)
     G = barcodes.inversion_compound_counts(positions[:, 0], lifetimes, bounds)
     if model.functional_kind == "double_sum":  # each group's G, added as integers
         sums = np.diff(np.concatenate(([0], np.cumsum(G)))[bounds]).tolist()
@@ -177,25 +176,70 @@ def empirical_stabilization_radius(
     given, leaves admissible-with-positive-G membership unchanged outside it).
 
     Computed by locating all changed pairs and memberships and taking the max
-    Chebyshev distance, floored at 1.
+    Chebyshev distance, floored at 1: the one-configuration case of
+    ``stabilization_radii``.
     """
-    x_pos = x.position if isinstance(x, MarkedPoint) else tuple(float(v) for v in x)
-    ctx_before = model.build_context(cfg)
-    cfg2 = insert_point(cfg, x)
-    ctx_after = model.build_context(cfg2)
-    dist = np.abs(cfg.positions - np.array(x_pos)).max(axis=1)  # Chebyshev, per row
-    # list(): the benchmark's tracer (bench/tracing.py) hands the pairs back as
-    # an iterator of rows, on which np.asarray would make a 0-d object array
-    changed = np.array(list(ctx_before.changed_pairs(ctx_after)), dtype=np.int64).reshape(-1, 2)
-    worst = float(np.minimum(*dist[id_rows(cfg.ids, changed)].T).max(initial=0.0))
-    if rule is not None:
-        members_before = _positive_membership(cfg, ctx_before, rule)
-        members_after = _positive_membership(cfg2, ctx_after, rule)
-        moved = members_before != members_after[id_rows(cfg2.ids, cfg.ids)]
-        worst = max(worst, float(dist[moved].max(initial=0.0)))
-    return max(1, math.ceil(worst))
+    insert_point(cfg, x)  # rejects a position outside the window or a bad mark
+    marked = isinstance(x, MarkedPoint)
+    mark = np.array([x.mark], dtype=np.float64) if marked and x.mark is not None else None
+    x_pos = np.array([x.position if marked else x], dtype=np.float64)
+    return stabilization_radii(model, [cfg], x_pos, mark, rule)[0]
 
 
-def _positive_membership(cfg, ctx, rule: AdmissibilityRule) -> np.ndarray:
-    """Row mask of the admissible points with positive compound score."""
-    return (_compound(ctx) > 0) & rule.mask(cfg.window, cfg.positions, ctx.lifetimes)
+def stabilization_radii(model: Model, cfgs, x_pos, x_marks=None, rule=None) -> list[int]:
+    """``empirical_stabilization_radius`` of each configuration of ``cfgs``
+    (one window and mark model) at its row of ``x_pos``, marked by
+    ``x_marks`` under a marked model.  Every x goes into one stacked
+    after-copy of the configurations under a fresh id.  A barcode model takes
+    each side's lifetimes, and with a rule its G, from one pass over the stack
+    (``Model.stack_lifetimes``); a graph model builds one graph per
+    configuration, as ``evaluate_all`` does.  Each radius is the ceiling, at
+    least 1, of the largest Chebyshev distance to x of the nearer point of a
+    pair that ``changed_pairs`` lists, or of a point whose membership moved."""
+    window, bounds = cfgs[0].window, np.cumsum([0] + [len(cfg) for cfg in cfgs])
+    pos, ids = np.concatenate([c.positions for c in cfgs]), np.concatenate([c.ids for c in cfgs])
+    marks = None if x_marks is None else np.concatenate([cfg.marks for cfg in cfgs])
+    # x follows the rows at or below it in (position, id) order: its id is the largest
+    below, x_at = True, np.repeat(x_pos, np.diff(bounds), axis=0)
+    for k in reversed(range(window.dim)):
+        below = (pos[:, k] < x_at[:, k]) | (pos[:, k] == x_at[:, k]) & below
+    at = bounds[:-1] + np.diff(np.concatenate(([0], np.cumsum(below)))[bounds])
+    pos2, bounds2 = np.insert(pos, at, x_pos, axis=0), bounds + np.arange(len(bounds))
+    ids2 = np.insert(ids, at, [cfg.next_id() for cfg in cfgs])
+    marks2 = None if marks is None else np.insert(marks, at, x_marks)
+    moved = np.zeros(len(pos), dtype=bool)
+    if model.stack_lifetimes is None:
+        if rule is not None:
+            raise ValueError("a context other than a barcode provides no compound scores")
+        after = _stacked_configurations(window, model.mark_model, pos2, marks2, bounds2, ids2)
+        ctxs = zip(map(model.build_context, cfgs), map(model.build_context, after))
+    else:
+        (before, members), (after, members2) = (
+            _barcode_stack(model, window, *side, rule)
+            for side in ((pos, ids, marks, bounds), (pos2, ids2, marks2, bounds2))
+        )
+        ctxs = zip(before, after)
+        if rule is not None:
+            moved = members != np.delete(members2, at + np.arange(len(cfgs)))
+    radii = []
+    for x, lo, hi, (ctx_before, ctx_after) in zip(x_pos, bounds[:-1], bounds[1:], ctxs):
+        dist = np.abs(pos[lo:hi] - x).max(axis=1)  # Chebyshev, per row
+        # list(): the benchmark's tracer (bench/tracing.py) hands the pairs back as
+        # an iterator of rows, on which np.asarray would make a 0-d object array
+        changed = np.array(list(ctx_before.changed_pairs(ctx_after)), dtype=np.int64).reshape(-1, 2)
+        worst = float(np.minimum(*dist[id_rows(ids[lo:hi], changed)].T).max(initial=0.0))
+        radii.append(max(1, math.ceil(max(worst, float(dist[moved[lo:hi]].max(initial=0.0))))))
+    return radii
+
+
+def _barcode_stack(model: Model, window, positions, ids, marks, bounds, rule):
+    """The barcode of each configuration of a column stack, from one
+    ``model.stack_lifetimes`` pass, and the stack's row mask of the points
+    that ``rule`` admits with positive G (None without a rule)."""
+    life = model.stack_lifetimes(positions, marks, bounds)
+    bars = [barcodes.Barcode(ids[i:j], positions[i:j, 0], life[i:j])
+            for i, j in zip(bounds[:-1], bounds[1:])]
+    if rule is None:
+        return bars, None
+    G = barcodes.inversion_compound_counts(positions[:, 0], life, bounds)
+    return bars, (G > 0) & rule.mask(window, positions, life)

@@ -175,7 +175,7 @@ _WIDEN = 1.0 + 1e-9
 def _distances(pos: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """|pos[i] - pos[j]| row by row, in the float expression every edge
     decision uses."""
-    diff = pos[i] - pos[j]
+    diff = pos.take(i, axis=0) - pos.take(j, axis=0)  # take: ~3x a fancy index on rows
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
@@ -234,7 +234,8 @@ def build_edges(
     edge_ids = segment_ids = np.stack([ids[lo], ids[hi]], axis=1)
     if isinstance(kernel, DirectedRandom):
         edge_ids = np.stack([ids[src], ids[dst]], axis=1)[np.lexsort((ids[dst], ids[src]))]
-    retained = (np.abs(pos[lo, :2] - pos[hi, :2]) <= slab_cutoff).all(axis=1)
+    xy = pos[:, :2]
+    retained = (np.abs(xy.take(lo, axis=0) - xy.take(hi, axis=0)) <= slab_cutoff).all(axis=1)
     return GeometricGraph(cfg, kernel, edge_ids, slab_cutoff, segment_ids, retained)
 
 
@@ -253,8 +254,8 @@ def _segment_geometry(graph: GeometricGraph):
     segments."""
     ends = graph.segment_ids[graph.retained_mask]
     rows = id_rows(graph.cfg.ids, ends)
-    pos = graph.cfg.positions
-    return np.hstack([pos[rows[:, 0], :2], pos[rows[:, 1], :2]]), ends
+    xy = graph.cfg.positions[:, :2]
+    return np.hstack([xy.take(rows[:, 0], axis=0), xy.take(rows[:, 1], axis=0)]), ends
 
 
 def _orient_block(ox, oy, ex, ey, px, py):

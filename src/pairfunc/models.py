@@ -7,7 +7,8 @@ treelog-uniform | treelog-tree                             (sum-log-sum, k = 1)
 A model holds no kernel code.  Its context (a ``GeometricGraph`` or a
 ``Barcode``) answers ``total()``, the pair score summed over ordered pairs,
 and ``changed_pairs(other)``, the pair-score diff that stabilization radii
-read; the functionals take G of barcodes from their columns.
+read; the functionals take G of barcodes from their columns.  A barcode
+model also gives the lifetimes of a whole column stack at once.
 """
 from __future__ import annotations
 
@@ -36,7 +37,10 @@ MODEL_NAMES = (
 class Model:
     """A named model: mark distribution, the functional it feeds (double sum
     or sum-log-sum), its admissibility rule and the builder of its context (a
-    graph or a barcode), which answers every query of the pair score."""
+    graph or a barcode), which answers every query of the pair score.  A
+    barcode model's ``stack_lifetimes(positions, marks, bounds)`` gives the
+    bar lifetimes of every configuration of a column stack
+    (``process.sample_stack``) as one column; a graph model has None."""
 
     name: str
     functional_kind: str          # "double_sum" | "sum_log_sum"
@@ -44,6 +48,7 @@ class Model:
     mark_model: MarkModel
     admissibility: AdmissibilityRule
     build_context: Callable[[PointConfiguration], Any]
+    stack_lifetimes: Callable[..., Any] | None = None
 
     def sample(self, window: Window, seed, intensity: float = 1.0) -> PointConfiguration:
         return sample_ppp(window, intensity, self.mark_model, seed)
@@ -74,6 +79,9 @@ def _barcode_model(name: str, cutoff: float) -> Model:
         def build(cfg: PointConfiguration) -> barcodes.Barcode:
             return barcodes.uniform_lifetimes(cfg)
 
+        def stack(positions, marks, bounds):
+            return marks
+
     else:
         mark_model, min_dim = MarkModel.none(), 2  # merge forests need a cylinder
 
@@ -81,11 +89,14 @@ def _barcode_model(name: str, cutoff: float) -> Model:
             forest = barcodes.build_merge_forest(cfg, cylinder_radius=cutoff)
             return barcodes.elder_lifetimes(forest)
 
+        def stack(positions, marks, bounds):
+            return barcodes.stacked_elder_lifetimes(positions, bounds, cutoff)
+
     if score == "treelog":
         functional_kind, rule = "sum_log_sum", AdmissibilityRule.tree_realization()
     else:
         functional_kind, rule = "double_sum", AdmissibilityRule.all()
-    return Model(name, functional_kind, min_dim, mark_model, rule, build)
+    return Model(name, functional_kind, min_dim, mark_model, rule, build, stack)
 
 
 def get_model(model_id: str, cutoff: float = 1.0) -> Model:

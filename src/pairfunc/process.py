@@ -286,15 +286,18 @@ def sample_stack(window: Window, intensity: float, marks: MarkModel, seeds) -> t
     return positions, mark_values, np.cumsum([0] + [len(pos) for pos, _ in parts])
 
 
-def _stacked_configurations(window: Window, marks: MarkModel, positions, mark_values, bounds):
-    """The configuration of each sample of a ``sample_stack``, ids 0, 1, ...,
-    on views of its rows.  The rows are validated and in row order already,
-    so they are neither checked nor sorted again."""
+def _stacked_configurations(window: Window, marks: MarkModel, positions, mark_values, bounds,
+                            ids=None):
+    """The configuration of each sample of a ``sample_stack``, on views of its
+    rows, with ids 0, 1, ... or the rows of the stacked id column ``ids``.
+    The rows are validated and in row order already, so they are neither
+    checked nor sorted again."""
     cfgs = []
     for i, j in zip(bounds[:-1], bounds[1:]):
-        cfg, ids = object.__new__(PointConfiguration), np.arange(j - i)
-        ids.flags.writeable = False
-        cfg.__dict__.update(window=window, mark_model=marks, positions=positions[i:j], ids=ids,
+        cfg = object.__new__(PointConfiguration)
+        cfg_ids = np.arange(j - i) if ids is None else ids[i:j]
+        cfg_ids.flags.writeable = False
+        cfg.__dict__.update(window=window, mark_model=marks, positions=positions[i:j], ids=cfg_ids,
                             marks=None if mark_values is None else mark_values[i:j], seed=None)
         cfgs.append(cfg)
     return cfgs

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
@@ -311,6 +311,69 @@ def test_cell_walk_with_more_cells_than_int64_keys_hold():
     expected = ancestor_indices_oracle(positions, 1e-9)
     assert (expected >= 0).sum() > 100
     assert np.array_equal(_ancestor_indices(positions, 1e-9), expected)
+
+
+def _stacked(groups):
+    """The rows of ``groups`` in one array and their row offsets."""
+    bounds = np.cumsum([0] + [len(g) for g in groups])
+    return np.concatenate(groups), bounds
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(2, 3),
+    st.sampled_from([0.5, 1.0, 2.0]),
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 1e12, -1e12, 1e17]),
+            st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20), st.integers(0, 20)),
+                     min_size=0, max_size=12),
+        ),
+        min_size=0, max_size=6,
+    ),
+)
+def test_grouped_ancestor_search_is_each_groups_search_shifted(d, radius, groups):
+    # 0.1-step lattices (ties, repeated positions, cylinder boundaries), empty
+    # and one-row groups; a group moved to 1e12 or 1e17 in coordinates 2..d
+    # spreads the stack's cells so far that they are coarsened in d = 3,
+    # while each group alone keeps its fine cells
+    parts = [
+        0.1 * np.array(cells, dtype=float).reshape(-1, 3)[:, :d] + np.r_[0.0, [shift] * (d - 1)]
+        for shift, cells in groups
+    ]
+    positions, bounds = _stacked(parts or [np.empty((0, d))])
+    got = _ancestor_indices(positions, radius, bounds)
+    assert got.dtype == np.int64 and got.shape == (len(positions),)
+    expected = [np.empty(0, dtype=np.int64)]
+    for part, lo in zip(parts, bounds):
+        alone = _ancestor_indices(part, radius)
+        assert np.array_equal(alone, ancestor_indices_oracle(part, radius))
+        expected.append(np.where(alone >= 0, alone + lo, -1))
+    assert np.array_equal(got, np.concatenate(expected))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([(W2, 2), (Window(n=4.0, dim=3), 3)]),
+    st.lists(
+        st.lists(st.tuples(*[st.integers(0, 8)] * 3), min_size=0, max_size=25),
+        min_size=1, max_size=5,
+    ),
+)
+def test_stacked_elder_lifetimes_are_each_configurations_forest(window_d, groups):
+    # one merge-forest pass over a stack of lattice configurations gives each
+    # one's Elder lifetimes, as build_merge_forest and the path oracle do
+    window, d = window_d
+    cfgs = [
+        make_configuration(window, 0.5 * np.array(cells, dtype=float).reshape(-1, 3)[:, :d])
+        for cells in groups
+    ]
+    positions, bounds = _stacked([cfg.positions for cfg in cfgs])
+    life = barcodes.stacked_elder_lifetimes(positions, bounds)
+    for cfg, lo, hi in zip(cfgs, bounds, bounds[1:]):
+        bc = elder_lifetimes(build_merge_forest(cfg))
+        assert np.array_equal(life[lo:hi], bc.lifetimes)
+        assert dict(zip(cfg.ids.tolist(), life[lo:hi].tolist())) == forest_oracle_lifetimes(cfg)
 
 
 def _rows_on_one_axis(d, xs):
@@ -657,6 +720,46 @@ def test_compound_counts_match_blocked_oracle_on_unit_band_edges(cells):
     bc = Barcode(np.arange(len(cells)), births, lifetimes)
     assert inversion_count(bc) == G.sum()
     assert inversion_count_quadratic(bc) == inversion_count(bc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.lists(
+            st.tuples(
+                st.integers(0, 16),
+                st.integers(-1, 1),
+                st.sampled_from([0.0, 1 / 2, 2**-60, 2**-52, float(np.nextafter(1.0, 0.0))]),
+            ),
+            max_size=12,
+        ),
+        min_size=2, max_size=6,
+    )
+)
+# a search that left out the keys tying its needle (side="left") loses a
+# partner in each of these stacks
+@example([[(8, -1, 0.0), (6, 1, 2**-52)],
+          [(14, 0, 2**-60), (14, 0, 0.0), (12, 0, float(np.nextafter(1.0, 0.0))), (16, -1, 2**-60)],
+          []])
+@example([[(16, -1, float(np.nextafter(1.0, 0.0)))],
+          [(5, 1, float(np.nextafter(1.0, 0.0))), (7, 0, 0.5), (9, -1, 2**-60), (8, 1, 0.5)],
+          [], [(5, -1, float(np.nextafter(1.0, 0.0)))]])
+def test_grouped_band_width_on_unit_band_edges(groups):
+    # the band width of a stack comes from one search over births offset by
+    # their group; at those offsets the ulp nudges round away, so a birth
+    # just below fl(b + 1) ties the search's needle and must still count
+    parts = [
+        [(np.nextafter(k / 4, math.copysign(math.inf, u)) if u else k / 4, life)
+         for k, u, life in g]
+        for g in groups
+    ]
+    bounds = np.cumsum([0] + [len(g) for g in parts])
+    births = np.array([b for g in parts for b, _ in g], dtype=float)
+    lifetimes = np.array([life for g in parts for _, life in g], dtype=float)
+    G = inversion_compound_counts(births, lifetimes, bounds)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        assert np.array_equal(G[lo:hi], inversion_compound_counts_blocked(births[lo:hi],
+                                                                          lifetimes[lo:hi]))
 
 
 @settings(max_examples=300, deadline=None)

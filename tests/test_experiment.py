@@ -1,7 +1,8 @@
 """The task driver of ``run_experiment``: a task is a grid cell, one of
 ``jobs`` chunks of it, or a run of about ``_BATCH_POINTS`` expected points.
 A task samples its replications into one column stack, and a barcode model
-evaluates them in one band pass."""
+evaluates them in one band pass.  ``stabilization_survey`` takes its draws
+in runs of about ``_BATCH_POINTS`` expected points, too."""
 import concurrent.futures
 import tracemalloc
 from collections import Counter
@@ -10,11 +11,13 @@ import numpy as np
 import pytest
 
 from pairfunc import barcodes, experiment
-from pairfunc.experiment import ExperimentConfig, run_experiment, write_outputs
-from pairfunc.functionals import evaluate_all
+from pairfunc.experiment import (
+    ExperimentConfig, checked_window, run_experiment, stabilization_survey, write_outputs,
+)
+from pairfunc.functionals import empirical_stabilization_radius, evaluate_all
 from pairfunc.geometry import Window
 from pairfunc.models import get_model
-from pairfunc.process import PointConfiguration, sample_stack
+from pairfunc.process import MarkedPoint, PointConfiguration, derive_rng, sample_stack
 
 
 def _files(config, out):
@@ -135,22 +138,96 @@ def test_rows_match_evaluate_of_each_replication(monkeypatch, model_id, d, grid,
         assert min(sizes) <= 1
 
 
+def _count_calls(monkeypatch, calls, owner, name):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[f"{owner.__name__}.{name}"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
 def test_a_uniform_task_makes_one_band_pass_and_builds_no_configuration(monkeypatch):
     calls = Counter()
-
-    def count(owner, name):
-        original = getattr(owner, name)
-
-        def counted(*args, **kwargs):
-            calls[f"{owner.__name__}.{name}"] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
-
-    count(barcodes, "inversion_compound_counts")
-    count(PointConfiguration, "__post_init__")
-    count(barcodes.Barcode, "__post_init__")
+    _count_calls(monkeypatch, calls, barcodes, "inversion_compound_counts")
+    _count_calls(monkeypatch, calls, PointConfiguration, "__post_init__")
+    _count_calls(monkeypatch, calls, barcodes.Barcode, "__post_init__")
     for model_id in ("inversion-uniform", "treelog-uniform"):
         config = ExperimentConfig(model=model_id, n_grid=(8.0,), reps=20, seed=3, jobs=1)
         assert len(run_experiment(config).rows) == 20
     assert calls == {"pairfunc.barcodes.inversion_compound_counts": 2}
+
+
+def test_a_tree_task_makes_one_forest_pass_and_builds_no_configuration(monkeypatch):
+    # one merge-forest pass and one band pass per task; no configuration,
+    # merge forest or barcode per replication
+    calls = Counter()
+    for name in ("_ancestor_indices", "inversion_compound_counts", "build_merge_forest"):
+        _count_calls(monkeypatch, calls, barcodes, name)
+    _count_calls(monkeypatch, calls, PointConfiguration, "__post_init__")
+    _count_calls(monkeypatch, calls, barcodes.Barcode, "__post_init__")
+    for model_id in ("inversion-tree", "treelog-tree"):
+        config = ExperimentConfig(model=model_id, n_grid=(12.0,), reps=20, seed=3, jobs=1)
+        assert len(run_experiment(config).rows) == 20
+    assert calls == {"pairfunc.barcodes._ancestor_indices": 2,
+                     "pairfunc.barcodes.inversion_compound_counts": 2}
+
+
+def _survey_draws(model_id, n, d, seed, draws, with_admissibility):
+    """Each draw of a survey as the survey's streams give it: the
+    configuration and the point to insert."""
+    model = get_model(model_id)
+    window = checked_window(model.admissibility if with_admissibility else None, n=n, dim=d)
+    for r in range(draws):
+        cfg = model.sample(window, (seed, 0, r))
+        rng = derive_rng(seed, 1, r)
+        x = tuple(rng.uniform(0.0, 1.0, d) * np.array(window.sides))
+        mark = model.mark_model.sample(rng, 1)
+        yield cfg, x if mark is None else MarkedPoint(x, float(mark[0]), -1)
+
+
+@pytest.mark.parametrize("batch_points", [None, 500], ids=["one-run", "runs-of-a-few-draws"])
+@pytest.mark.parametrize("model_id, n, d, with_admissibility", [
+    ("inversion-tree", 12.0, 2, False),
+    ("inversion-tree", 12.0, 2, True),
+    ("treelog-tree", 12.0, 2, False),
+    ("treelog-tree", 12.0, 2, True),
+    ("treelog-tree", 6.0, 3, True),
+    ("treelog-uniform", 12.0, 2, True),  # a marked insertion
+    ("crossing-fixed", 4.0, 3, False),
+])
+def test_survey_radii_are_each_draws_stabilization_radius(monkeypatch, model_id, n, d,
+                                                          with_admissibility, batch_points):
+    # the stacked survey gives every draw the radius that
+    # empirical_stabilization_radius gives it alone; at 500 points a run takes
+    # 2, 3 or 7 draws here, so 8 draws span several runs.  Seed 2 gives every
+    # barcode model a radius past the floor of 1 (the fixed-radius crossing
+    # stabilizes at 1)
+    if batch_points is not None:
+        monkeypatch.setattr(experiment, "_BATCH_POINTS", batch_points)
+    survey = stabilization_survey(model_id, n, 8, 2, d=d, with_admissibility=with_admissibility)
+    model = get_model(model_id)
+    rule = model.admissibility if with_admissibility else None
+    expected = [
+        empirical_stabilization_radius(cfg, x, model, rule)
+        for cfg, x in _survey_draws(model_id, n, d, 2, 8, with_admissibility)
+    ]
+    assert list(survey.radii) == expected
+    assert max(expected) > 1 or model_id == "crossing-fixed"
+
+
+def test_survey_memory_stays_flat_as_draws_grow(monkeypatch):
+    # runs of 3 draws at n = 24 (about 576 points a draw): eight runs' worth
+    # of draws peak within 10% of two runs'
+    monkeypatch.setattr(experiment, "_BATCH_POINTS", 2000)
+    stabilization_survey("treelog-tree", 24.0, 2, 5, with_admissibility=True)  # imports, caches
+    peaks = []
+    for runs in (2, 8):
+        tracemalloc.start()
+        try:
+            stabilization_survey("treelog-tree", 24.0, 3 * runs, 5, with_admissibility=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]

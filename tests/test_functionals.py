@@ -17,6 +17,7 @@ from pairfunc.functionals import (
     diff_second,
     double_sum,
     empirical_stabilization_radius,
+    stabilization_radii,
     sum_log_sum,
 )
 from pairfunc.geometry import Window
@@ -326,6 +327,39 @@ def test_stabilization_radius_with_admissibility_matches_oracle():
             cfg, x, treelog_tree, treelog_tree.admissibility
         )
         assert got == oracle
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.booleans(),
+    st.lists(
+        st.tuples(
+            st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=0, max_size=14),
+            st.tuples(st.integers(0, 8), st.integers(0, 8)),
+        ),
+        min_size=1, max_size=4,
+    ),
+)
+def test_stacked_radii_on_lattices_with_ties_match_the_oracle(admit, draws):
+    # x on the 0.5-step lattice ties rows in time, or lands on a row, so its
+    # row in the stacked after-copy decides the tree: each draw's after-barcode
+    # is that of x inserted into its configuration alone, and each radius the
+    # oracle's
+    model = get_model("treelog-tree")
+    rule = model.admissibility if admit else None
+    window = Window(n=4.0, dim=2, boundary_margin=0.2)
+    cfgs = [make_configuration(window, 0.5 * np.array(cells, float).reshape(-1, 2))
+            for cells, _ in draws]
+    xs = 0.5 * np.array([x for _, x in draws], dtype=float)
+    afters = []
+    with pytest.MonkeyPatch.context() as mp:
+        diff = Barcode.changed_pairs
+        mp.setattr(Barcode, "changed_pairs", lambda ctx, other: afters.append(other) or diff(ctx, other))
+        radii = stabilization_radii(model, cfgs, xs, None, rule)
+    for cfg, x, after in zip(cfgs, xs, afters, strict=True):
+        assert after == model.build_context(insert_point(cfg, tuple(x)))
+    assert radii == [stabilization_radius_oracle(cfg, tuple(x), model, rule)
+                     for cfg, x in zip(cfgs, xs)]
 
 
 # a lifetime lattice with ties, zeros, ones and +inf (never admissible)

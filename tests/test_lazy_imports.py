@@ -1,6 +1,7 @@
 """The import contract: ``import pairfunc`` loads numpy and the standard
 library only.  scipy.spatial loads at the first k-d tree (crossing models,
-shield checks), scipy.special at the first distance to normal."""
+shield checks), scipy.special at the first distance to normal.  A tree-model
+stabilization survey builds no k-d tree."""
 import json
 import os
 import subprocess
@@ -26,6 +27,8 @@ report = {"import": scipy_modules()}
 for name in ("inversion-uniform", "treelog-uniform", "inversion-tree", "treelog-tree"):
     evaluate(name)
 report["uniform_and_tree"] = scipy_modules()
+pairfunc.experiment.stabilization_survey("treelog-tree", 8.0, 3, 1, with_admissibility=True)
+report["tree_survey"] = scipy_modules()
 evaluate("crossing-fixed")
 report["crossing"] = scipy_modules()
 print(json.dumps(report))
@@ -39,4 +42,5 @@ def test_scipy_loads_where_it_is_first_used():
     report = json.loads(proc.stdout)
     assert report["import"] == []
     assert "scipy.spatial" not in report["uniform_and_tree"]
+    assert "scipy.spatial" not in report["tree_survey"]
     assert "scipy.spatial" in report["crossing"]

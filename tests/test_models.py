@@ -26,10 +26,14 @@ def test_model_catalog_resolves():
 
 
 def test_model_is_a_record_of_names_and_a_builder():
-    # the context the builder returns answers every query of the pair score
+    # the context the builder returns answers every query of the pair score;
+    # a barcode model also gives the lifetimes of a whole column stack
     assert [f.name for f in dataclasses.fields(Model)] == [
         "name", "functional_kind", "min_dim", "mark_model", "admissibility", "build_context",
+        "stack_lifetimes",
     ]
+    assert get_model("crossing-fixed").stack_lifetimes is None
+    assert get_model("inversion-tree").stack_lifetimes is not None
 
 
 def test_minimum_dimensions():
