@@ -442,7 +442,7 @@ def stabilization_survey(
     if draws < 1:
         raise ConfigError(f"draws must be >= 1, got {draws}")
     from .functionals import stabilization_radii
-    from .process import derive_rng
+    from .process import MarkedPoint, derive_rng
     from .stats import loglinear_fit
 
     model = resolve_model(model_id, cutoff, d)
@@ -453,14 +453,14 @@ def stabilization_survey(
     step = max(1, int(_BATCH_POINTS / max(window.volume, 1.0)))
     radii = []
     for lo in range(0, draws, step):
-        cfgs, x_pos, x_marks = [], [], []
+        cfgs, xs = [], []
         for r in range(lo, min(lo + step, draws)):
             cfgs.append(model.sample(window, (seed, 0, r)))
             rng = derive_rng(seed, 1, r)
-            x_pos.append(rng.uniform(0.0, 1.0, d) * np.array(window.sides))
-            x_marks.append(model.mark_model.sample(rng, 1))
-        marks = None if x_marks[0] is None else np.concatenate(x_marks)
-        radii += stabilization_radii(model, cfgs, np.array(x_pos), marks, rule)
+            x = rng.uniform(0.0, 1.0, d) * np.array(window.sides)
+            mark = model.mark_model.sample(rng, 1)
+            xs.append(x if mark is None else MarkedPoint(x, mark[0], -1))
+        radii += stabilization_radii(model, cfgs, xs, rule)
     radii_arr = np.array(radii, dtype=int)
     ms, survival = [], []
     for m in range(1, int(radii_arr.max()) + 1):

@@ -4,10 +4,11 @@ difference operators and empirical stabilization radii.
 Each functional takes a ``pairfunc.models.Model`` and asks the context it
 builds (a graph or a barcode): ``total()`` is the double sum, and the
 compound scores G of one or more barcodes come from one band pass over their
-stacked columns.  Stabilization diffs two contexts with the context's own
-``changed_pairs``, the contexts of many insertions built from one stack per
-side.  Difference operators recompute the model from scratch on
-augmented configurations; correctness first, desk-scale inputs keep that cheap.
+stacked columns.  Stabilization diffs the contexts of each configuration and
+of ``process.insert_point`` of it with the context's own ``changed_pairs``;
+the barcodes of many such pairs come from one stack per side.  Difference
+operators recompute the model from scratch on augmented configurations;
+correctness first, desk-scale inputs keep that cheap.
 """
 from __future__ import annotations
 
@@ -179,67 +180,49 @@ def empirical_stabilization_radius(
     Chebyshev distance, floored at 1: the one-configuration case of
     ``stabilization_radii``.
     """
-    insert_point(cfg, x)  # rejects a position outside the window or a bad mark
-    marked = isinstance(x, MarkedPoint)
-    mark = np.array([x.mark], dtype=np.float64) if marked and x.mark is not None else None
-    x_pos = np.array([x.position if marked else x], dtype=np.float64)
-    return stabilization_radii(model, [cfg], x_pos, mark, rule)[0]
+    return stabilization_radii(model, [cfg], [x], rule)[0]
 
 
-def stabilization_radii(model: Model, cfgs, x_pos, x_marks=None, rule=None) -> list[int]:
+def stabilization_radii(model: Model, cfgs, xs, rule=None) -> list[int]:
     """``empirical_stabilization_radius`` of each configuration of ``cfgs``
-    (one window and mark model) at its row of ``x_pos``, marked by
-    ``x_marks`` under a marked model.  Every x goes into one stacked
-    after-copy of the configurations under a fresh id.  A barcode model takes
-    each side's lifetimes, and with a rule its G, from one pass over the stack
-    (``Model.stack_lifetimes``); a graph model builds one graph per
-    configuration, as ``evaluate_all`` does.  Each radius is the ceiling, at
+    (one window and mark model) at its point of ``xs``, each taken as
+    ``insert_point`` takes it.  Both sides' contexts, and with a rule the
+    memberships, come from ``_contexts``.  Each radius is the ceiling, at
     least 1, of the largest Chebyshev distance to x of the nearer point of a
     pair that ``changed_pairs`` lists, or of a point whose membership moved."""
-    window, bounds = cfgs[0].window, np.cumsum([0] + [len(cfg) for cfg in cfgs])
-    pos, ids = np.concatenate([c.positions for c in cfgs]), np.concatenate([c.ids for c in cfgs])
-    marks = None if x_marks is None else np.concatenate([cfg.marks for cfg in cfgs])
-    # x follows the rows at or below it in (position, id) order: its id is the largest
-    below, x_at = True, np.repeat(x_pos, np.diff(bounds), axis=0)
-    for k in reversed(range(window.dim)):
-        below = (pos[:, k] < x_at[:, k]) | (pos[:, k] == x_at[:, k]) & below
-    at = bounds[:-1] + np.diff(np.concatenate(([0], np.cumsum(below)))[bounds])
-    pos2, bounds2 = np.insert(pos, at, x_pos, axis=0), bounds + np.arange(len(bounds))
-    ids2 = np.insert(ids, at, [cfg.next_id() for cfg in cfgs])
-    marks2 = None if marks is None else np.insert(marks, at, x_marks)
-    moved = np.zeros(len(pos), dtype=bool)
-    if model.stack_lifetimes is None:
-        if rule is not None:
-            raise ValueError("a context other than a barcode provides no compound scores")
-        after = _stacked_configurations(window, model.mark_model, pos2, marks2, bounds2, ids2)
-        ctxs = zip(map(model.build_context, cfgs), map(model.build_context, after))
-    else:
-        (before, members), (after, members2) = (
-            _barcode_stack(model, window, *side, rule)
-            for side in ((pos, ids, marks, bounds), (pos2, ids2, marks2, bounds2))
-        )
-        ctxs = zip(before, after)
-        if rule is not None:
-            moved = members != np.delete(members2, at + np.arange(len(cfgs)))
+    afters = [insert_point(cfg, x) for cfg, x in zip(cfgs, xs)]
+    (before, members), (after, members2) = (_contexts(model, side, rule) for side in (cfgs, afters))
     radii = []
-    for x, lo, hi, (ctx_before, ctx_after) in zip(x_pos, bounds[:-1], bounds[1:], ctxs):
-        dist = np.abs(pos[lo:hi] - x).max(axis=1)  # Chebyshev, per row
+    for cfg, cfg2, ctx_before, ctx_after, m, m2 in zip(cfgs, afters, before, after, members, members2):
+        fresh = cfg2.ids == cfg.next_id()
+        dist = np.abs(cfg.positions - cfg2.positions[fresh]).max(axis=1)  # Chebyshev, per row
         # list(): the benchmark's tracer (bench/tracing.py) hands the pairs back as
         # an iterator of rows, on which np.asarray would make a 0-d object array
         changed = np.array(list(ctx_before.changed_pairs(ctx_after)), dtype=np.int64).reshape(-1, 2)
-        worst = float(np.minimum(*dist[id_rows(ids[lo:hi], changed)].T).max(initial=0.0))
-        radii.append(max(1, math.ceil(max(worst, float(dist[moved[lo:hi]].max(initial=0.0))))))
+        worst = float(np.minimum(*dist[id_rows(cfg.ids, changed)].T).max(initial=0.0))
+        moved = 0.0 if m is None else float(dist[m != m2[~fresh]].max(initial=0.0))
+        radii.append(max(1, math.ceil(max(worst, moved))))
     return radii
 
 
-def _barcode_stack(model: Model, window, positions, ids, marks, bounds, rule):
-    """The barcode of each configuration of a column stack, from one
-    ``model.stack_lifetimes`` pass, and the stack's row mask of the points
-    that ``rule`` admits with positive G (None without a rule)."""
+def _contexts(model: Model, cfgs, rule):
+    """The context of each configuration and, with a rule, the row mask of
+    the points that it admits with positive G.  A graph model builds one
+    graph per configuration, as the fold reaches it; a barcode model takes
+    the lifetimes, and G, of all configurations from one pass over their
+    stacked rows (``Model.stack_lifetimes``)."""
+    if model.stack_lifetimes is None:
+        if rule is not None:
+            raise ValueError("a context other than a barcode provides no compound scores")
+        return map(model.build_context, cfgs), [None] * len(cfgs)
+    bounds = np.cumsum([0] + [len(cfg) for cfg in cfgs])
+    positions = np.concatenate([cfg.positions for cfg in cfgs])
+    marks = None if cfgs[0].marks is None else np.concatenate([cfg.marks for cfg in cfgs])
     life = model.stack_lifetimes(positions, marks, bounds)
-    bars = [barcodes.Barcode(ids[i:j], positions[i:j, 0], life[i:j])
-            for i, j in zip(bounds[:-1], bounds[1:])]
+    rows = list(zip(bounds[:-1], bounds[1:]))
+    bars = [barcodes.Barcode(cfg.ids, cfg.positions[:, 0], life[i:j]) for cfg, (i, j) in zip(cfgs, rows)]
     if rule is None:
-        return bars, None
+        return bars, [None] * len(cfgs)
     G = barcodes.inversion_compound_counts(positions[:, 0], life, bounds)
-    return bars, (G > 0) & rule.mask(window, positions, life)
+    members = (G > 0) & rule.mask(cfgs[0].window, positions, life)
+    return bars, [members[i:j] for i, j in rows]

@@ -286,21 +286,26 @@ def sample_stack(window: Window, intensity: float, marks: MarkModel, seeds) -> t
     return positions, mark_values, np.cumsum([0] + [len(pos) for pos, _ in parts])
 
 
-def _stacked_configurations(window: Window, marks: MarkModel, positions, mark_values, bounds,
-                            ids=None):
+def _configuration(window: Window, marks: MarkModel, positions, mark_values, ids, seed=None):
+    """A configuration on columns that are validated and in row order
+    already, so they are neither checked nor sorted again; they are frozen."""
+    cfg = object.__new__(PointConfiguration)
+    for column in (positions, mark_values, ids):
+        if column is not None:
+            column.flags.writeable = False
+    cfg.__dict__.update(window=window, mark_model=marks, positions=positions, marks=mark_values,
+                        ids=ids, seed=seed)
+    return cfg
+
+
+def _stacked_configurations(window: Window, marks: MarkModel, positions, mark_values, bounds):
     """The configuration of each sample of a ``sample_stack``, on views of its
-    rows, with ids 0, 1, ... or the rows of the stacked id column ``ids``.
-    The rows are validated and in row order already, so they are neither
-    checked nor sorted again."""
-    cfgs = []
-    for i, j in zip(bounds[:-1], bounds[1:]):
-        cfg = object.__new__(PointConfiguration)
-        cfg_ids = np.arange(j - i) if ids is None else ids[i:j]
-        cfg_ids.flags.writeable = False
-        cfg.__dict__.update(window=window, mark_model=marks, positions=positions[i:j], ids=cfg_ids,
-                            marks=None if mark_values is None else mark_values[i:j], seed=None)
-        cfgs.append(cfg)
-    return cfgs
+    rows, with ids 0, 1, ..."""
+    return [
+        _configuration(window, marks, positions[i:j],
+                       None if mark_values is None else mark_values[i:j], np.arange(j - i))
+        for i, j in zip(bounds[:-1], bounds[1:])
+    ]
 
 
 def sample_ppp(
@@ -318,7 +323,9 @@ def sample_ppp(
 
 def insert_point(cfg: PointConfiguration, x: MarkedPoint | Sequence[float]) -> PointConfiguration:
     """New configuration with one extra point under a fresh id; input unchanged.
-    A bare position carries no mark."""
+    A bare position carries no mark.  x follows the rows at or below it in
+    (position, id) order, its id being the largest, so the checked rows keep
+    their order and are not checked again."""
     if isinstance(x, MarkedPoint):
         position, mark = x.position, x.mark
     else:
@@ -327,14 +334,15 @@ def insert_point(cfg: PointConfiguration, x: MarkedPoint | Sequence[float]) -> P
         raise ValueError("inserted position lies outside the window")
     new_mark = None if mark is None else np.array([mark], dtype=np.float64)
     cfg.mark_model.validate_marks(new_mark)
-    return PointConfiguration(
-        cfg.window,
-        cfg.mark_model,
-        np.vstack([cfg.positions, [position]]),
-        None if new_mark is None else np.concatenate([cfg.marks, new_mark]),
-        np.append(cfg.ids, cfg.next_id()),
-        cfg.seed,
+    below = True
+    for k in reversed(range(len(position))):  # lexicographic (position, id) <= x
+        below = (cfg.positions[:, k] < position[k]) | (cfg.positions[:, k] == position[k]) & below
+    at = int(np.count_nonzero(below))  # slices and concatenate: cheaper than np.insert
+    positions, marks, ids = (
+        None if old is None else np.concatenate([old[:at], new, old[at:]])
+        for old, new in ((cfg.positions, [position]), (cfg.marks, new_mark), (cfg.ids, [cfg.next_id()]))
     )
+    return _configuration(cfg.window, cfg.mark_model, positions, marks, ids, cfg.seed)
 
 
 def count_in(cfg: PointConfiguration, region) -> int:
@@ -360,15 +368,19 @@ def dump_configuration(cfg: PointConfiguration) -> str:
 
 
 def load_configuration(text: str) -> PointConfiguration:
-    """Parse a ``dump_configuration`` text.  Every point line must hold an id,
-    d coordinates and a mark (``-`` for none); a malformed line raises
-    ValueError naming its line number."""
+    """Parse a ``dump_configuration`` text.  The header must hold a window
+    and a mark model record, and every point line an id, d coordinates and a
+    mark (``-`` for none); a malformed line raises ValueError naming its line
+    number."""
     lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("empty configuration dump")
-    header = json.loads(lines[0][1])
-    window = window_from_text(json.dumps(header["window"]))
-    mark_model = MarkModel.from_record(header["markmodel"])
+    try:
+        header = json.loads(lines[0][1])
+        window = window_from_text(json.dumps(header["window"]))
+        mark_model, seed = MarkModel.from_record(header["markmodel"]), header.get("seed")
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise ValueError(f"line {lines[0][0]}: malformed header ({type(exc).__name__}: {exc})") from None
     d = window.dim
     ids, positions, marks = [], [], []
     for lineno, ln in lines[1:]:
@@ -387,5 +399,5 @@ def load_configuration(text: str) -> PointConfiguration:
     # a '-' among numeric marks becomes NaN and fails the mark check
     mark_column = None if all(m is None for m in marks) else np.array(marks, dtype=np.float64)
     return PointConfiguration(
-        window, mark_model, np.array(positions), mark_column, ids, header.get("seed")
+        window, mark_model, np.array(positions), mark_column, ids, seed
     )

@@ -13,6 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from pairfunc import functionals, graphs
+from pairfunc.experiment import stabilization_survey
 from pairfunc.geometry import Window
 from pairfunc.models import get_model
 from pairfunc.process import insert_point
@@ -116,6 +117,21 @@ def test_traced_stabilization_radius_counts_changed_pairs():
             assert traced == radius
             count = tracer.counts["functionals.changed_pairs"]
             assert type(count) is int and count == changed
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def test_traced_survey_records_one_insertion_per_draw():
+    # stabilization_radii builds each after-configuration through the
+    # functionals module's insert_point, the name the tracer rebinds
+    sys.path.insert(0, str(BENCH))
+    try:
+        tracing = importlib.import_module("tracing")
+        for model_id, n, d in (("inversion-tree", 12.0, 2), ("crossing-fixed", 4.0, 3)):
+            with tracing.Tracer() as tracer:
+                stabilization_survey(model_id, n, 5, 3, d=d)
+            names = [span[0] for span in tracer.spans]
+            assert names.count("process.insert_point") == 5
     finally:
         sys.path.remove(str(BENCH))
 

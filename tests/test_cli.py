@@ -105,6 +105,44 @@ def test_evaluate_malformed_point_file(tmp_path, capsys, edit, message):
     assert message in lines[0]
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda header: dict(header, window=[1]),
+        lambda header: dict(header, window=dict(header["window"], n="x")),
+        lambda header: [header],
+        lambda header: dict(header, markmodel="none"),
+    ],
+    ids=["window-list", "window-n-string", "header-list", "markmodel-string"],
+)
+def test_evaluate_malformed_point_file_header(tmp_path, capsys, edit):
+    from pairfunc.geometry import Window
+    from pairfunc.process import MarkModel, PointConfiguration, dump_configuration
+
+    cfg = PointConfiguration(Window(n=5.0, dim=2), MarkModel.none(), [(1.0, 1.0), (3.0, 1.5)])
+    header, *rows = dump_configuration(cfg).splitlines()
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join([json.dumps(edit(json.loads(header)))] + rows) + "\n")
+    code, out, err = run_cli(["evaluate", "--points", str(path), "--kernel", "fixed"], capsys)
+    assert code == 3 and out == ""
+    line = _one_error_line(err, 3)
+    assert line.startswith("PAIRFUNC_ERROR code=3 kind=runtime")
+    assert "line 1: malformed header" in line
+
+
+def test_shield_check_malformed_configuration_header(tmp_path, capsys):
+    # shield-check reads its configuration with the same loader as evaluate --points
+    rec = json.loads((FIXTURES / "shield_ok.txt").read_text())
+    rec["configuration"] = rec["configuration"].replace('{"kind": "none"}', '"none"', 1)
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(rec))
+    code, out, err = run_cli(["shield-check", "--fixture", str(path)], capsys)
+    assert code == 3 and out == ""
+    line = _one_error_line(err, 3)
+    assert line.startswith("PAIRFUNC_ERROR code=3 kind=runtime")
+    assert "line 1: malformed header" in line
+
+
 def test_shield_check_fixture(capsys):
     code, out, _ = run_cli(["shield-check", "--fixture", str(FIXTURES / "shield_ok.txt")], capsys)
     assert code == 0

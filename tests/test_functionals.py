@@ -342,9 +342,9 @@ def test_stabilization_radius_with_admissibility_matches_oracle():
 )
 def test_stacked_radii_on_lattices_with_ties_match_the_oracle(admit, draws):
     # x on the 0.5-step lattice ties rows in time, or lands on a row, so its
-    # row in the stacked after-copy decides the tree: each draw's after-barcode
-    # is that of x inserted into its configuration alone, and each radius the
-    # oracle's
+    # row in its after-configuration decides the tree: each draw's after-barcode,
+    # taken from one stacked pass, is that of x inserted into its configuration
+    # alone, and each radius the oracle's
     model = get_model("treelog-tree")
     rule = model.admissibility if admit else None
     window = Window(n=4.0, dim=2, boundary_margin=0.2)
@@ -355,7 +355,7 @@ def test_stacked_radii_on_lattices_with_ties_match_the_oracle(admit, draws):
     with pytest.MonkeyPatch.context() as mp:
         diff = Barcode.changed_pairs
         mp.setattr(Barcode, "changed_pairs", lambda ctx, other: afters.append(other) or diff(ctx, other))
-        radii = stabilization_radii(model, cfgs, xs, None, rule)
+        radii = stabilization_radii(model, cfgs, xs, rule)
     for cfg, x, after in zip(cfgs, xs, afters, strict=True):
         assert after == model.build_context(insert_point(cfg, tuple(x)))
     assert radii == [stabilization_radius_oracle(cfg, tuple(x), model, rule)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
@@ -327,6 +327,43 @@ def test_sampled_and_inserted_rows_are_lexsorted(dim, n):
         _assert_lexsorted(cfg)
         cfg = insert_point(cfg, MarkedPoint(tuple(cfg.positions[-1]), 0.5, 0))  # a duplicate
         _assert_lexsorted(cfg)
+
+
+@st.composite
+def _insertions(draw):
+    # lattice rows under non-contiguous ids, marked or not, and x anywhere on
+    # the lattice or on an existing row
+    dim, marked = draw(st.integers(1, 3)), draw(st.booleans())
+    count = draw(st.integers(0, 20))
+    positions = draw(st.lists(st.tuples(*[_LATTICE] * dim), min_size=count, max_size=count))
+    ids = draw(st.lists(st.integers(-50, 50), min_size=count, max_size=count, unique=True))
+    lifetimes = st.sampled_from([0.0, 0.5, 1.0])
+    marks = draw(st.lists(lifetimes, min_size=count, max_size=count)) if marked else None
+    x = draw(st.tuples(*[_LATTICE] * dim) | (st.sampled_from(positions) if count else st.nothing()))
+    return dim, positions, marks, ids, x, draw(lifetimes) if marked else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_insertions())
+@example((2, [(1.0, 1.0), (2.5, 0.0)], None, [3, 9], (1.0, 1.0), None))  # x on a row
+@example((2, [(1.0, 1.0), (1.0, 0.5)], [0.5, 1.0], [4, 2], (1.0, 2.5), 0.0))  # x ties a time
+@example((1, [(0.0,), (-0.0,)], None, [-7, 5], (-0.0,), None))  # -0.0 ties 0.0
+@example((3, [], [], [], (0.5, 0.0, 5.0), 0.5))  # the empty configuration
+def test_insert_point_places_x_as_the_re_sorting_constructor_does(inputs):
+    dim, positions, marks, ids, x, mark = inputs
+    window = Window(n=5.0, dim=dim)
+    model = MarkModel.uniform01() if mark is not None else MarkModel.none()
+    cfg = PointConfiguration(window, model, np.array(positions).reshape(-1, dim), marks, ids, seed=3)
+    got = insert_point(cfg, x if mark is None else MarkedPoint(x, mark, -1))
+    expected = PointConfiguration(
+        window, model, np.vstack([cfg.positions, [x]]),
+        None if mark is None else np.append(cfg.marks, mark),
+        np.append(cfg.ids, cfg.next_id()), cfg.seed,
+    )
+    assert got == expected
+    assert got.positions.tobytes() == expected.positions.tobytes()  # -0.0 and 0.0 in place
+    assert not any(c.flags.writeable for c in (got.positions, got.ids))
+    assert got.marks is None or not got.marks.flags.writeable
 
 
 def test_lex_order_takes_the_lexsort_only_on_primary_ties(monkeypatch):
