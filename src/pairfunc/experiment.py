@@ -23,7 +23,7 @@ from . import __version__
 from .functionals import AdmissibilityRule, evaluate_all
 from .geometry import Window, check_window_values
 from .models import Model, get_model
-from .process import sample_stack
+from .process import _integer, sample_stack
 from .stats import (
     ScalingFit,
     is_degenerate,
@@ -65,12 +65,6 @@ def _floats(value) -> tuple[float, ...]:
     if any(isinstance(x, bool) for x in value):  # not 1.0 and 0.0
         raise TypeError(f"expected a list of numbers, got {value!r}")
     return tuple(float(x) for x in value)
-
-
-def _integer(value) -> int:
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")  # not truncated
-    return int(value)
 
 
 def _jobs(value) -> int:

@@ -2,11 +2,12 @@
 difference operators and empirical stabilization radii.
 
 Each functional takes a ``pairfunc.models.Model`` and asks the context it
-builds (a graph or a barcode): ``total()`` is the double sum, and the
-compound scores G of one or more barcodes come from one band pass over their
-stacked columns.  Stabilization diffs the contexts of each configuration and
-of ``process.insert_point`` of it with the context's own ``changed_pairs``;
-the barcodes of many such pairs come from one stack per side.  Difference
+builds (a graph or a barcode): ``total()`` is the double sum.  The compound
+scores G of a whole column stack come from one crossing or band pass over
+its rows (``Model.stack_scores``).  Stabilization diffs the contexts of each
+configuration and of ``process.insert_point`` of it with the context's own
+``changed_pairs``; the barcodes of many such pairs come from one stack per
+side.  Difference
 operators recompute the model from scratch on augmented configurations;
 correctness first, desk-scale inputs keep that cheap.
 """
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import barcodes
 from .graphs import GeometricGraph
-from .process import MarkedPoint, PointConfiguration, _stacked_configurations, id_rows, insert_point
+from .process import MarkedPoint, PointConfiguration, id_rows, insert_point
 
 if TYPE_CHECKING:
     from .models import Model
@@ -137,16 +138,12 @@ def sum_log_sum(cfg: PointConfiguration, model: Model) -> FunctionalValue:
 
 def evaluate_all(model: Model, window, positions, marks, bounds) -> list[FunctionalValue]:
     """``model.evaluate`` of each configuration of a column stack
-    (``process.sample_stack``): a graph's ``total()``, or G of all barcodes
-    from one band pass over the model's ``stack_lifetimes`` (one merge-forest
-    pass for a tree model, the marks for a *-uniform one), each group's added
-    or folded.  A barcode model builds no configuration."""
-    if model.stack_lifetimes is None:  # graphs have no G
-        cfgs = _stacked_configurations(window, model.mark_model, positions, marks, bounds)
-        return [FunctionalValue("double_sum", float(model.build_context(cfg).total())) for cfg in cfgs]
-    lifetimes = model.stack_lifetimes(positions, marks, bounds)
-    G = barcodes.inversion_compound_counts(positions[:, 0], lifetimes, bounds)
-    if model.functional_kind == "double_sum":  # each group's G, added as integers
+    (``process.sample_stack``), from G of every row by the model's
+    ``stack_scores`` (one crossing pass for a graph model; one band pass over
+    one merge-forest pass for a tree model, over the marks for a *-uniform
+    one), each group's added or folded.  No configuration is built."""
+    G, lifetimes = model.stack_scores(positions, marks, bounds)
+    if model.functional_kind == "double_sum":  # each group's G, added exactly
         sums = np.diff(np.concatenate(([0], np.cumsum(G)))[bounds]).tolist()
         return [FunctionalValue("double_sum", float(g)) for g in sums]
     return _sum_log_sums(G, model.admissibility.mask(window, positions, lifetimes), bounds)
@@ -210,19 +207,16 @@ def _contexts(model: Model, cfgs, rule):
     the points that it admits with positive G.  A graph model builds one
     graph per configuration, as the fold reaches it; a barcode model takes
     the lifetimes, and G, of all configurations from one pass over their
-    stacked rows (``Model.stack_lifetimes``)."""
-    if model.stack_lifetimes is None:
+    stacked rows (``Model.stack_scores``)."""
+    if model.name.startswith("crossing"):
         if rule is not None:
             raise ValueError("a context other than a barcode provides no compound scores")
         return map(model.build_context, cfgs), [None] * len(cfgs)
     bounds = np.cumsum([0] + [len(cfg) for cfg in cfgs])
     positions = np.concatenate([cfg.positions for cfg in cfgs])
     marks = None if cfgs[0].marks is None else np.concatenate([cfg.marks for cfg in cfgs])
-    life = model.stack_lifetimes(positions, marks, bounds)
+    G, life = model.stack_scores(positions, marks, bounds)
     rows = list(zip(bounds[:-1], bounds[1:]))
     bars = [barcodes.Barcode(cfg.ids, cfg.positions[:, 0], life[i:j]) for cfg, (i, j) in zip(cfgs, rows)]
-    if rule is None:
-        return bars, [None] * len(cfgs)
-    G = barcodes.inversion_compound_counts(positions[:, 0], life, bounds)
-    members = (G > 0) & rule.mask(cfgs[0].window, positions, life)
-    return bars, [members[i:j] for i, j in rows]
+    members = None if rule is None else (G > 0) & rule.mask(cfgs[0].window, positions, life)
+    return bars, [None if members is None else members[i:j] for i, j in rows]

@@ -10,7 +10,9 @@ double loop over edge pairs, and the two must agree exactly.
 A ``GeometricGraph`` holds its edges, segments and retained flags as
 read-only columns (``edge_ids``, ``segment_ids``, ``retained_mask``), and the
 crossing path stays in arrays from ``build_edges`` to the count; the tuple
-views ``edges`` and ``retained`` are built only when read.
+views ``edges`` and ``retained`` are built only when read.  One code path
+serves a column stack of many configurations (``stack_compound_scores``) and
+one graph (``build_edges``, ``crossing_number``): one cKDTree per group.
 Candidate crossing pairs (midpoints within the slab cutoff) lose the adjacent
 pairs and the pairs whose projected bounding boxes are strictly disjoint on
 an axis before any orientation test.  That reject is exact: a proper crossing
@@ -40,6 +42,7 @@ __all__ = [
     "crossing_number",
     "crossing_number_direct",
     "crossing_pair_scores",
+    "stack_compound_scores",
     "kernel_from_flag",
     "parse_cap",
     "graph_to_text",
@@ -179,44 +182,43 @@ def _distances(pos: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
-def _ball_pairs(pos: np.ndarray, radii: np.ndarray):
-    """Rows (i, j, |pos[i] - pos[j]|) of every j within the widened radius
-    of i, the pair (i, i) included."""
-    hits = _kd_tree(pos).query_ball_point(pos, radii * _WIDEN, return_sorted=False)
-    lens = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
-    i = np.repeat(np.arange(len(hits)), lens)
-    j = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp, count=int(lens.sum()))
+def _tree_pairs(points: np.ndarray, reach: float, bounds, p: float = 2.0) -> tuple:
+    """Rows (i, j), i < j, of the pairs within ``reach`` (Minkowski ``p``) of
+    each group of rows ``bounds[k]:bounds[k + 1]``: one cKDTree per group."""
+    pairs = [_kd_tree(points[a:b]).query_pairs(reach, p=p, output_type="ndarray") + a
+             for a, b in zip(bounds[:-1], bounds[1:])]
+    return tuple(np.concatenate(pairs + [np.empty((0, 2), dtype=np.intp)]).T)
+
+
+def _ball_pairs(pos: np.ndarray, radii: np.ndarray, bounds):
+    """Rows (i, j, |pos[i] - pos[j]|) of every j of i's group within the
+    widened radius of i, the pair (i, i) included: one cKDTree per group,
+    whose Python neighbour lists are flattened before the next group's."""
+    rows = [np.empty(0, dtype=np.intp)] * 2
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        hits = _kd_tree(pos[a:b]).query_ball_point(pos[a:b], radii[a:b] * _WIDEN, return_sorted=False)
+        lens = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
+        j = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp, count=int(lens.sum()))
+        rows += [np.repeat(np.arange(a, b), lens), j + a]
+    i, j = np.concatenate(rows[0::2]), np.concatenate(rows[1::2])
+    del rows  # before the distances, the peak of a task's edge search
     return i, j, _distances(pos, i, j)
 
 
-def build_edges(
-    cfg: PointConfiguration,
-    kernel: ConnectivityKernel,
-    slab_cutoff: float = 1.0,
-) -> GeometricGraph:
-    """Complete edge list for the kernel; deterministic given the configuration.
-
-    Candidate pairs come from a cKDTree over the positions; each is decided by
-    the float distance sqrt(sum((pos_i - pos_j)**2)) against the kernel's
-    limit: ``radius``, ``R_i`` (directed) or ``min(R_i, R_j)`` (max and
-    localized).  Localized crowding counts come from the same decisions.
-    """
-    if not isinstance(kernel, FixedRadius) and not cfg.mark_model.has_marks:
-        raise ValueError(f"kernel {type(kernel).__name__} requires radius marks")
-    if cfg.window.dim < 2:
-        raise ValueError(f"crossing graphs need points of dimension >= 2, got {cfg.window.dim}")
-    ids = cfg.ids
-    pos = cfg.positions
+def _edges(pos: np.ndarray, marks, bounds, kernel: ConnectivityKernel, slab_cutoff: float, ids):
+    """The kernel's edge rows (src, dst) in each group of rows, segment rows
+    (lo, hi), ``ids[lo] < ids[hi]``, in (id, id) order, and retained flags.
+    Each candidate is decided by the float distance against the kernel's
+    limit: ``radius``, ``R_i`` (directed) or ``min(R_i, R_j)``."""
     if isinstance(kernel, FixedRadius):
-        i, j = _kd_tree(pos).query_pairs(kernel.radius * _WIDEN, output_type="ndarray").T
+        i, j = _tree_pairs(pos, kernel.radius * _WIDEN, bounds)
         keep = _distances(pos, i, j) <= kernel.radius
     elif isinstance(kernel, DirectedRandom):
-        radii = cfg.marks
-        i, j, dist = _ball_pairs(pos, radii)
-        keep = (i != j) & (dist <= radii[i])
+        i, j, dist = _ball_pairs(pos, marks, bounds)
+        keep = (i != j) & (dist <= marks[i])
     elif isinstance(kernel, (MaxKernel, Localized)):
-        radii = cfg.marks
-        i, j, dist = _ball_pairs(pos, radii)
+        radii = marks
+        i, j, dist = _ball_pairs(pos, radii, bounds)
         if isinstance(kernel, Localized) and kernel.cap is not None:
             # crowding counts include the point itself
             counts = np.bincount(i[dist <= radii[i]], minlength=len(pos))
@@ -231,12 +233,39 @@ def build_edges(
     lo, hi = np.where(flip, dst, src), np.where(flip, src, dst)
     order, starts = _runs(ids[lo], ids[hi])
     lo, hi = lo[order[starts]], hi[order[starts]]
+    xy = pos[:, :2]
+    retained = (np.abs(xy.take(lo, axis=0) - xy.take(hi, axis=0)) <= slab_cutoff).all(axis=1)
+    return src, dst, lo, hi, retained
+
+
+def build_edges(
+    cfg: PointConfiguration,
+    kernel: ConnectivityKernel,
+    slab_cutoff: float = 1.0,
+) -> GeometricGraph:
+    """Complete edge list for the kernel; deterministic given the
+    configuration: the one-group case of ``_edges``."""
+    if not isinstance(kernel, FixedRadius) and not cfg.mark_model.has_marks:
+        raise ValueError(f"kernel {type(kernel).__name__} requires radius marks")
+    if cfg.window.dim < 2:
+        raise ValueError(f"crossing graphs need points of dimension >= 2, got {cfg.window.dim}")
+    ids = cfg.ids
+    src, dst, lo, hi, retained = _edges(cfg.positions, cfg.marks, [0, len(ids)], kernel, slab_cutoff, ids)
     edge_ids = segment_ids = np.stack([ids[lo], ids[hi]], axis=1)
     if isinstance(kernel, DirectedRandom):
         edge_ids = np.stack([ids[src], ids[dst]], axis=1)[np.lexsort((ids[dst], ids[src]))]
-    xy = pos[:, :2]
-    retained = (np.abs(xy.take(lo, axis=0) - xy.take(hi, axis=0)) <= slab_cutoff).all(axis=1)
     return GeometricGraph(cfg, kernel, edge_ids, slab_cutoff, segment_ids, retained)
+
+
+def stack_compound_scores(pos, marks, bounds, kernel: ConnectivityKernel, slab_cutoff: float = 1.0):
+    """G of every row of a column stack (``process.sample_stack``): a quarter
+    of the crossing pairs whose segments the row ends, so each group's G adds
+    up to its crossing number.  Segments end at stack rows, no ids."""
+    _, _, lo, hi, retained = _edges(pos, marks, bounds, kernel, slab_cutoff, np.arange(len(pos)))
+    ends = np.stack([lo, hi], axis=1)[retained]
+    coords = pos[:, :2].take(ends, axis=0).reshape(-1, 4)  # (x0, y0, x1, y1) rows
+    pairs = _crossing_pairs(coords, ends, slab_cutoff, np.searchsorted(ends[:, 0], bounds))
+    return np.bincount(ends[pairs].ravel(), minlength=len(pos)) / 4.0
 
 
 def _runs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -253,9 +282,7 @@ def _segment_geometry(graph: GeometricGraph):
     """Projected endpoints (x0, y0, x1, y1) and endpoint ids of the retained
     segments."""
     ends = graph.segment_ids[graph.retained_mask]
-    rows = id_rows(graph.cfg.ids, ends)
-    xy = graph.cfg.positions[:, :2]
-    return np.hstack([xy.take(rows[:, 0], axis=0), xy.take(rows[:, 1], axis=0)]), ends
+    return graph.cfg.positions[:, :2].take(id_rows(graph.cfg.ids, ends), axis=0).reshape(-1, 4), ends
 
 
 def _orient_block(ox, oy, ex, ey, px, py):
@@ -266,23 +293,22 @@ def _orient_block(ox, oy, ex, ey, px, py):
     return np.sign(det), uncertain
 
 
-def _crossing_pairs(coords: np.ndarray, ends: np.ndarray, slab_cutoff: float) -> np.ndarray:
+def _crossing_pairs(coords: np.ndarray, ends: np.ndarray, slab_cutoff: float, bounds=None) -> np.ndarray:
     """(K, 2) rows (i, j), i < j, in lexicographic order: the properly
-    crossing, non-adjacent pairs of retained segments.
+    crossing, non-adjacent pairs of retained segments of one group of rows.
 
     A retained segment spans at most ``slab_cutoff`` on each projected axis,
     so two segments that properly cross have midpoints within Chebyshev
-    distance ``slab_cutoff``; only those candidate pairs are tested.  The
-    query is widened by a relative 1e-9 plus the midpoints' rounding error.
-    Adjacent pairs are dropped, and so are pairs whose bounding boxes are
-    strictly disjoint on an axis: a proper crossing point lies in both
-    boxes.  Each remaining pair goes through a float orientation filter;
-    borderline determinants fall back to the exact scalar predicate."""
-    if len(coords) < 2:
-        return np.empty((0, 2), dtype=np.intp)
+    distance ``slab_cutoff``; only those candidate pairs are tested, from one
+    midpoint cKDTree per group.  The query is widened by a relative 1e-9 plus
+    the midpoints' rounding error.  Adjacent pairs are dropped, and so are
+    pairs whose bounding boxes are strictly disjoint on an axis: a proper
+    crossing point lies in both boxes.  Each remaining pair goes through a
+    float orientation filter; borderline determinants fall back to the exact
+    scalar predicate."""
     mid = (coords[:, :2] + coords[:, 2:]) / 2.0
-    reach = slab_cutoff * _WIDEN + 4.0 * np.finfo(float).eps * np.abs(mid).max()
-    ii, jj = _kd_tree(mid).query_pairs(reach, p=np.inf, output_type="ndarray").T
+    reach = slab_cutoff * _WIDEN + 4.0 * np.finfo(float).eps * np.abs(mid).max(initial=0.0)
+    ii, jj = _tree_pairs(mid, reach, (0, len(coords)) if bounds is None else bounds, p=np.inf)
     e0, e1 = ends[:, 0], ends[:, 1]
     keep = (e0[ii] != e0[jj]) & (e0[ii] != e1[jj]) & (e1[ii] != e0[jj]) & (e1[ii] != e1[jj])
     ii, jj = ii[keep], jj[keep]

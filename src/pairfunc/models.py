@@ -7,8 +7,9 @@ treelog-uniform | treelog-tree                             (sum-log-sum, k = 1)
 A model holds no kernel code.  Its context (a ``GeometricGraph`` or a
 ``Barcode``) answers ``total()``, the pair score summed over ordered pairs,
 and ``changed_pairs(other)``, the pair-score diff that stabilization radii
-read; the functionals take G of barcodes from their columns.  A barcode
-model also gives the lifetimes of a whole column stack at once.
+read; the functionals take G of barcodes from their columns.  Every model
+also gives G of a whole column stack at once, and a barcode model its
+lifetimes: one crossing pass or one band pass per stack.
 """
 from __future__ import annotations
 
@@ -37,10 +38,10 @@ MODEL_NAMES = (
 class Model:
     """A named model: mark distribution, the functional it feeds (double sum
     or sum-log-sum), its admissibility rule and the builder of its context (a
-    graph or a barcode), which answers every query of the pair score.  A
-    barcode model's ``stack_lifetimes(positions, marks, bounds)`` gives the
-    bar lifetimes of every configuration of a column stack
-    (``process.sample_stack``) as one column; a graph model has None."""
+    graph or a barcode), which answers every query of the pair score.
+    ``stack_scores(positions, marks, bounds)`` gives the compound scores G of
+    every row of a column stack (``process.sample_stack``) and the rows' bar
+    lifetimes (None for a graph model), each as one column."""
 
     name: str
     functional_kind: str          # "double_sum" | "sum_log_sum"
@@ -48,7 +49,7 @@ class Model:
     mark_model: MarkModel
     admissibility: AdmissibilityRule
     build_context: Callable[[PointConfiguration], Any]
-    stack_lifetimes: Callable[..., Any] | None = None
+    stack_scores: Callable[..., tuple[Any, Any]]
 
     def sample(self, window: Window, seed, intensity: float = 1.0) -> PointConfiguration:
         return sample_ppp(window, intensity, self.mark_model, seed)
@@ -66,7 +67,10 @@ def _crossing_model(name: str, kernel, mark_model: MarkModel, cutoff: float) -> 
     def build(cfg: PointConfiguration) -> graphs.GeometricGraph:
         return graphs.build_edges(cfg, kernel, slab_cutoff=cutoff)
 
-    return Model(name, "double_sum", 2, mark_model, AdmissibilityRule.all(), build)
+    def stack(positions, marks, bounds):
+        return graphs.stack_compound_scores(positions, marks, bounds, kernel, cutoff), None
+
+    return Model(name, "double_sum", 2, mark_model, AdmissibilityRule.all(), build, stack)
 
 
 def _barcode_model(name: str, cutoff: float) -> Model:
@@ -80,7 +84,7 @@ def _barcode_model(name: str, cutoff: float) -> Model:
             return barcodes.uniform_lifetimes(cfg)
 
         def stack(positions, marks, bounds):
-            return marks
+            return barcodes.inversion_compound_counts(positions[:, 0], marks, bounds), marks
 
     else:
         mark_model, min_dim = MarkModel.none(), 2  # merge forests need a cylinder
@@ -90,7 +94,8 @@ def _barcode_model(name: str, cutoff: float) -> Model:
             return barcodes.elder_lifetimes(forest)
 
         def stack(positions, marks, bounds):
-            return barcodes.stacked_elder_lifetimes(positions, bounds, cutoff)
+            life = barcodes.stacked_elder_lifetimes(positions, bounds, cutoff)
+            return barcodes.inversion_compound_counts(positions[:, 0], life, bounds), life
 
     if score == "treelog":
         functional_kind, rule = "sum_log_sum", AdmissibilityRule.tree_realization()

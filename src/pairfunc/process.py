@@ -55,6 +55,13 @@ def _all_unique(values: np.ndarray) -> bool:
     return not (ordered[1:] == ordered[:-1]).any()
 
 
+def _integer(value) -> int:
+    """``int(value)``; a ValueError for a bool or a fraction (not truncated)."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _lex_order(*columns: np.ndarray) -> np.ndarray:
     """``np.lexsort(columns[::-1])``, as one argsort when the primary key
     ``columns[0]`` has no ties (``-0.0`` ties ``0.0``; NaN takes the lexsort)."""
@@ -298,16 +305,6 @@ def _configuration(window: Window, marks: MarkModel, positions, mark_values, ids
     return cfg
 
 
-def _stacked_configurations(window: Window, marks: MarkModel, positions, mark_values, bounds):
-    """The configuration of each sample of a ``sample_stack``, on views of its
-    rows, with ids 0, 1, ..."""
-    return [
-        _configuration(window, marks, positions[i:j],
-                       None if mark_values is None else mark_values[i:j], np.arange(j - i))
-        for i, j in zip(bounds[:-1], bounds[1:])
-    ]
-
-
 def sample_ppp(
     window: Window,
     intensity: float = 1.0,
@@ -368,10 +365,10 @@ def dump_configuration(cfg: PointConfiguration) -> str:
 
 
 def load_configuration(text: str) -> PointConfiguration:
-    """Parse a ``dump_configuration`` text.  The header must hold a window
-    and a mark model record, and every point line an id, d coordinates and a
-    mark (``-`` for none); a malformed line raises ValueError naming its line
-    number."""
+    """Parse a ``dump_configuration`` text.  The header must hold a window,
+    its dimension ``d``, a mark model record and a seed (null or an integer),
+    and every point line an id, d coordinates and a mark (``-`` for none); a
+    malformed line raises ValueError naming its line number."""
     lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("empty configuration dump")
@@ -379,6 +376,9 @@ def load_configuration(text: str) -> PointConfiguration:
         header = json.loads(lines[0][1])
         window = window_from_text(json.dumps(header["window"]))
         mark_model, seed = MarkModel.from_record(header["markmodel"]), header.get("seed")
+        seed = None if seed is None else _integer(seed)
+        if header["d"] != window.dim:
+            raise ValueError(f"d = {header['d']!r}, but the window has dimension {window.dim}")
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
         raise ValueError(f"line {lines[0][0]}: malformed header ({type(exc).__name__}: {exc})") from None
     d = window.dim

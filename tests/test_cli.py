@@ -112,8 +112,12 @@ def test_evaluate_malformed_point_file(tmp_path, capsys, edit, message):
         lambda header: dict(header, window=dict(header["window"], n="x")),
         lambda header: [header],
         lambda header: dict(header, markmodel="none"),
+        lambda header: dict(header, d=3),  # over a 2-d window
+        lambda header: dict(header, seed=1.5),
+        lambda header: dict(header, seed="x"),
     ],
-    ids=["window-list", "window-n-string", "header-list", "markmodel-string"],
+    ids=["window-list", "window-n-string", "header-list", "markmodel-string", "d-mismatch",
+         "seed-fraction", "seed-string"],
 )
 def test_evaluate_malformed_point_file_header(tmp_path, capsys, edit):
     from pairfunc.geometry import Window
@@ -141,6 +145,31 @@ def test_shield_check_malformed_configuration_header(tmp_path, capsys):
     line = _one_error_line(err, 3)
     assert line.startswith("PAIRFUNC_ERROR code=3 kind=runtime")
     assert "line 1: malformed header" in line
+
+
+@pytest.mark.parametrize("field, value", [("d", 3), ("seed", 1.5)])
+def test_shield_check_checks_the_header_fields(tmp_path, capsys, field, value):
+    rec = json.loads((FIXTURES / "shield_ok.txt").read_text())
+    header, rest = rec["configuration"].split("\n", 1)
+    rec["configuration"] = json.dumps(dict(json.loads(header), **{field: value})) + "\n" + rest
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(rec))
+    code, out, err = run_cli(["shield-check", "--fixture", str(path)], capsys)
+    assert code == 3 and out == ""
+    line = _one_error_line(err, 3)
+    assert line.startswith("PAIRFUNC_ERROR code=3 kind=runtime")
+    assert "line 1: malformed header" in line
+
+
+def test_point_file_seed_follows_the_config_rule():
+    # an integral float seed loads as the integer and is written back as one
+    from pairfunc.geometry import Window
+    from pairfunc.process import MarkModel, PointConfiguration, dump_configuration, load_configuration
+
+    cfg = PointConfiguration(Window(n=5.0, dim=2), MarkModel.none(), [(1.0, 1.0)], seed=7)
+    text = dump_configuration(cfg).replace('"seed": 7', '"seed": 7.0')
+    loaded = load_configuration(text)
+    assert loaded.seed == 7 and dump_configuration(loaded) == dump_configuration(cfg)
 
 
 def test_shield_check_fixture(capsys):

@@ -4,6 +4,7 @@ A task samples its replications into one column stack, and a barcode model
 evaluates them in one band pass.  ``stabilization_survey`` takes its draws
 in runs of about ``_BATCH_POINTS`` expected points, too."""
 import concurrent.futures
+import hashlib
 import tracemalloc
 from collections import Counter
 
@@ -48,6 +49,46 @@ def test_outputs_are_byte_identical_under_jobs_1_2_3(tmp_path, monkeypatch, mode
     ]
     assert chunks == [[4, 3], [3, 3, 1]]
     assert files[0] == files[1] == files[2]
+
+
+# sha256 over the (name, bytes) of every write_outputs file of a crossing
+# model's run, seed 11: grids (4, 6, 8) in d = 2 and (2, 3, 4) in d = 3 with
+# 6 replications, and one d = 2 cell at n = 128 (about 16k points a
+# replication) with 5.  They were recorded when each replication still built
+# its own configuration and graph; a change here must be a deliberate one.
+CROSSING_OUTPUT_SHA256 = {
+    ("crossing-fixed", 2): "fee7da44023c20728e3011172cb42e376ae9a08920db050279e5739e5422f019",
+    ("crossing-fixed", 3): "f27ca9a42bb35a985721badccb2e2f67e885b8675a62077838f7b29ff77cd991",
+    ("crossing-fixed", "large"): "737a5605e5b752c37457f3e422c6f5435b134af8c908c6882727aed17318bd03",
+    ("crossing-max", 2): "d99a8eba5c773ed639c105f3cd430025dc6329dbefd65810984e96b299e77e34",
+    ("crossing-max", 3): "3d665684f84316bd6c3167857314b55cce26aebb8494f65b85ce02c299d2f5d9",
+    ("crossing-max", "large"): "e0b2673e2fa00f9252ef50cdc417051ee42f996ec618f53e5da2300ce03d8693",
+    ("crossing-localized:16", 2): "edb1a26413f5c0388505a2e3cf5b63adb0867d4ec36893b23aa4ad5b4f11435f",
+    ("crossing-localized:16", 3): "ca92db8c8ccde0173320d99e47b87a283bb6d45b1a1268554653d44c7f3fd3ec",
+    ("crossing-localized:16", "large"): "cdf6e00954a328b58a628532ed5e1ef16a1ff698e8541e2a4831cda860731c70",
+}
+
+
+def _digest(config, out) -> str:
+    h = hashlib.sha256()
+    for name, data in _files(config, out).items():
+        h.update(name.encode() + b"\0" + data)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("model_id", ["crossing-fixed", "crossing-max", "crossing-localized:16"])
+def test_crossing_outputs_are_pinned(tmp_path, monkeypatch, model_id):
+    for d, grid in ((2, (4.0, 6.0, 8.0)), (3, (2.0, 3.0, 4.0))):
+        for jobs in (1, 2, 3):
+            config = ExperimentConfig(model=model_id, n_grid=grid, reps=6, seed=11, d=d, jobs=jobs)
+            assert _digest(config, tmp_path / f"{d}-{jobs}") == CROSSING_OUTPUT_SHA256[model_id, d]
+    # _BATCH_POINTS splits the n = 128 cell into tasks of 4 and 1 replications
+    tasks, run_batch = [], experiment._run_batch
+    monkeypatch.setattr(experiment, "_run_batch",
+                        lambda task: tasks.append(len(task[2])) or run_batch(task))
+    config = ExperimentConfig(model=model_id, n_grid=(128.0,), reps=5, seed=11, jobs=1)
+    assert _digest(config, tmp_path / "large") == CROSSING_OUTPUT_SHA256[model_id, "large"]
+    assert tasks == [4, 1]
 
 
 @pytest.mark.parametrize("model_id", ["treelog-uniform", "inversion-tree"])

@@ -21,9 +21,10 @@ from pairfunc.graphs import (
     crossing_pair_scores,
     graph_to_text,
     kernel_from_flag,
+    stack_compound_scores,
 )
 from pairfunc.models import get_model
-from pairfunc.process import MarkModel, MarkedPoint, PointConfiguration, insert_point
+from pairfunc.process import MarkModel, MarkedPoint, PointConfiguration, id_rows, insert_point
 
 from conftest import build_edges_oracle, make_configuration, pair_value, random_configuration
 
@@ -293,6 +294,42 @@ def test_crossing_number_matches_direct_on_lattice(cfg, kernel, cutoff):
     count = crossing_number(g)
     assert count == crossing_number_direct(g)
     assert sum(crossing_pair_scores(g).values()) == 4 * count
+
+
+@st.composite
+def lattice_stacks(draw):
+    """A column stack of lattice configurations in one window of d = 2 or 3:
+    the configurations, and their rows, marks and group bounds.  Groups of
+    no and one point sit between groups with ties, collinear points and
+    duplicate positions."""
+    d = draw(st.integers(2, 3))
+    window = Window(n=2.0, dim=d)
+    cfgs = []
+    for rows in draw(st.lists(st.lists(st.tuples(st.tuples(*[_QUARTER] * d), _RADII), max_size=20),
+                              max_size=6)):
+        positions = np.array([p for p, _ in rows], dtype=float).reshape(-1, d)
+        cfgs.append(make_configuration(window, positions, marks=np.array([m for _, m in rows])))
+    bounds = np.cumsum([0] + [len(cfg) for cfg in cfgs])
+    positions = np.concatenate([cfg.positions for cfg in cfgs] + [np.empty((0, d))])
+    marks = np.concatenate([cfg.marks for cfg in cfgs] + [np.empty(0)])
+    return cfgs, positions, marks, bounds
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_stacks(), st.sampled_from(_KERNELS), _RADII)
+def test_stacked_counts_match_direct_count_of_each_group(stack, kernel, cutoff):
+    # one pass over the stack gives each group's crossing number, and each
+    # row's G, as the group's own graph gives them
+    cfgs, positions, marks, bounds = stack
+    G = stack_compound_scores(positions, marks, bounds, kernel, cutoff)
+    assert G.shape == (len(positions),)
+    for cfg, a, b in zip(cfgs, bounds[:-1], bounds[1:]):
+        g = build_edges(cfg, kernel, slab_cutoff=cutoff)
+        assert G[a:b].sum() == crossing_number_direct(g)
+        expected = np.zeros(len(cfg))
+        for pair, count in crossing_pair_scores(g).items():
+            expected[id_rows(cfg.ids, pair)] += count / 8.0
+        assert np.array_equal(G[a:b], expected)
 
 
 def pair_scores_literal(graph):

@@ -6,7 +6,7 @@ import pytest
 from pairfunc.functionals import diff_first
 from pairfunc.geometry import Window
 from pairfunc.models import MODEL_NAMES, Model, get_model
-from pairfunc.process import MarkModel
+from pairfunc.process import MarkModel, sample_stack
 
 from conftest import pair_value, random_configuration
 
@@ -27,13 +27,18 @@ def test_model_catalog_resolves():
 
 def test_model_is_a_record_of_names_and_a_builder():
     # the context the builder returns answers every query of the pair score;
-    # a barcode model also gives the lifetimes of a whole column stack
+    # every model also gives G of a whole column stack, a barcode model with
+    # the stack's lifetimes
     assert [f.name for f in dataclasses.fields(Model)] == [
         "name", "functional_kind", "min_dim", "mark_model", "admissibility", "build_context",
-        "stack_lifetimes",
+        "stack_scores",
     ]
-    assert get_model("crossing-fixed").stack_lifetimes is None
-    assert get_model("inversion-tree").stack_lifetimes is not None
+    window, seeds = Window(n=5.0, dim=2), [(8, 0, 0), (8, 0, 1)]
+    for name, has_bars in (("crossing-fixed", False), ("inversion-tree", True)):
+        model = get_model(name)
+        positions, marks, bounds = sample_stack(window, 1.0, model.mark_model, seeds)
+        G, lifetimes = model.stack_scores(positions, marks, bounds)
+        assert G.shape == (len(positions),) and (lifetimes is not None) == has_bars
 
 
 def test_minimum_dimensions():

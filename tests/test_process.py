@@ -10,7 +10,6 @@ from pairfunc.process import (
     MarkedPoint,
     PointConfiguration,
     _lex_order,
-    _stacked_configurations,
     count_in,
     derive_rng,
     dump_configuration,
@@ -50,16 +49,12 @@ def test_stack_rows_are_each_samples_configuration_rows():
         assert (values is None) == (not marks.has_marks) and len(bounds) == len(seeds) + 1
         sizes = np.diff(bounds)
         assert sizes.min() == 0 and 1 in sizes and bounds[-1] == len(positions)
-        stacked = _stacked_configurations(w, marks, positions, values, bounds)
-        for k, (seed, cfg) in enumerate(zip(seeds, stacked, strict=True)):
+        assert not positions.flags.writeable and (values is None or not values.flags.writeable)
+        for k, seed in enumerate(seeds):
             drawn = sample_ppp(w, 0.1, marks, seed)
             rows = slice(bounds[k], bounds[k + 1])
             assert np.array_equal(positions[rows], drawn.positions)
             assert values is None or np.array_equal(values[rows], drawn.marks)
-            # the unchecked configuration of a sample is the checked one of its rows
-            assert cfg == PointConfiguration(w, marks, drawn.positions, drawn.marks)
-            assert not any(c.flags.writeable for c in (cfg.positions, cfg.ids))
-            assert cfg.marks is None or not cfg.marks.flags.writeable
     positions, values, bounds = sample_stack(w, 1.0, MarkModel.uniform01(), [])
     assert positions.shape == (0, 3) and values.shape == (0,) and bounds.tolist() == [0]
     with pytest.raises(ValueError, match="intensity"):
