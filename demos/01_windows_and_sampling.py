@@ -1,19 +1,10 @@
-"""Windows, slabs, cubes, box partitions, and reproducible Poisson sampling.
+"""Windows, cubes and reproducible Poisson sampling.
 
 Run with: python demos/01_windows_and_sampling.py
 """
 import numpy as np
 
-from pairfunc import (
-    BoxPartition,
-    Cube,
-    MarkModel,
-    Slab,
-    Window,
-    box_at_index,
-    count_in,
-    sample_ppp,
-)
+from pairfunc import Cube, MarkModel, Window, sample_ppp
 
 # A growing rectangle: first side n, the others a_j * n^alpha_j.
 window = Window(n=16.0, dim=3, coefficients=(1.0, 0.5), exponents=(1.0, 1.0))
@@ -26,21 +17,12 @@ cfg = sample_ppp(window, intensity=1.0, marks=MarkModel.uniform01(), seed=7)
 again = sample_ppp(window, intensity=1.0, marks=MarkModel.uniform01(), seed=7)
 print("\npoints:", len(cfg), "| deterministic rerun identical:", cfg == again)
 
-# Counting measure over slabs and cubes.
-center = tuple(s / 2 for s in window.sides)
-slab = Slab(center, half_width=1.0, order=2, window=window)
-cube = Cube(center, half_side=2.0)
-print("points in the central slab: ", count_in(cfg, slab))
-print("points in the central cube: ", count_in(cfg, cube))
-
-# The lexicographic box partition covering the window (axis 1 varies fastest).
-part = BoxPartition(Window(n=4, dim=2, coefficients=(2.0,)), r=1.0)
-print("\nbox partition:", part.axis_counts, "boxes of volume", part.box_volume)
-for j in (1, 2, part.total_boxes):
-    box = box_at_index(part, j)
-    print(f"  box {j}: {box.lower} .. {box.upper}")
+# Counting measure over a cube: its vectorized mask over the position column.
+cube = Cube(tuple(s / 2 for s in window.sides), half_side=2.0)
+print("points in the central cube: ", int(cube.mask(cfg.positions).sum()))
 
 # Empirical check of the Poisson law on a fixed region.
 region = Cube((8.0, 8.0, 4.0), 1.0)
-counts = [count_in(sample_ppp(window, 1.0, seed=(123, r)), region) for r in range(2000)]
+counts = [int(region.mask(sample_ppp(window, 1.0, seed=(123, r)).positions).sum())
+          for r in range(2000)]
 print("\nmean count in a volume-8 cube over 2000 draws:", np.mean(counts))

@@ -17,7 +17,6 @@ from pairfunc import (
     sample_ppp,
     uniform_lifetimes,
 )
-from pairfunc.barcodes import barcode_to_text
 from pairfunc.fixtures import poisson_tree_figure_configuration
 
 # The reference layout: leaves born at times 0, 2 and 1; merges at times 4 and
@@ -28,7 +27,7 @@ forest = build_merge_forest(cfg)
 print("leaf ids:", cfg.ids[forest.leaves].tolist(),
       "merge point ids:", cfg.ids[forest.merge_points].tolist())
 barcode = elder_lifetimes(forest)
-print(barcode_to_text(barcode))
+print("leaf branch lifetimes:", barcode.lifetimes[forest.leaves].tolist())
 
 # Lifetime models: i.i.d. uniform marks versus tree branch lengths.
 window = Window(n=24.0, dim=2)

@@ -12,7 +12,6 @@ import numpy as np
 from pairfunc import (
     MarkedPoint,
     Window,
-    compound_score,
     diff_first,
     diff_second,
     double_sum,
@@ -28,8 +27,6 @@ window = Window(n=16.0, dim=2)
 cfg = inversion.sample(window, seed=21)
 print("configuration size:", len(cfg))
 print("double sum (ordered inversions):", double_sum(cfg, inversion))
-some_id = cfg.points[len(cfg) // 2].id
-print("compound score G of a middle point:", compound_score(cfg, some_id, inversion))
 
 fv = treelog.evaluate(treelog.sample(window, seed=21))
 mant, expo = fv.product_mantissa_exponent()

@@ -7,18 +7,14 @@ __version__ = "0.1.0"
 
 from .geometry import (
     AxisBox,
-    BoxPartition,
     Cube,
-    Slab,
     Window,
-    box_at_index,
     segments_properly_cross,
 )
 from .process import (
     MarkModel,
     MarkedPoint,
     PointConfiguration,
-    count_in,
     derive_rng,
     dump_configuration,
     insert_point,
@@ -50,7 +46,6 @@ from .barcodes import (
 from .functionals import (
     AdmissibilityRule,
     FunctionalValue,
-    compound_score,
     diff_first,
     diff_second,
     double_sum,

@@ -41,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import Cube, _g17, _kd_tree
+from .geometry import Cube, _kd_tree
 from .process import MarkedPoint, PointConfiguration, _all_unique, _lex_order, id_rows, insert_point
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "inversion_count",
     "shield_membership",
     "shield_property_check",
-    "barcode_to_text",
 ]
 
 
@@ -432,13 +431,6 @@ def inversion_compound_counts(births: np.ndarray, lifetimes: np.ndarray, bounds=
     G = 0.  ``bounds`` (row offsets 0 .. N) stacks barcodes, as ``_unit_band``.
     """
     return _inversion_partners(births, lifetimes, bounds)
-
-
-def barcode_to_text(barcode: Barcode) -> str:
-    """One ``owner birth lifetime`` line per bar, floats in lossless 17-digit
-    form (+inf as ``inf``)."""
-    columns = (barcode.owners.tolist(), barcode.births.tolist(), barcode.lifetimes.tolist())
-    return "".join(f"{o} {_g17(b)} {_g17(life)}\n" for o, b, life in zip(*columns))
 
 
 # -- Shield configurations ---------------------------------------------------

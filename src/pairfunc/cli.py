@@ -32,7 +32,7 @@ from .experiment import (
     write_outputs,
 )
 from .graphs import build_edges, crossing_number, graph_to_text, kernel_from_flag
-from .process import MarkModel, dump_configuration, load_configuration, sample_ppp
+from .process import MarkModel, _seed, dump_configuration, load_configuration, sample_ppp
 from .stats import binomial_lower_tail_bound, poisson_upper_tail_bound
 
 __all__ = ["main"]
@@ -74,9 +74,11 @@ def _inputs(args) -> dict:
         env = os.environ.get("PAIRFUNC_SEED")
         if env is not None:
             try:
-                inputs["seed"] = int(env)
+                inputs["seed"] = _seed(env)
             except ValueError as exc:
-                raise ConfigError(f"PAIRFUNC_SEED must be an integer, got {env!r}") from exc
+                raise ConfigError(
+                    f"PAIRFUNC_SEED must be an integer in [0, 2**64), got {env!r}"
+                ) from exc
         if "seed" not in inputs:
             raise ConfigError(f"{args.command} needs --seed, a config seed, or PAIRFUNC_SEED")
     return inputs

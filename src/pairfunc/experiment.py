@@ -23,7 +23,7 @@ from . import __version__
 from .functionals import AdmissibilityRule, evaluate_all
 from .geometry import Window, check_window_values
 from .models import Model, get_model
-from .process import _integer, sample_stack
+from .process import _integer, _seed, sample_stack
 from .stats import (
     ScalingFit,
     is_degenerate,
@@ -87,7 +87,7 @@ _CONVERTERS = {
     "model": str,
     "n_grid": _floats,
     "reps": _integer,
-    "seed": _integer,
+    "seed": _seed,
     "d": _integer,
     "intensity": lambda value: require_positive("intensity", float(value)),
     "a": lambda value: _window_range("coefficients", _floats(value)) or None,

@@ -1,4 +1,4 @@
-"""Generic pair functionals: double sums, compound scores, sum-log-sums,
+"""Generic pair functionals: double sums, sum-log-sums over compound scores,
 difference operators and empirical stabilization radii.
 
 Each functional takes a ``pairfunc.models.Model`` and asks the context it
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import barcodes
 from .graphs import GeometricGraph
-from .process import MarkedPoint, PointConfiguration, id_rows, insert_point
+from .process import PointConfiguration, id_rows, insert_point
 
 if TYPE_CHECKING:
     from .models import Model
@@ -30,7 +30,6 @@ __all__ = [
     "AdmissibilityRule",
     "FunctionalValue",
     "double_sum",
-    "compound_score",
     "sum_log_sum",
     "diff_first",
     "diff_second",
@@ -97,20 +96,6 @@ def double_sum(cfg: PointConfiguration, model: Model) -> float:
     return float(model.build_context(cfg).total())
 
 
-def _compound(ctx) -> np.ndarray:
-    """G of every bar of a barcode context; a ValueError for any other context."""
-    if not isinstance(ctx, barcodes.Barcode):
-        raise ValueError("a context other than a barcode provides no compound scores")
-    return barcodes.inversion_compound_counts(ctx.births, ctx.lifetimes)
-
-
-def compound_score(cfg: PointConfiguration, z, model: Model, ctx=None) -> float:
-    """G(Z): total score between Z and every other point."""
-    z_id = z.id if isinstance(z, MarkedPoint) else int(z)
-    row = id_rows(cfg.ids, [z_id])[0]  # KeyError on an unknown id
-    return _compound(model.build_context(cfg) if ctx is None else ctx)[row].item()
-
-
 def _sum_log_sums(G: np.ndarray, admitted: np.ndarray, bounds) -> list[FunctionalValue]:
     """The sum-log-sum of each group of rows ``bounds[k]:bounds[k + 1]`` and
     its admitted and dropped (G = 0) counts.  A sequential ``np.cumsum`` of
@@ -131,7 +116,9 @@ def sum_log_sum(cfg: PointConfiguration, model: Model) -> FunctionalValue:
     """Sum of log G over the points that the model's admissibility rule admits
     with positive G; counts how many admitted points were dropped for G = 0."""
     ctx = model.build_context(cfg)
-    G = _compound(ctx)
+    if not isinstance(ctx, barcodes.Barcode):
+        raise ValueError("a context other than a barcode provides no compound scores")
+    G = barcodes.inversion_compound_counts(ctx.births, ctx.lifetimes)
     admitted = model.admissibility.mask(cfg.window, cfg.positions, ctx.lifetimes)
     return _sum_log_sums(G, admitted, [0, len(cfg)])[0]
 

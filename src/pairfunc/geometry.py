@@ -1,4 +1,4 @@
-"""Axis-aligned windows, slabs, cubes, box partitions and exact planar segment predicates.
+"""Axis-aligned windows, boxes, cubes and exact planar segment predicates.
 
 Everything here is an immutable value; all operations are pure functions, so the
 types are safe to share across threads.
@@ -16,10 +16,7 @@ import numpy as np
 __all__ = [
     "Window",
     "AxisBox",
-    "Slab",
     "Cube",
-    "BoxPartition",
-    "box_at_index",
     "segments_properly_cross",
     "window_to_text",
     "window_from_text",
@@ -134,41 +131,10 @@ class AxisBox(_Region):
     def dim(self) -> int:
         return len(self.lower)
 
-    @property
-    def center(self) -> tuple[float, ...]:
-        return tuple((l + u) / 2.0 for l, u in zip(self.lower, self.upper))
-
     def _mask(self, pos: np.ndarray) -> np.ndarray:
         return self._all_columns(
             (col >= lo) & (col <= up) for col, lo, up in zip(pos.T, self.lower, self.upper)
         )
-
-
-@dataclass(frozen=True)
-class Slab(_Region):
-    """Column around ``center``: all window points within ``half_width`` of the
-    center in each of the first ``order`` coordinates, unconstrained in the rest."""
-
-    center: tuple[float, ...]
-    half_width: float
-    order: int
-    window: Window
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(v) for v in self.center))
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
-        if not 1 <= self.order <= self.window.dim:
-            raise ValueError("locality order must lie in [1, d]")
-
-    @property
-    def dim(self) -> int:
-        return self.window.dim
-
-    def _mask(self, pos: np.ndarray) -> np.ndarray:
-        centers = self.center[: self.order]
-        near = (np.abs(m - col) <= self.half_width for m, col in zip(centers, pos.T))
-        return self.window.mask(pos) & self._all_columns(near)
 
 
 @dataclass(frozen=True)
@@ -190,72 +156,6 @@ class Cube(_Region):
     def _mask(self, pos: np.ndarray) -> np.ndarray:
         near = (np.abs(m - col) <= self.half_side for m, col in zip(self.center, pos.T))
         return self._all_columns(near)
-
-
-@dataclass(frozen=True)
-class BoxPartition:
-    """Lexicographically indexed cover of a window with equal boxes.
-
-    The box side along axis i is r * a_i (a_1 = 1); there are ceil(a_i / r) * n
-    boxes along axis i, axis 1 varying fastest, 1-based index.  Requires the
-    window scale n to be a positive integer and all side exponents equal to 1.
-    """
-
-    window: Window
-    r: float
-
-    def __post_init__(self):
-        n = self.window.n
-        if n != int(n) or n < 1:
-            raise ValueError("box partitions require an integer window scale n >= 1")
-        if any(e != 1.0 for e in self.window.exponents):
-            raise ValueError("box partitions require all side exponents equal to 1")
-        if self.r <= 0:
-            raise ValueError("box scale r must be positive")
-        for a in (1.0,) + self.window.coefficients:
-            if math.ceil(a / self.r) * self.r < 1.0:
-                raise ValueError(
-                    "boxes do not cover the window along an axis; increase r or a_j"
-                )
-
-    @property
-    def coefficients(self) -> tuple[float, ...]:
-        return (1.0,) + self.window.coefficients
-
-    @property
-    def axis_counts(self) -> tuple[int, ...]:
-        n = int(self.window.n)
-        return tuple(math.ceil(a / self.r) * n for a in self.coefficients)
-
-    @property
-    def total_boxes(self) -> int:
-        return int(np.prod(self.axis_counts))
-
-    @property
-    def box_volume(self) -> float:
-        return float(np.prod([self.r * a for a in self.coefficients]))
-
-    def boxes(self):
-        for j in range(1, self.total_boxes + 1):
-            yield box_at_index(self, j)
-
-
-def box_at_index(partition: BoxPartition, j: int) -> AxisBox:
-    """Closed box with 1-based lexicographic index j (axis 1 fastest)."""
-    total = partition.total_boxes
-    if not 1 <= j <= total:
-        raise IndexError(f"box index {j} outside [1, {total}]")
-    counts = partition.axis_counts
-    coeffs = partition.coefficients
-    idx = j - 1
-    lower, upper = [], []
-    for count, a in zip(counts, coeffs):
-        c = idx % count
-        idx //= count
-        side = partition.r * a
-        lower.append(c * side)
-        upper.append((c + 1) * side)
-    return AxisBox(tuple(lower), tuple(upper))
 
 
 # Orientation predicate: float evaluation guarded by a forward error bound, with

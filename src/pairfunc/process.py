@@ -1,4 +1,4 @@
-"""Marked Poisson point processes: sampling, insertion, counting, serialization.
+"""Marked Poisson point processes: sampling, insertion, serialization.
 
 A ``PointConfiguration`` stores its points as columns: a positions array, a
 marks array and an ids array, sorted once by (position, id) and validated with
@@ -34,18 +34,14 @@ __all__ = [
     "sample_stack",
     "sample_ppp",
     "insert_point",
-    "count_in",
     "dump_configuration",
     "load_configuration",
 ]
 
-_U64 = (1 << 64) - 1
-
 
 def derive_rng(master: int, *keys: int) -> np.random.Generator:
-    """Independent generator for stream (master, *keys)."""
-    seq = np.random.SeedSequence([int(master) & _U64, *[int(k) & _U64 for k in keys]])
-    return np.random.default_rng(seq)
+    """Independent generator for stream (master, *keys), each a ``_seed``."""
+    return np.random.default_rng(np.random.SeedSequence([_seed(v) for v in (master, *keys)]))
 
 
 def _all_unique(values: np.ndarray) -> bool:
@@ -60,6 +56,18 @@ def _integer(value) -> int:
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _seed(value) -> int:
+    """The one seed rule, of flags, config records, PAIRFUNC_SEED and point
+    files alike: ``_integer(value)`` in [0, 2**64); a ValueError otherwise (a
+    stream key is not reduced modulo 2**64, so no two seeds alias)."""
+    if type(value) is int and 0 <= value < 2**64:  # every stream key of a draw
+        return value
+    seed = _integer(value)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"a seed must be an integer in [0, 2**64), got {seed}")
+    return seed
 
 
 def _lex_order(*columns: np.ndarray) -> np.ndarray:
@@ -342,12 +350,6 @@ def insert_point(cfg: PointConfiguration, x: MarkedPoint | Sequence[float]) -> P
     return _configuration(cfg.window, cfg.mark_model, positions, marks, ids, cfg.seed)
 
 
-def count_in(cfg: PointConfiguration, region) -> int:
-    """Number of configuration points whose position lies in the region (any
-    object with a vectorized ``mask(positions)``)."""
-    return int(region.mask(cfg.positions).sum())
-
-
 def dump_configuration(cfg: PointConfiguration) -> str:
     """Line-oriented text dump with exact decimal round-trip."""
     header = {
@@ -376,7 +378,7 @@ def load_configuration(text: str) -> PointConfiguration:
         header = json.loads(lines[0][1])
         window = window_from_text(json.dumps(header["window"]))
         mark_model, seed = MarkModel.from_record(header["markmodel"]), header.get("seed")
-        seed = None if seed is None else _integer(seed)
+        seed = None if seed is None else _seed(seed)
         if header["d"] != window.dim:
             raise ValueError(f"d = {header['d']!r}, but the window has dimension {window.dim}")
     except (ValueError, TypeError, KeyError, AttributeError) as exc:

@@ -102,24 +102,6 @@ def inversion_compound_counts_blocked(births, lifetimes) -> np.ndarray:
     return G
 
 
-def box_enumeration_oracle(partition, j):
-    """Row-major (axis 1 fastest) enumeration of all boxes; returns box j."""
-    counts = partition.axis_counts
-    coeffs = partition.coefficients
-    boxes = []
-    indices = [0] * len(counts)
-    for _ in range(partition.total_boxes):
-        lower = tuple(c * partition.r * a for c, a in zip(indices, coeffs))
-        upper = tuple((c + 1) * partition.r * a for c, a in zip(indices, coeffs))
-        boxes.append((lower, upper))
-        for axis in range(len(counts)):  # increment with carry, axis 1 fastest
-            indices[axis] += 1
-            if indices[axis] < counts[axis]:
-                break
-            indices[axis] = 0
-    return boxes[j - 1]
-
-
 def build_edges_oracle(cfg, kernel, slab_cutoff=1.0):
     """Dense all-pairs edge builder: (edges, segments, retained) as the
     tuples ``GeometricGraph`` holds, from the full N x N distance matrix."""

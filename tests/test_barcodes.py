@@ -1,4 +1,3 @@
-import io
 import itertools
 import math
 
@@ -12,7 +11,6 @@ from pairfunc import barcodes
 from pairfunc.barcodes import (
     Bar,
     Barcode,
-    barcode_to_text,
     build_merge_forest,
     elder_lifetimes,
     inversion_compound_counts,
@@ -969,12 +967,6 @@ def test_changed_pairs_band_only_the_bars_near_a_moved_bar(monkeypatch):
     assert [tuple(row) for row in pairs.tolist()] == expected
 
 
-def test_barcode_text_round_trip():
-    bars = Barcode([0, 3, 7], [0.1, 1.0, 2.0], [0.5, math.inf, 0.0])
-    owners, births, lifetimes = np.loadtxt(io.StringIO(barcode_to_text(bars))).T
-    assert Barcode(owners.astype(np.int64), births, lifetimes) == bars
-
-
 def test_barcode_columns_are_read_only_and_validated():
     owners = np.array([4, 1])
     bc = Barcode(owners, [0.5, 0.25], [0.2, math.inf])
@@ -1105,14 +1097,9 @@ def test_shield_pad_regions_exposed():
 
 
 def test_shield_property_at_partition_box_center():
-    from pairfunc.geometry import BoxPartition, box_at_index
-
-    # the box holding the shield center in a side-8 partition of the window
-    part = BoxPartition(Window(n=3, dim=2, coefficients=(1.0,)), r=8.0)
-    box = box_at_index(part, 5)  # [8,16] x [8,16], centered at (12, 12)
-    assert box.center == CENTER
+    # CENTER is the center of [8, 16]^2, the middle box of a side-8 partition of W24
     cfg = sample_shielded_configuration(W24, CENTER, seed=103)
-    assert shield_property_check(cfg, box.center, (12.3, 12.8))
+    assert shield_property_check(cfg, CENTER, (12.3, 12.8))
 
 
 # an unshielded (empty) box: inserting (12.0, 12.6) bridges a dead-ended old

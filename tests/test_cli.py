@@ -311,6 +311,61 @@ def test_missing_seed_is_config_error(capsys):
     assert "kind=config" in err
 
 
+# a seed outside [0, 2**64) once drew the points of the seed modulo 2**64
+OUT_OF_RANGE_SEEDS = [str(2**64), "-1", str(2**64 + 7)]
+
+
+@pytest.mark.parametrize("seed", OUT_OF_RANGE_SEEDS)
+def test_out_of_range_flag_seed_is_config_error(tmp_path, capsys, seed):
+    code, out, err = run_cli(["sample", "--n", "3", "--seed", seed], capsys)
+    assert code == 2 and out == ""
+    assert "[0, 2**64)" in _one_error_line(err, 2)
+
+
+@pytest.mark.parametrize("seed", [2**64, -1])
+def test_out_of_range_config_seed_is_config_error(tmp_path, capsys, seed):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": "inversion-uniform", "n_grid": [4, 6], "reps": 2,
+                                "seed": seed, "jobs": 1}))
+    for command in (["clt"], ["sample", "--n", "3"]):
+        code, out, err = run_cli(command + ["--config", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert "malformed config value for 'seed'" in _one_error_line(err, 2)
+
+
+@pytest.mark.parametrize("seed", OUT_OF_RANGE_SEEDS)
+def test_out_of_range_env_seed_is_config_error(capsys, monkeypatch, seed):
+    monkeypatch.setenv("PAIRFUNC_SEED", seed)
+    code, out, err = run_cli(["sample", "--n", "3", "--seed", "1"], capsys)
+    assert code == 2 and out == ""
+    assert "PAIRFUNC_SEED must be an integer in [0, 2**64)" in _one_error_line(err, 2)
+
+
+@pytest.mark.parametrize("seed", [2**64, -1])
+def test_out_of_range_point_file_seed_is_runtime_error(tmp_path, capsys, seed):
+    from pairfunc.geometry import Window
+    from pairfunc.process import MarkModel, PointConfiguration, dump_configuration
+
+    cfg = PointConfiguration(Window(n=5.0, dim=2), MarkModel.none(), [(1.0, 1.0)], seed=7)
+    path = tmp_path / "points.txt"
+    path.write_text(dump_configuration(cfg).replace('"seed": 7', f'"seed": {seed}'))
+    code, out, err = run_cli(["evaluate", "--points", str(path), "--kernel", "fixed"], capsys)
+    assert code == 3 and out == ""
+    assert "line 1: malformed header" in _one_error_line(err, 3)
+
+
+def test_largest_seed_samples_and_seeds_do_not_alias(tmp_path, capsys):
+    texts = {}
+    for seed in ("0", str(2**64 - 1)):
+        path = tmp_path / f"{seed}.txt"
+        code, _, err = run_cli(["sample", "--n", "3", "--seed", seed, "--out", str(path)], capsys)
+        assert code == 0, err
+        texts[seed] = path.read_text()
+    points = {seed: text.split("\n", 1)[1] for seed, text in texts.items()}
+    assert points["0"] != points[str(2**64 - 1)]
+    assert f'"seed": {2**64 - 1}' in texts[str(2**64 - 1)]
+
+
 def test_unknown_model_is_config_error(capsys, tmp_path):
     code, _, err = run_cli(
         ["scaling", "--model", "bogus", "--n-grid", "4,6,8", "--reps", "2", "--seed", "1"],

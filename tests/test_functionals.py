@@ -12,7 +12,6 @@ from pairfunc.functionals import (
     AdmissibilityRule,
     FunctionalValue,
     _sum_log_sums,
-    compound_score,
     diff_first,
     diff_second,
     double_sum,
@@ -23,7 +22,7 @@ from pairfunc.functionals import (
 from pairfunc.geometry import Window
 from pairfunc.graphs import FixedRadius, build_edges, crossing_number
 from pairfunc.models import MODEL_NAMES, get_model
-from pairfunc.process import MarkModel, MarkedPoint, PointConfiguration, insert_point
+from pairfunc.process import MarkModel, MarkedPoint, PointConfiguration, id_rows, insert_point
 
 from conftest import (
     compound_scores_oracle,
@@ -87,15 +86,13 @@ def test_double_sum_equals_ordered_pair_loop(model_id):
                 double_sum_oracle(cfg, model)
             )
             ctx = model.build_context(cfg)
-            if isinstance(ctx, Barcode):  # only barcodes have compound scores
-                G = [compound_score(cfg, z, model, ctx) for z in cfg.ids.tolist()]
+            if isinstance(ctx, Barcode):  # only barcodes have compound scores, by row
+                G = inversion_compound_counts(ctx.births, ctx.lifetimes).tolist()
                 assert G == compound_scores_oracle(cfg, model)
 
 
 def test_compound_routes_need_compound_scores():
     cfg = random_configuration(np.random.default_rng(6), Window(n=4.0, dim=3), 20)
-    with pytest.raises(ValueError, match="no compound scores"):
-        compound_score(cfg, 0, CROSS)
     with pytest.raises(ValueError, match="no compound scores"):
         empirical_stabilization_radius(cfg, (2.0, 2.0, 2.0), CROSS, AdmissibilityRule.all())
     with pytest.raises(ValueError, match="no compound scores"):
@@ -108,17 +105,16 @@ def test_compound_score_examples():
         mark_model=MarkModel.uniform01(),
     )
     # bars (1.0, 0.9) and (1.2, 0.5) invert; the third is far away in time
-    assert compound_score(cfg, 0, INV) == 1
-    assert compound_score(cfg, 2, INV) == 0
-    with pytest.raises(KeyError):
-        compound_score(cfg, 42, INV)
+    ctx = INV.build_context(cfg)
+    G = inversion_compound_counts(ctx.births, ctx.lifetimes)
+    assert G[id_rows(cfg.ids, [0, 2])].tolist() == [1, 0]
 
 
 def test_sum_of_compound_scores_is_double_sum():
     rng = np.random.default_rng(7)
     cfg = _uniform_cfg(rng, W2, 50)
     ctx = INV.build_context(cfg)
-    total = sum(compound_score(cfg, p.id, INV, ctx) for p in cfg.points)
+    total = int(inversion_compound_counts(ctx.births, ctx.lifetimes).sum())
     assert total == double_sum(cfg, INV)
 
 

@@ -1,16 +1,21 @@
-"""Exact invariances at sizes past the literal oracles' reach.
+"""Exact invariances and identities at sizes past the literal oracles' reach.
 
 A functional of a transformed input must give the same bits, with no oracle
 to consult.  Relabelling the point ids reaches the id-based path of one
-configuration's graph (``build_edges``, ``_segment_geometry``'s id lookup,
-``crossing_pair_scores``), which the stacked evaluation of a task no longer
-shares."""
+configuration's context (``build_edges``, ``_segment_geometry``'s id lookup,
+``crossing_pair_scores``; a barcode's owners, inversion pairs and diff),
+which the stacked evaluation of a task no longer shares.  The model
+identities tie kernels to each other, and the stacked compound scores of a
+task to each configuration's own context."""
 import numpy as np
 import pytest
 
 from pairfunc.geometry import Window
-from pairfunc.models import get_model
-from pairfunc.process import MarkedPoint, PointConfiguration, derive_rng, insert_point
+from pairfunc.graphs import FixedRadius, MaxKernel, build_edges
+from pairfunc.models import MODEL_NAMES, get_model
+from pairfunc.process import (
+    MarkModel, MarkedPoint, PointConfiguration, derive_rng, insert_point, sample_stack,
+)
 
 
 def _relabelled(cfg: PointConfiguration, labels: np.ndarray) -> PointConfiguration:
@@ -39,3 +44,65 @@ def test_crossing_models_ignore_the_id_labels_at_n128(model_id):
     assert len(changed) > 0
     mapped = np.sort(labels[changed], axis=1)
     assert np.array_equal(relabelled, mapped[np.lexsort((mapped[:, 1], mapped[:, 0]))])
+
+
+def _sorted_pairs(pairs: np.ndarray) -> np.ndarray:
+    """(min, max) id-pair rows in lexicographic order."""
+    pairs = np.sort(pairs, axis=1)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+@pytest.mark.parametrize("model_id, d, n", [
+    ("inversion-uniform", 2, 128.0), ("treelog-uniform", 2, 128.0),
+    ("inversion-tree", 3, 24.0), ("treelog-tree", 3, 24.0),
+])
+def test_barcode_models_ignore_the_id_labels(model_id, d, n):
+    model, window = get_model(model_id), Window(n=n, dim=d)
+    cfg = model.sample(window, (int(n), d, 0))
+    labels = derive_rng(int(n), d, 1).choice(10 * len(cfg), len(cfg), replace=False)
+    other = _relabelled(cfg, labels)
+    value = model.evaluate(cfg)
+    assert model.evaluate(other) == value and value.value > 0  # bit for bit, counts too
+    before, relabelled_before = model.build_context(cfg), model.build_context(other)
+    assert np.array_equal(relabelled_before.inversion_pairs,
+                          _sorted_pairs(labels[before.inversion_pairs]))
+    # insert just before an admissible bar's point in time: the tree models'
+    # lifetimes move, a uniform model's old bars keep theirs, and either way
+    # the changed pairs map through the labels
+    admissible = np.flatnonzero((before.lifetimes > 0.0) & (before.lifetimes < 1.0))
+    position = tuple(cfg.positions[admissible[len(admissible) // 2]] - 0.05 * np.eye(d)[0])
+    x = position if cfg.marks is None else MarkedPoint(position, 0.5, -1)
+    changed = before.changed_pairs(model.build_context(insert_point(cfg, x)))
+    relabelled = relabelled_before.changed_pairs(model.build_context(insert_point(other, x)))
+    assert (len(changed) > 0) == model_id.endswith("-tree")
+    assert np.array_equal(relabelled, _sorted_pairs(labels[changed]))
+
+
+def test_uncapped_localized_kernel_is_the_max_kernel_at_n128():
+    window = Window(n=128.0, dim=2)
+    uncapped, maximal = get_model("crossing-localized"), get_model("crossing-max")
+    cfg = maximal.sample(window, (128, 2, 0))
+    a, b = uncapped.build_context(cfg), maximal.build_context(cfg)
+    assert np.array_equal(a.edge_ids, b.edge_ids) and np.array_equal(a.segment_ids, b.segment_ids)
+    assert a.total() == b.total() > 0
+
+
+def test_max_kernel_on_unit_marks_is_the_fixed_radius_graph_at_n128():
+    window = Window(n=128.0, dim=2)
+    plain = get_model("crossing-fixed").sample(window, (128, 3, 0))
+    unit = PointConfiguration(window, MarkModel.exponential(1.0), plain.positions,
+                              np.ones(len(plain)), plain.ids)
+    a, b = build_edges(unit, MaxKernel()), build_edges(plain, FixedRadius(1.0))
+    assert np.array_equal(a.edge_ids, b.edge_ids) and np.array_equal(a.segment_ids, b.segment_ids)
+    assert a.total() == b.total() > 0
+
+
+@pytest.mark.parametrize("model_id", MODEL_NAMES)
+def test_stacked_scores_add_up_to_each_context_total_at_n128(model_id):
+    model, window = get_model(model_id), Window(n=128.0, dim=2)
+    seeds = [(128, 4, r) for r in range(3)]
+    positions, marks, bounds = sample_stack(window, 1.0, model.mark_model, seeds)
+    G, _ = model.stack_scores(positions, marks, bounds)
+    sums = [G[i:j].sum() for i, j in zip(bounds[:-1], bounds[1:])]
+    totals = [model.build_context(model.sample(window, seed)).total() for seed in seeds]
+    assert sums == totals and min(totals) > 0

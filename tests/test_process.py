@@ -4,15 +4,15 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from pairfunc.geometry import Cube, Slab, Window
+from pairfunc.geometry import Cube, Window
 from pairfunc.process import (
     MarkModel,
     MarkedPoint,
     PointConfiguration,
     _lex_order,
-    count_in,
     derive_rng,
     dump_configuration,
+    id_rows,
     insert_point,
     load_configuration,
     sample_ppp,
@@ -135,45 +135,51 @@ def test_mark_validation():
 
 
 def test_count_in_regions():
+    # a region's count is the sum of its vectorized mask over the position column
     w = Window(n=10.0, dim=2)
     empty = PointConfiguration(w, MarkModel.none(), ())
     cube = Cube((5.0, 5.0), 1.0)
-    assert count_in(empty, cube) == 0
+    assert cube.mask(empty.positions).sum() == 0
     cfg = PointConfiguration(
         w, MarkModel.none(), [(5.0, 5.0), (5.5, 4.5), (4.2, 5.9)]
     )
-    assert count_in(cfg, cube) == 3
+    assert cube.mask(cfg.positions).sum() == 3
     # random configuration equals a naive membership scan
     rng = np.random.default_rng(11)
     pts = rng.uniform(0, 10, (200, 2))
     cfg2 = PointConfiguration(w, MarkModel.none(), pts)
     naive = sum(1 for p in pts if max(abs(p[0] - 5.0), abs(p[1] - 5.0)) <= 1.0)
-    assert count_in(cfg2, cube) == naive
+    assert cube.mask(cfg2.positions).sum() == naive
 
 
 def test_count_additive_over_disjoint_regions():
     w = Window(n=10.0, dim=2)
     cfg = sample_ppp(w, 1.0, seed=3)
-    a = Cube((2.0, 2.0), 1.0)
-    b = Cube((8.0, 8.0), 1.0)
-
-    class Union:
-        def mask(self, positions):
-            return a.mask(positions) | b.mask(positions)
-
-    assert count_in(cfg, a) + count_in(cfg, b) == count_in(cfg, Union())
+    a = Cube((2.0, 2.0), 1.0).mask(cfg.positions)
+    b = Cube((8.0, 8.0), 1.0).mask(cfg.positions)
+    assert a.sum() + b.sum() == (a | b).sum()
 
 
-def test_slab_counting():
-    w = Window(n=10.0, dim=3)
-    cfg = sample_ppp(w, 1.0, seed=8)
-    slab = Slab((5.0, 5.0, 0.0), 1.0, 2, w)
-    naive = sum(
-        1
-        for p in cfg.points
-        if abs(p.position[0] - 5.0) <= 1.0 and abs(p.position[1] - 5.0) <= 1.0
-    )
-    assert count_in(cfg, slab) == naive
+def test_id_rows_maps_ids_to_rows_and_rejects_unknown_ids():
+    ids = np.array([7, 3, 42, 0])
+    assert id_rows(ids, [42, 7, 0]).tolist() == [2, 0, 3]
+    assert id_rows(ids, np.array([[3, 0]])).tolist() == [[1, 3]]  # the query's shape
+    assert id_rows(ids, []).tolist() == []
+    for unknown in ([5], [7, 43], [-1]):
+        with pytest.raises(KeyError, match="unknown point ids"):
+            id_rows(ids, unknown)
+    with pytest.raises(KeyError):
+        id_rows(np.array([], dtype=np.int64), [0])
+
+
+def test_stream_keys_follow_the_seed_rule():
+    # no key is reduced modulo 2**64: an out-of-range key is an error, not an alias
+    assert derive_rng(2**64 - 1, 0).uniform() != derive_rng(0, 0).uniform()
+    for bad in (2**64, -1, 1.5, True):
+        with pytest.raises(ValueError):
+            derive_rng(bad, 0)
+        with pytest.raises(ValueError):
+            derive_rng(0, bad)
 
 
 def test_derived_streams_are_independent_of_order():
