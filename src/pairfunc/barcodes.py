@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import Cube, _kd_tree
-from .process import MarkedPoint, PointConfiguration, _all_unique, _lex_order, id_rows, insert_point
+from .process import PointConfiguration, _all_unique, _lex_order, id_rows, insert_point
 
 __all__ = [
     "Bar",
@@ -546,16 +546,15 @@ def shield_property_check(
 ) -> bool:
     """Insert x into the inner cube of the side-8 box at ``center`` and report
     whether every pair score between points outside the box is unchanged.
-    ``x`` is a position or a ``MarkedPoint``, inserted as ``insert_point``
-    takes it.
+    ``x`` is a position or a ``MarkedPoint``, inserted by ``insert_point``.
     """
-    inner = Cube(tuple(center), INNER_HALF_SIDE)
-    pos = x.position if isinstance(x, MarkedPoint) else tuple(float(v) for v in x)
-    if not inner.contains(pos):
+    augmented = insert_point(cfg, x)
+    fresh = augmented.positions[augmented.ids == cfg.next_id()]
+    if not Cube(tuple(center), INNER_HALF_SIDE).mask(fresh).all():
         raise ValueError("insertion point must lie in the inner cube")
     if require_membership and not shield_membership(cfg, center):
         raise ValueError("box content is not a shield configuration")
     # x lies inside the box, so both tables cover the same outside points
     _, before = outside_pair_scores(cfg, center)
-    _, after = outside_pair_scores(insert_point(cfg, x), center)
+    _, after = outside_pair_scores(augmented, center)
     return np.array_equal(before, after)

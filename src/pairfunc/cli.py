@@ -84,6 +84,15 @@ def _inputs(args) -> dict:
     return inputs
 
 
+def _write_line(args, record: dict, text: str) -> None:
+    """Print a one-line result, ``record`` as JSON under ``--format json`` and
+    ``text`` otherwise, and write the same line to ``--out`` when it is set."""
+    line = json.dumps(record) if args.format == "json" else text
+    print(line)
+    if args.out:
+        Path(args.out).write_text(line + "\n")
+
+
 def _cmd_sample(args, inputs) -> int:
     dim = inputs["d"]
     model = resolve_model(inputs["model"], d=dim) if "model" in inputs else None
@@ -121,20 +130,16 @@ def _cmd_evaluate(args, inputs) -> int:
         return 0
     require_dimension(f"model {model.name}", model.min_dim, cfg.window.dim)
     fv = model.evaluate(cfg)
-    if args.format == "json":
-        line = json.dumps(fv.to_record())
-    elif fv.kind == "double_sum":
+    if fv.kind == "double_sum":
         value = fv.value
-        line = str(int(value) if float(value).is_integer() else value)
+        text = str(int(value) if float(value).is_integer() else value)
     else:
         mant, expo = fv.product_mantissa_exponent()
-        line = (
+        text = (
             f"sum_log_sum={fv.value!r} admissible={fv.admissible_count} "
             f"dropped_zero_g={fv.dropped_zero_g} product={mant:.6f}e{expo:+d}"
         )
-    print(line)
-    if args.out:
-        Path(args.out).write_text(line + "\n")
+    _write_line(args, fv.to_record(), text)
     return 0
 
 
@@ -213,13 +218,8 @@ def _cmd_shield_check(args, inputs) -> int:
         shield_property_check(cfg, center, tuple(x), require_membership=False)
         for x in insertions
     )
-    if args.format == "json":
-        line = json.dumps({"member": member, "property": prop})
-    else:
-        line = f"member={str(member).lower()}, property={str(prop).lower()}"
-    print(line)
-    if args.out:
-        Path(args.out).write_text(line + "\n")
+    _write_line(args, {"member": member, "property": prop},
+                f"member={str(member).lower()}, property={str(prop).lower()}")
     return 0 if member and prop else 3
 
 
@@ -234,13 +234,8 @@ def _cmd_bounds(args, inputs) -> int:
         value = bound(*(convert(v) for convert, v in zip(types, args.params)))
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"bounds {args.family}: {exc}") from exc
-    if args.format == "json":
-        line = json.dumps({"family": args.family, "params": args.params, "value": value})
-    else:
-        line = f"{value:.6e}"
-    print(line)
-    if args.out:
-        Path(args.out).write_text(line + "\n")
+    _write_line(args, {"family": args.family, "params": args.params, "value": value},
+                f"{value:.6e}")
     return 0
 
 

@@ -19,11 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .functionals import AdmissibilityRule, evaluate_all
+from . import __version__, stats
+from .functionals import AdmissibilityRule, evaluate_all, stabilization_radii
 from .geometry import Window, check_window_values
 from .models import Model, get_model
-from .process import _integer, _seed, sample_stack
+from .process import MarkedPoint, _configuration, _integer, _seed, derive_rng, sample_stack
 from .stats import (
     ScalingFit,
     is_degenerate,
@@ -253,6 +253,13 @@ class RunRecord:
 _BATCH_POINTS = 2**16  # per task: a 7 MiB traced peak, and 2**20 runs no faster
 
 
+def _tasks(points: float, count: int, jobs: int) -> list[range]:
+    """``range(count)`` in runs of one task each: one of ``jobs`` chunks, or
+    about ``_BATCH_POINTS`` expected points at ``points`` a replication."""
+    step = max(1, min(int(_BATCH_POINTS / max(points, 1.0)), -(-count // jobs)))
+    return [range(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
 def _run_batch(task) -> list[ReplicationRow]:
     """Replications ``reps`` (a range) of grid entry ``e``, each drawn from its
     own streams (seed, e, rep, 0) and (seed, e, rep, 1) into one column stack,
@@ -271,14 +278,13 @@ def _run_batch(task) -> list[ReplicationRow]:
 def run_experiment(config: ExperimentConfig) -> RunRecord:
     """Sample, build and evaluate every (n, replication) cell; aggregate
     summaries, distances to normal, and the variance scaling fit.  A task is a
-    grid cell, or a run of its replications: one of ``jobs`` chunks, or one
-    of about ``_BATCH_POINTS`` expected points."""
+    run of a grid cell's replications (``_tasks``)."""
     jobs = config.jobs if config.jobs is not None else (os.cpu_count() or 1)
-    tasks, reps = [], range(config.reps)
-    for e, n in enumerate(config.n_grid):
-        points = config.intensity * config.window(n).volume
-        step = max(1, min(int(_BATCH_POINTS / max(points, 1.0)), -(-len(reps) // jobs)))
-        tasks += [(config, e, reps[lo : lo + step]) for lo in range(0, len(reps), step)]
+    tasks = [
+        (config, e, reps)
+        for e, n in enumerate(config.n_grid)
+        for reps in _tasks(config.intensity * config.window(n).volume, config.reps, jobs)
+    ]
     if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -431,41 +437,34 @@ def stabilization_survey(
     """Draw (configuration, insertion point) pairs and measure the empirical
     stabilization radius of the model's pair score at each insertion.  Draw r
     takes its configuration from stream (seed, 0, r) and its insertion from
-    (seed, 1, r); draws go to ``stabilization_radii`` in runs of about
-    ``_BATCH_POINTS`` expected points."""
+    (seed, 1, r).  The draws run in ``_tasks`` at one job, each drawn as one
+    column stack whose row slices (ids: row numbers) go to ``stabilization_radii``."""
     if draws < 1:
         raise ConfigError(f"draws must be >= 1, got {draws}")
-    from .functionals import stabilization_radii
-    from .process import MarkedPoint, derive_rng
-    from .stats import loglinear_fit
-
     model = resolve_model(model_id, cutoff, d)
     if with_admissibility and model.name.startswith("crossing"):  # graphs have no G
         raise ConfigError(f"model {model_id} has no compound scores to admit points by")
     rule = model.admissibility if with_admissibility else None
     window = checked_window(rule, n=n, dim=d)
-    step = max(1, int(_BATCH_POINTS / max(window.volume, 1.0)))
     radii = []
-    for lo in range(0, draws, step):
+    for task in _tasks(window.volume, draws, 1):
+        positions, marks, bounds = sample_stack(window, 1.0, model.mark_model,
+                                                [(seed, 0, r) for r in task])
         cfgs, xs = [], []
-        for r in range(lo, min(lo + step, draws)):
-            cfgs.append(model.sample(window, (seed, 0, r)))
+        for r, i, j in zip(task, bounds[:-1], bounds[1:]):
+            cfgs.append(_configuration(window, model.mark_model, positions[i:j],
+                                       None if marks is None else marks[i:j], np.arange(j - i)))
             rng = derive_rng(seed, 1, r)
             x = rng.uniform(0.0, 1.0, d) * np.array(window.sides)
             mark = model.mark_model.sample(rng, 1)
             xs.append(x if mark is None else MarkedPoint(x, mark[0], -1))
         radii += stabilization_radii(model, cfgs, xs, rule)
-    radii_arr = np.array(radii, dtype=int)
-    ms, survival = [], []
-    for m in range(1, int(radii_arr.max()) + 1):
-        frac = float((radii_arr > m).mean())
-        if frac <= 0:
-            break
-        ms.append(m)
-        survival.append(frac)
+    ms = np.arange(1, max(radii))  # a radius exceeds each m below the largest
+    survival = (np.array(radii)[:, None] > ms).mean(axis=0)
     slope = r2 = None
     if len(ms) >= 2:
-        slope, _, _, r2 = loglinear_fit(np.array(ms, float), np.log(survival))
+        # looked up on the module at call time, so that a tracer's wrapper is seen
+        slope, _, _, r2 = stats.loglinear_fit(ms.astype(float), np.log(survival))
     return StabilizationSurvey(
-        tuple(int(v) for v in radii_arr), tuple(ms), tuple(survival), slope, r2
+        tuple(radii), tuple(ms.tolist()), tuple(survival.tolist()), slope, r2
     )

@@ -75,8 +75,8 @@ class Window(_Region):
     def __post_init__(self):
         if not (self.n > 0 and math.isfinite(self.n)):
             raise ValueError(f"window scale n must be positive and finite, got {self.n}")
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
+        if type(self.dim) is not int or self.dim < 1:  # not a float or bool equal to one
+            raise ValueError(f"dimension must be >= 1 and of type int, got {self.dim!r}")
         coeffs = tuple(float(c) for c in self.coefficients) or (1.0,) * (self.dim - 1)
         expos = tuple(float(e) for e in self.exponents) or (1.0,) * (self.dim - 1)
         if len(coeffs) != self.dim - 1 or len(expos) != self.dim - 1:

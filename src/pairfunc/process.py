@@ -248,7 +248,10 @@ class PointConfiguration:
         )
 
     def next_id(self) -> int:
-        return int(self.ids.max()) + 1 if len(self) else 0
+        fresh = int(self.ids.max()) + 1 if len(self) else 0
+        if fresh == 2**63:  # no insertion may promote the ids to float64
+            raise ValueError("no int64 id is left above the largest id 2**63 - 1")
+        return fresh
 
 
 def id_rows(ids: np.ndarray, query) -> np.ndarray:
@@ -376,12 +379,13 @@ def load_configuration(text: str) -> PointConfiguration:
         raise ValueError("empty configuration dump")
     try:
         header = json.loads(lines[0][1])
+        header["window"]["dim"] = _integer(header["window"]["dim"])  # config-record integer rule
         window = window_from_text(json.dumps(header["window"]))
         mark_model, seed = MarkModel.from_record(header["markmodel"]), header.get("seed")
         seed = None if seed is None else _seed(seed)
-        if header["d"] != window.dim:
+        if _integer(header["d"]) != window.dim:
             raise ValueError(f"d = {header['d']!r}, but the window has dimension {window.dim}")
-    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+    except (ValueError, TypeError, KeyError, AttributeError, OverflowError) as exc:
         raise ValueError(f"line {lines[0][0]}: malformed header ({type(exc).__name__}: {exc})") from None
     d = window.dim
     ids, positions, marks = [], [], []
@@ -394,6 +398,8 @@ def load_configuration(text: str) -> PointConfiguration:
             )
         try:
             ids.append(int(fields[0]))
+            if not -(2**63) <= ids[-1] < 2**63:
+                raise ValueError(f"point id {fields[0]} lies outside int64")
             positions.append([float(v) for v in fields[1 : 1 + d]])
             marks.append(None if fields[-1] == "-" else float(fields[-1]))
         except ValueError as exc:

@@ -1,12 +1,17 @@
 import argparse
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pairfunc.cli import build_parser, main
 from pairfunc.experiment import (
@@ -19,6 +24,8 @@ from pairfunc.experiment import (
     stabilization_survey,
     write_outputs,
 )
+from pairfunc.geometry import Window
+from pairfunc.process import MarkModel, PointConfiguration, dump_configuration, load_configuration
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -84,8 +91,13 @@ def test_evaluate_snowflake_with_kernel_flag(capsys):
         (lambda rows: rows[:1] + ["2 abc 4.0 -"] + rows[2:], "line 3: could not convert"),
         (lambda rows: rows[:1] + ["2 2.0 99.0 -"] + rows[2:], "outside the window"),
         (lambda rows: rows[:1] + ["0 2.0 4.0 -"] + rows[2:], "ids must be unique"),
+        (lambda rows: rows[:1] + ["99999999999999999999 2.0 4.0 -"] + rows[2:],
+         "line 3: point id 99999999999999999999 lies outside int64"),
+        (lambda rows: rows[:1] + [f"{2**63} 2.0 4.0 -"] + rows[2:], "lies outside int64"),
+        (lambda rows: rows[:1] + [f"{-2**63 - 1} 2.0 4.0 -"] + rows[2:], "lies outside int64"),
     ],
-    ids=["missing-field", "extra-field", "non-numeric", "outside-window", "duplicate-id"],
+    ids=["missing-field", "extra-field", "non-numeric", "outside-window", "duplicate-id",
+         "id-past-int64", "id-2-63", "id-below-int64"],
 )
 def test_evaluate_malformed_point_file(tmp_path, capsys, edit, message):
     from pairfunc.geometry import Window
@@ -115,9 +127,16 @@ def test_evaluate_malformed_point_file(tmp_path, capsys, edit, message):
         lambda header: dict(header, d=3),  # over a 2-d window
         lambda header: dict(header, seed=1.5),
         lambda header: dict(header, seed="x"),
+        lambda header: dict(header, d=2.5),
+        lambda header: dict(header, d=True),
+        lambda header: dict(header, window=dict(header["window"], dim=2.5)),
+        lambda header: dict(header, window=dict(header["window"], dim=True)),
+        lambda header: dict(header, window=dict(header["window"], dim=10**30, a=[], alpha=[])),
+        lambda header: dict(header, window=dict(header["window"], n=10**400)),
     ],
     ids=["window-list", "window-n-string", "header-list", "markmodel-string", "d-mismatch",
-         "seed-fraction", "seed-string"],
+         "seed-fraction", "seed-string", "d-fraction", "d-bool", "dim-fraction", "dim-bool",
+         "dim-past-index", "n-past-float"],
 )
 def test_evaluate_malformed_point_file_header(tmp_path, capsys, edit):
     from pairfunc.geometry import Window
@@ -170,6 +189,100 @@ def test_point_file_seed_follows_the_config_rule():
     text = dump_configuration(cfg).replace('"seed": 7', '"seed": 7.0')
     loaded = load_configuration(text)
     assert loaded.seed == 7 and dump_configuration(loaded) == dump_configuration(cfg)
+
+
+def test_point_file_dimensions_follow_the_config_rule():
+    # an integral float d or dim loads as the integer, as a config record's d does
+    cfg = PointConfiguration(Window(n=5.0, dim=2), MarkModel.none(), [(1.0, 1.0)])
+    text = dump_configuration(cfg).replace('"d": 2', '"d": 2.0').replace('"dim": 2', '"dim": 2.0')
+    loaded = load_configuration(text)
+    assert type(loaded.window.dim) is int and dump_configuration(loaded) == dump_configuration(cfg)
+
+
+# adversarial values for a header field or a row field of a point file
+_ODD = st.one_of(
+    st.sampled_from([2**63 - 1, 2**63, -(2**63) - 1, 10**20, 10**400, -1, 0, 1, 2, 3]),
+    st.sampled_from([2.0, 0.0, -3.0, 1e300, 2.5, -0.5, 1e-300]),
+    st.booleans(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.text(max_size=4),
+    st.none(),
+)
+_HEADER_FIELDS = [
+    ("d",), ("seed",), ("window",), ("markmodel",), ("window", "n"), ("window", "dim"),
+    ("window", "a"), ("window", "alpha"), ("window", "margin"), ("markmodel", "kind"),
+    ("markmodel", "rate"),
+]
+_ACTIONS = ("set", "delete", "extra")
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("header"), st.sampled_from(_HEADER_FIELDS), st.sampled_from(_ACTIONS),
+              st.one_of(_ODD, st.lists(_ODD, max_size=3))),
+    st.tuples(st.just("row"), st.integers(0, 10**6), st.integers(0, 4), st.sampled_from(_ACTIONS),
+              _ODD),
+)
+
+
+def _mutated(text: str, mutation) -> str:
+    """``text``, a point file, with one header field or one row field set to
+    a value, deleted, or joined by an extra field."""
+    header, *rows = text.splitlines()
+    kind, where, *rest = mutation
+    if kind == "header":
+        action, value = rest
+        rec = json.loads(header)
+        owner = rec if len(where) == 1 else rec[where[0]]
+        if action == "set":
+            owner[where[-1]] = value
+        elif action == "delete":
+            owner.pop(where[-1], None)
+        else:
+            owner["extra"] = value
+        header = json.dumps(rec)
+    else:
+        field, action, value = rest
+        k = where % len(rows)
+        fields = rows[k].split()
+        token = "-" if value is None else str(value)
+        if action == "set":
+            fields[field % len(fields)] = token
+        elif action == "delete":
+            del fields[field % len(fields)]
+        else:
+            fields.insert(field % (len(fields) + 1), token)
+        rows[k] = " ".join(fields)
+    return "\n".join([header, *rows]) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(_MUTATIONS)
+@example(("row", 1, 0, "set", 10**20))  # an id past int64
+@example(("row", 1, 0, "set", 2**63 - 1))  # no fresh id is left for an insertion
+@example(("header", ("window", "dim"), "set", 2.0))  # an integral float dim
+@example(("header", ("d",), "set", 2.5))
+def test_mutated_point_files_exit_with_one_error_line(mutation):
+    # evaluate --points (a kernel and a model) and shield-check on a point
+    # file with one adversarial field: an exit code of the CLI's contract,
+    # at most one PAIRFUNC_ERROR line, and no exception out of main
+    small = PointConfiguration(Window(n=6.0, dim=2), MarkModel.none(),
+                               [(1.0, 1.0), (3.0, 1.5), (2.0, 4.0), (4.5, 5.0), (5.5, 2.5)])
+    fixture = json.loads((FIXTURES / "shield_ok.txt").read_text())
+    with tempfile.TemporaryDirectory() as tmp:
+        points, shield = Path(tmp) / "points.txt", Path(tmp) / "shield.json"
+        points.write_text(_mutated(dump_configuration(small), mutation))
+        shield.write_text(json.dumps(
+            dict(fixture, configuration=_mutated(fixture["configuration"], mutation))
+        ))
+        for args in (
+            ["evaluate", "--points", str(points), "--kernel", "fixed"],
+            ["evaluate", "--points", str(points), "--model", "treelog-tree"],
+            ["shield-check", "--fixture", str(shield)],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(args)
+            assert code in (0, 2, 3), (args, code)
+            errors = [ln for ln in err.getvalue().splitlines() if ln.startswith("PAIRFUNC_ERROR")]
+            assert len(errors) <= 1 and not (code == 0 and errors), (args, errors)
 
 
 def test_shield_check_fixture(capsys):

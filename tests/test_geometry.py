@@ -36,6 +36,13 @@ def test_window_rejects_degenerate_scale():
             Window(dim=2, **kw)
 
 
+def test_window_dimension_must_be_an_int():
+    # a float or bool dimension compares like an int but cannot size a tuple
+    for dim in (2.0, True, np.int64(2)):
+        with pytest.raises(ValueError, match="of type int"):
+            Window(n=5.0, dim=dim)
+
+
 def test_shrunk_window_nested_and_nonempty():
     w = Window(n=16.0, dim=2, boundary_margin=0.5)
     inner = w.shrunk()

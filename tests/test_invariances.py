@@ -6,7 +6,9 @@ configuration's context (``build_edges``, ``_segment_geometry``'s id lookup,
 ``crossing_pair_scores``; a barcode's owners, inversion pairs and diff),
 which the stacked evaluation of a task no longer shares.  The model
 identities tie kernels to each other, and the stacked compound scores of a
-task to each configuration's own context."""
+task to each configuration's own context.  An insertion's pair diff must be
+the difference of the whole pair tables, and swapping two axes that the
+model treats alike must keep its value."""
 import numpy as np
 import pytest
 
@@ -106,3 +108,68 @@ def test_stacked_scores_add_up_to_each_context_total_at_n128(model_id):
     sums = [G[i:j].sum() for i, j in zip(bounds[:-1], bounds[1:])]
     totals = [model.build_context(model.sample(window, seed)).total() for seed in seeds]
     assert sums == totals and min(totals) > 0
+
+
+def _pair_keys(pairs: np.ndarray, base: int) -> np.ndarray:
+    """One int64 key a * base + b per (a, b) row: ascending when the rows are."""
+    return pairs[:, 0] * base + pairs[:, 1]
+
+
+@pytest.mark.parametrize("model_id, d, n, insertions", [
+    ("inversion-tree", 2, 128.0, 20), ("inversion-tree", 3, 20.0, 20),
+    ("inversion-uniform", 2, 128.0, 5),  # 350k inversion pairs: each insertion costs 0.15 s
+])
+def test_insertion_changes_the_pairs_that_its_tables_differ_in(model_id, d, n, insertions):
+    # changed_pairs is the symmetric difference of the whole inversion-pair
+    # tables before and after an insertion, on the owners they share; the
+    # inversion count moves by twice the pairs gained at the new point and
+    # twice the net change among the shared owners
+    model, window = get_model(model_id), Window(n=n, dim=d)
+    cfg = model.sample(window, (7, 0, 0))
+    before = model.build_context(cfg)
+    fresh = cfg.next_id()
+    old = _pair_keys(before.inversion_pairs, fresh + 1)
+    rng = derive_rng(7, 1, 0)
+    moved = 0
+    for _ in range(insertions):
+        position = tuple(rng.uniform(0.0, 1.0, d) * np.array(window.sides))
+        mark = model.mark_model.sample(rng, 1)
+        x = position if mark is None else MarkedPoint(position, float(mark[0]), -1)
+        after = model.build_context(insert_point(cfg, x))
+        pairs = after.inversion_pairs
+        at_new = pairs[:, 1] == fresh  # the largest id closes its (min, max) rows
+        common = _pair_keys(pairs[~at_new], fresh + 1)
+        changed = before.changed_pairs(after)
+        assert np.array_equal(_pair_keys(changed, fresh + 1),
+                              np.setxor1d(old, common, assume_unique=True))
+        assert after.total() - before.total() == 2 * at_new.sum() + 2 * (len(common) - len(old))
+        moved += len(changed)
+    assert (moved > 0) == model_id.endswith("-tree")  # uniform lifetimes never move
+
+
+def _swapped(cfg: PointConfiguration, i: int, j: int) -> PointConfiguration:
+    """``cfg`` with coordinate axes i and j exchanged (a square window maps to itself)."""
+    order = np.arange(cfg.window.dim)
+    order[[i, j]] = order[[j, i]]
+    return PointConfiguration(cfg.window, cfg.mark_model, cfg.positions[:, order], cfg.marks,
+                              cfg.ids, cfg.seed)
+
+
+@pytest.mark.parametrize("model_id", ["crossing-fixed", "crossing-max", "crossing-localized:16"])
+def test_crossing_totals_keep_under_swapping_the_two_axes(model_id):
+    # the crossing pass cuts slabs along axis 1; swapping the axes reflects
+    # the graph, which keeps every edge and every proper crossing
+    model = get_model(model_id)
+    cfg = model.sample(Window(n=128.0, dim=2), (3, 0, 0))
+    total = model.build_context(cfg).total()
+    assert model.build_context(_swapped(cfg, 0, 1)).total() == total > 0
+
+
+@pytest.mark.parametrize("model_id", [m for m in MODEL_NAMES if not m.startswith("crossing")])
+def test_barcode_models_keep_under_swapping_the_cylinder_axes(model_id):
+    # births read axis 1 and the merge cylinder axes 2..d, which a swap of
+    # axes 2 and 3 maps to itself: the same value, bit for bit, counts too
+    model = get_model(model_id)
+    cfg = model.sample(Window(n=24.0, dim=3), (3, 0, 0))
+    value = model.evaluate(cfg)
+    assert model.evaluate(_swapped(cfg, 1, 2)) == value and value.value > 0

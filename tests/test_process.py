@@ -121,6 +121,17 @@ def test_insert_outside_window_rejected():
         insert_point(empty, (6.0, 1.0))
 
 
+def test_insert_point_rejects_an_id_past_int64():
+    # the fresh id is one past the largest, so a configuration that holds
+    # 2**63 - 1 has none: no insertion may promote the id column to float64
+    w = Window(n=5.0, dim=2)
+    cfg = PointConfiguration(w, MarkModel.none(), [(1.0, 1.0), (2.0, 2.0)], ids=[0, 2**63 - 1])
+    with pytest.raises(ValueError, match="no int64 id"):
+        insert_point(cfg, (3.0, 3.0))
+    below = PointConfiguration(w, MarkModel.none(), [(1.0, 1.0)], ids=[2**63 - 2])
+    assert insert_point(below, (3.0, 3.0)).ids.tolist() == [2**63 - 2, 2**63 - 1]
+
+
 def test_mark_validation():
     w = Window(n=5.0, dim=2)
     cfg = PointConfiguration(w, MarkModel.uniform01(), ())
