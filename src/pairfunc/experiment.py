@@ -23,7 +23,7 @@ from . import __version__, stats
 from .functionals import AdmissibilityRule, evaluate_all, stabilization_radii
 from .geometry import Window, check_window_values
 from .models import Model, get_model
-from .process import MarkedPoint, _configuration, _integer, _seed, derive_rng, sample_stack
+from .process import MarkedPoint, _integer, _seed, derive_rng, sample_stack
 from .stats import (
     ScalingFit,
     is_degenerate,
@@ -437,8 +437,8 @@ def stabilization_survey(
     """Draw (configuration, insertion point) pairs and measure the empirical
     stabilization radius of the model's pair score at each insertion.  Draw r
     takes its configuration from stream (seed, 0, r) and its insertion from
-    (seed, 1, r).  The draws run in ``_tasks`` at one job, each drawn as one
-    column stack whose row slices (ids: row numbers) go to ``stabilization_radii``."""
+    (seed, 1, r); the draws go to ``stabilization_radii`` in the runs of
+    ``_tasks`` at one job."""
     if draws < 1:
         raise ConfigError(f"draws must be >= 1, got {draws}")
     model = resolve_model(model_id, cutoff, d)
@@ -448,19 +448,16 @@ def stabilization_survey(
     window = checked_window(rule, n=n, dim=d)
     radii = []
     for task in _tasks(window.volume, draws, 1):
-        positions, marks, bounds = sample_stack(window, 1.0, model.mark_model,
-                                                [(seed, 0, r) for r in task])
         cfgs, xs = [], []
-        for r, i, j in zip(task, bounds[:-1], bounds[1:]):
-            cfgs.append(_configuration(window, model.mark_model, positions[i:j],
-                                       None if marks is None else marks[i:j], np.arange(j - i)))
+        for r in task:
+            cfgs.append(model.sample(window, (seed, 0, r)))
             rng = derive_rng(seed, 1, r)
             x = rng.uniform(0.0, 1.0, d) * np.array(window.sides)
             mark = model.mark_model.sample(rng, 1)
             xs.append(x if mark is None else MarkedPoint(x, mark[0], -1))
         radii += stabilization_radii(model, cfgs, xs, rule)
     ms = np.arange(1, max(radii))  # a radius exceeds each m below the largest
-    survival = (np.array(radii)[:, None] > ms).mean(axis=0)
+    survival = (len(radii) - np.cumsum(np.bincount(radii))[1:-1]) / len(radii)
     slope = r2 = None
     if len(ms) >= 2:
         # looked up on the module at call time, so that a tracer's wrapper is seen
