@@ -26,7 +26,7 @@ of a bar lies in its unit band: among the bars born later but before
 fl(b + 1), or among the bars whose own band reaches it.  One band set-up
 (``_unit_band``) lays the sorted deaths out in one column; comparing it with
 itself shifted by 1 .. width gives the compound counts
-(``_inversion_partners``) and the inverting pairs (``_inversion_pairs``).
+(``inversion_compound_counts``) and the inverting pairs (``_inversion_pairs``).
 The column may stack barcodes (a batch of replications), NaN pads between
 them.  The shield check compares two pair tables; the pair-score diff bands
 only the bars near a bar that moved (``_changed_rows``).  No N x N array is
@@ -370,11 +370,15 @@ def _unit_band(births: np.ndarray, lifetimes: np.ndarray, bounds=None):
     return idx, deaths, at, width
 
 
-def _inversion_partners(births: np.ndarray, lifetimes: np.ndarray, bounds=None) -> np.ndarray:
-    """G for every bar: how many bars of its group (``_unit_band``) invert
-    with it, 0 if inadmissible.  For k = 1 .. width, one comparison of the
-    death column with itself shifted by k finds the inverting pairs k
-    positions apart, a NaN pad never; each counts at both its bars."""
+def inversion_compound_counts(births: np.ndarray, lifetimes: np.ndarray, bounds=None) -> np.ndarray:
+    """G(Z) for every bar: the number of partners forming an inversion with it.
+
+    Exact (sign comparisons only).  Bars with a lifetime outside (0, 1) get
+    G = 0.  ``bounds`` (row offsets 0 .. N) stacks barcodes, as ``_unit_band``,
+    and a bar's partners are in its own group.  For k = 1 .. width, one
+    comparison of the death column with itself shifted by k finds the
+    inverting pairs k positions apart, a NaN pad never; each counts at both
+    its bars."""
     G = np.zeros(len(births), dtype=np.int64)
     idx, deaths, at, width = _unit_band(births, lifetimes, bounds)
     counts = np.zeros(len(deaths), dtype=np.int64)
@@ -388,7 +392,7 @@ def _inversion_partners(births: np.ndarray, lifetimes: np.ndarray, bounds=None) 
 
 def _inversion_pairs(births: np.ndarray, lifetimes: np.ndarray) -> np.ndarray:
     """(K, 2) int64 array of the row pairs that invert, each pair once: the
-    hits of the same shifted comparisons as ``_inversion_partners``, so
+    hits of the same shifted comparisons as ``inversion_compound_counts``, so
     memory stays linear in N plus K."""
     idx, deaths, _, width = _unit_band(births, lifetimes)  # one group: no pads
     found = [np.empty((0, 2), dtype=np.int64)]
@@ -421,16 +425,7 @@ def _changed_rows(b0: np.ndarray, l0: np.ndarray, b1: np.ndarray, l1: np.ndarray
 def inversion_count(barcode: Barcode) -> int:
     """Ordered inversion pairs: each unordered inversion is counted once at
     each of its bars, so this is the sum of the compound counts."""
-    return int(_inversion_partners(barcode.births, barcode.lifetimes).sum())
-
-
-def inversion_compound_counts(births: np.ndarray, lifetimes: np.ndarray, bounds=None) -> np.ndarray:
-    """G(Z) for every bar: the number of partners forming an inversion with it.
-
-    Exact (sign comparisons only).  Bars with a lifetime outside (0, 1) get
-    G = 0.  ``bounds`` (row offsets 0 .. N) stacks barcodes, as ``_unit_band``.
-    """
-    return _inversion_partners(births, lifetimes, bounds)
+    return int(inversion_compound_counts(barcode.births, barcode.lifetimes).sum())
 
 
 # -- Shield configurations ---------------------------------------------------

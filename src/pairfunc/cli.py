@@ -32,7 +32,7 @@ from .experiment import (
     write_outputs,
 )
 from .graphs import build_edges, crossing_number, graph_to_text, kernel_from_flag
-from .process import MarkModel, _seed, dump_configuration, load_configuration, sample_ppp
+from .process import MarkModel, _reals, _seed, dump_configuration, load_configuration, sample_ppp
 from .stats import binomial_lower_tail_bound, poisson_upper_tail_bound
 
 __all__ = ["main"]
@@ -183,14 +183,14 @@ def _cmd_stabilization(args, inputs) -> int:
     return 0
 
 
-def _is_point(value, d: int) -> bool:
-    """True iff a JSON value is a list of d finite numbers."""
+def _point(value, d: int) -> tuple[float, ...] | None:
+    """A JSON value as a point, a ``_reals`` list of d finite numbers; None
+    when it is not one."""
     try:
-        return isinstance(value, list) and len(value) == d and all(
-            type(v) in (int, float) and math.isfinite(v) for v in value
-        )
-    except OverflowError:  # an integer too large for a float
-        return False
+        point = _reals(value)
+    except (TypeError, ValueError):
+        return None
+    return point if len(point) == d and all(map(math.isfinite, point)) else None
 
 
 def _cmd_shield_check(args, inputs) -> int:
@@ -202,14 +202,14 @@ def _cmd_shield_check(args, inputs) -> int:
         raise ConfigError("shield fixture 'configuration' must be a string or a list of strings")
     cfg = load_configuration(text)
     d = cfg.window.dim
-    if not _is_point(rec.get("box_center"), d):
+    center = _point(rec.get("box_center"), d)
+    if center is None:
         raise ConfigError(f"shield fixture 'box_center' must be a list of {d} numbers")
-    center = tuple(rec["box_center"])
     insertions = rec.get("insertions")
-    if insertions is not None and not (
-        isinstance(insertions, list) and all(_is_point(x, d) for x in insertions)
-    ):
-        raise ConfigError(f"shield fixture 'insertions' must be a list of lists of {d} numbers")
+    if insertions is not None:
+        insertions = [_point(x, d) for x in insertions] if isinstance(insertions, list) else [None]
+        if None in insertions:
+            raise ConfigError(f"shield fixture 'insertions' must be a list of lists of {d} numbers")
     member = shield_membership(cfg, center)
     if not insertions:
         lo = np.asarray(center) - 1.5

@@ -23,7 +23,7 @@ from . import __version__, stats
 from .functionals import AdmissibilityRule, evaluate_all, stabilization_radii
 from .geometry import Window, check_window_values
 from .models import Model, get_model
-from .process import MarkedPoint, _integer, _seed, derive_rng, sample_stack
+from .process import MarkedPoint, _integer, _real, _reals, _seed, derive_rng, sample_stack
 from .stats import (
     ScalingFit,
     is_degenerate,
@@ -59,14 +59,6 @@ def read_config_file(path: str | Path, label: str = "config file") -> dict:
     return rec
 
 
-def _floats(value) -> tuple[float, ...]:
-    if isinstance(value, str):  # not a list of characters
-        raise TypeError(f"expected a list, got {value!r}")
-    if any(isinstance(x, bool) for x in value):  # not 1.0 and 0.0
-        raise TypeError(f"expected a list of numbers, got {value!r}")
-    return tuple(float(x) for x in value)
-
-
 def _jobs(value) -> int:
     if type(value) is not int or value < 1:
         raise ConfigError(f"jobs must be null or an integer >= 1, got {value!r}")
@@ -85,15 +77,15 @@ def _window_range(key: str, value):
 # The converter of every config key from its JSON value, with the key's range check.
 _CONVERTERS = {
     "model": str,
-    "n_grid": _floats,
+    "n_grid": _reals,
     "reps": _integer,
     "seed": _seed,
     "d": _integer,
-    "intensity": lambda value: require_positive("intensity", float(value)),
-    "a": lambda value: _window_range("coefficients", _floats(value)) or None,
-    "alpha": lambda value: _window_range("exponents", _floats(value)) or None,
-    "margin": lambda value: _window_range("boundary_margin", float(value)),
-    "cutoff": lambda value: require_positive("cutoff", float(value)),
+    "intensity": lambda value: require_positive("intensity", _real(value)),
+    "a": lambda value: _window_range("coefficients", _reals(value)) or None,
+    "alpha": lambda value: _window_range("exponents", _reals(value)) or None,
+    "margin": lambda value: _window_range("boundary_margin", _real(value)),
+    "cutoff": lambda value: require_positive("cutoff", _real(value)),
     "jobs": _jobs,
 }
 
@@ -127,13 +119,14 @@ def require_positive(key: str, value: float) -> float:
 
 
 def checked_window(rule: AdmissibilityRule | None = None, **kw) -> Window:
-    """``Window(**kw)``; a ConfigError when the window rejects a value, or when
-    ``rule`` admits by tree realization and the shrunk window is empty."""
+    """``Window(**kw)``; a ConfigError when the window rejects a value (a
+    dimension beyond a tuple's length among them), or when ``rule`` admits
+    by tree realization and the shrunk window is empty."""
     try:
         window = Window(**kw)
         if rule is not None and rule.kind == "tree_realization":
             window.shrunk()
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"window at n={kw['n']:g}: {exc}") from exc
     return window
 

@@ -5,7 +5,6 @@ types are safe to share across threads.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,14 +17,7 @@ __all__ = [
     "AxisBox",
     "Cube",
     "segments_properly_cross",
-    "window_to_text",
-    "window_from_text",
 ]
-
-
-def _g17(x: float) -> str:
-    """Format a float with 17 significant digits (lossless round-trip)."""
-    return format(float(x), ".17g")
 
 
 def check_window_values(coefficients=(), exponents=(), boundary_margin=0.2) -> None:
@@ -208,22 +200,3 @@ def _kd_tree(points: np.ndarray):
 
     return cKDTree(points)
 
-
-def window_to_text(window: Window) -> str:
-    a = ", ".join(_g17(v) for v in window.coefficients)
-    al = ", ".join(_g17(v) for v in window.exponents)
-    return (
-        f'{{"dim": {window.dim}, "n": {_g17(window.n)}, "a": [{a}], '
-        f'"alpha": [{al}], "margin": {_g17(window.boundary_margin)}}}'
-    )
-
-
-def window_from_text(text: str) -> Window:
-    rec = json.loads(text)
-    return Window(
-        n=rec["n"],
-        dim=rec["dim"],
-        coefficients=tuple(rec["a"]),
-        exponents=tuple(rec["alpha"]),
-        boundary_margin=rec["margin"],
-    )

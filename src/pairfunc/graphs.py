@@ -149,8 +149,9 @@ class GeometricGraph:
 
     @cached_property
     def pair_scores(self) -> dict[tuple[int, int], int]:
-        """``crossing_pair_scores`` of this graph, computed once: the per-pair
-        score reads it once per pair."""
+        """``crossing_pair_scores`` of this graph, computed once: the pair-score
+        oracle of the tests (``pair_value`` in ``tests/conftest.py``) reads
+        it once per pair."""
         return crossing_pair_scores(self)
 
     def total(self) -> int:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Window, window_from_text, window_to_text, _g17
+from .geometry import Window
 
 __all__ = [
     "MarkModel",
@@ -56,6 +56,25 @@ def _integer(value) -> int:
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _real(value) -> float:
+    """``float(value)``; a ValueError for a bool or an integer beyond the
+    float range."""
+    if isinstance(value, bool):  # not 1.0 and 0.0
+        raise ValueError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(str(exc)) from None
+
+
+def _reals(value) -> tuple[float, ...]:
+    """``_real`` of every element of a list; a TypeError for a string or an
+    object (not a list of its characters or keys)."""
+    if isinstance(value, (str, dict)):
+        raise TypeError(f"expected a list, got {value!r}")
+    return tuple(_real(x) for x in value)
 
 
 def _seed(value) -> int:
@@ -157,9 +176,9 @@ class MarkModel:
     def from_record(cls, rec: dict) -> "MarkModel":
         return cls(
             rec["kind"],
-            rate=rec.get("rate", 1.0),
-            lower=rec.get("lower", 0.0),
-            upper=rec.get("upper", 1.5),
+            rate=_real(rec.get("rate", 1.0)),
+            lower=_real(rec.get("lower", 0.0)),
+            upper=_real(rec.get("upper", 1.5)),
         )
 
 
@@ -353,11 +372,19 @@ def insert_point(cfg: PointConfiguration, x: MarkedPoint | Sequence[float]) -> P
     return _configuration(cfg.window, cfg.mark_model, positions, marks, ids, cfg.seed)
 
 
+def _g17(x: float) -> str:
+    """Format a float with 17 significant digits (lossless round-trip)."""
+    return format(float(x), ".17g")
+
+
 def dump_configuration(cfg: PointConfiguration) -> str:
     """Line-oriented text dump with exact decimal round-trip."""
+    w = cfg.window
+    number = lambda v: json.loads(_g17(v))  # a float as _g17 writes it, 12.0 as 12
     header = {
-        "d": cfg.window.dim,
-        "window": json.loads(window_to_text(cfg.window)),
+        "d": w.dim,
+        "window": {"dim": w.dim, "n": number(w.n), "a": [number(v) for v in w.coefficients],
+                   "alpha": [number(v) for v in w.exponents], "margin": number(w.boundary_margin)},
         "markmodel": cfg.mark_model.to_record(),
         "seed": cfg.seed,
     }
@@ -379,8 +406,9 @@ def load_configuration(text: str) -> PointConfiguration:
         raise ValueError("empty configuration dump")
     try:
         header = json.loads(lines[0][1])
-        header["window"]["dim"] = _integer(header["window"]["dim"])  # config-record integer rule
-        window = window_from_text(json.dumps(header["window"]))
+        rec = header["window"]
+        window = Window(_real(rec["n"]), _integer(rec["dim"]), _reals(rec["a"]),
+                        _reals(rec["alpha"]), _real(rec["margin"]))
         mark_model, seed = MarkModel.from_record(header["markmodel"]), header.get("seed")
         seed = None if seed is None else _seed(seed)
         if _integer(header["d"]) != window.dim:

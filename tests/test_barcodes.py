@@ -23,7 +23,6 @@ from pairfunc.barcodes import (
     HALF_SIDE,
     _ancestor_indices,
     _inversion_pairs,
-    _inversion_partners,
     _pad_gaps_ok,
     _pad_masks,
     _subtree_minima,
@@ -624,7 +623,7 @@ def test_inversion_partners_with_tied_births_match_quadratic_oracle(bars):
     # distinct births take the single argsort
     births = np.array([b for b, _ in bars], dtype=float)
     lifetimes = np.array([life for _, life in bars], dtype=float)
-    G = _inversion_partners(births, lifetimes)
+    G = inversion_compound_counts(births, lifetimes)
     assert np.array_equal(G, inversion_compound_counts_blocked(births, lifetimes))
     assert int(G.sum()) == inversion_count_quadratic(Barcode(np.arange(len(bars)), births, lifetimes))
 
@@ -651,7 +650,7 @@ def test_grouped_partners_match_each_barcode_alone(groups, mirror, presorted):
     G = inversion_compound_counts(births, lifetimes, bounds)
     assert G.dtype == np.int64 and G.shape == births.shape
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        alone = _inversion_partners(births[lo:hi], lifetimes[lo:hi])
+        alone = inversion_compound_counts(births[lo:hi], lifetimes[lo:hi])
         assert np.array_equal(G[lo:hi], alone)
         assert np.array_equal(alone, inversion_compound_counts_blocked(births[lo:hi], lifetimes[lo:hi]))
         bc = Barcode(np.arange(hi - lo), births[lo:hi], lifetimes[lo:hi])

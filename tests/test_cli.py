@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pairfunc.cli import build_parser, main
 from pairfunc.experiment import (
@@ -25,9 +25,14 @@ from pairfunc.experiment import (
     write_outputs,
 )
 from pairfunc.geometry import Window
-from pairfunc.process import MarkModel, PointConfiguration, dump_configuration, load_configuration
+from pairfunc.process import (
+    MarkModel, PointConfiguration, _integer, dump_configuration, load_configuration,
+)
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+# the subprocesses import the package from the checkout, as the tests do
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 
 def run_cli(args, capsys):
@@ -253,22 +258,54 @@ def _mutated(text: str, mutation) -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
+def _run_under_contract(args) -> tuple[int, list[str]]:
+    """Exit code and PAIRFUNC_ERROR lines of ``main(args)``, asserting the
+    CLI's contract: exit 0, 2 or 3, at most one error line and none on
+    success, and no exception out of main."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    assert code in (0, 2, 3), (args, code)
+    errors = [ln for ln in err.getvalue().splitlines() if ln.startswith("PAIRFUNC_ERROR")]
+    assert len(errors) <= 1 and not (code == 0 and errors), (args, errors)
+    assert "Traceback" not in err.getvalue()
+    return code, errors
+
+
+def _holds_bool(value) -> bool:
+    """True for a bool or a list holding one."""
+    return isinstance(value, bool) or isinstance(value, list) and any(
+        isinstance(v, bool) for v in value
+    )
+
+
+_SMALL = PointConfiguration(Window(n=6.0, dim=2), MarkModel.none(),
+                            [(1.0, 1.0), (3.0, 1.5), (2.0, 4.0), (4.5, 5.0), (5.5, 2.5)])
+# the header fields read as real numbers: a bool is never one
+_REAL_HEADER_FIELDS = {("window", "n"), ("window", "a"), ("window", "alpha"),
+                       ("window", "margin"), ("markmodel", "rate")}
+
+
 @settings(max_examples=40, deadline=None)
 @given(_MUTATIONS)
 @example(("row", 1, 0, "set", 10**20))  # an id past int64
 @example(("row", 1, 0, "set", 2**63 - 1))  # no fresh id is left for an insertion
 @example(("header", ("window", "dim"), "set", 2.0))  # an integral float dim
 @example(("header", ("d",), "set", 2.5))
+@example(("header", ("window", "n"), "set", True))
+@example(("header", ("window", "a"), "set", [True]))
+@example(("header", ("markmodel", "rate"), "set", True))
 def test_mutated_point_files_exit_with_one_error_line(mutation):
     # evaluate --points (a kernel and a model) and shield-check on a point
     # file with one adversarial field: an exit code of the CLI's contract,
     # at most one PAIRFUNC_ERROR line, and no exception out of main
-    small = PointConfiguration(Window(n=6.0, dim=2), MarkModel.none(),
-                               [(1.0, 1.0), (3.0, 1.5), (2.0, 4.0), (4.5, 5.0), (5.5, 2.5)])
+    kind, where, *rest = mutation
+    bool_number = (kind == "header" and where in _REAL_HEADER_FIELDS and rest[0] == "set"
+                   and _holds_bool(rest[1]))
     fixture = json.loads((FIXTURES / "shield_ok.txt").read_text())
     with tempfile.TemporaryDirectory() as tmp:
         points, shield = Path(tmp) / "points.txt", Path(tmp) / "shield.json"
-        points.write_text(_mutated(dump_configuration(small), mutation))
+        points.write_text(_mutated(dump_configuration(_SMALL), mutation))
         shield.write_text(json.dumps(
             dict(fixture, configuration=_mutated(fixture["configuration"], mutation))
         ))
@@ -277,12 +314,79 @@ def test_mutated_point_files_exit_with_one_error_line(mutation):
             ["evaluate", "--points", str(points), "--model", "treelog-tree"],
             ["shield-check", "--fixture", str(shield)],
         ):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(args)
-            assert code in (0, 2, 3), (args, code)
-            errors = [ln for ln in err.getvalue().splitlines() if ln.startswith("PAIRFUNC_ERROR")]
-            assert len(errors) <= 1 and not (code == 0 and errors), (args, errors)
+            code, errors = _run_under_contract(args)
+            if bool_number:
+                assert code == 3 and "line 1: malformed header" in errors[0], (args, errors)
+
+
+# adversarial values for one key of a config record or one field of a shield
+# fixture; the strings are fixed, so that no drawn number asks for a window
+# of millions of points
+_WILD = st.recursive(
+    st.one_of(
+        st.sampled_from([2**63 - 1, 2**63, -(2**63) - 1, 10**20, 10**400, -1, 0, 1, 2, 3]),
+        st.sampled_from([2.0, 0.0, -3.0, 1e300, 2.5, -0.5, 1e-300, math.nan, math.inf, -math.inf]),
+        st.booleans(),
+        st.sampled_from(["", "x", "3", "2.5", "nan", "inf", "1e400", "true"]),
+        st.none(),
+    ),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from("an"), inner,
+                                                                  max_size=2),
+    max_leaves=4,
+)
+# every config key, at values that run in milliseconds; a null a and alpha
+# take the unit defaults, which the window builds for d
+_RECORD = {"model": "inversion-uniform", "n_grid": [6], "reps": 3, "seed": 1, "d": 2,
+           "intensity": 1, "a": None, "alpha": None, "margin": 0.2, "cutoff": 1, "jobs": 1}
+
+
+def _more_than_ten(value) -> bool:
+    """True for a value that an integer key reads as more than 10."""
+    try:
+        return _integer(value) > 10
+    except (TypeError, ValueError):
+        return False
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just("config"), st.sampled_from(sorted(_RECORD)), _WILD),
+    st.tuples(st.just("shield"), st.sampled_from(["configuration", "box_center", "insertions"]),
+              _WILD),
+))
+@example(("config", "intensity", True))
+@example(("config", "cutoff", True))
+@example(("config", "margin", True))
+@example(("config", "intensity", 10**400))  # beyond the float range
+@example(("config", "d", 10**20))  # beyond a tuple's length
+@example(("shield", "box_center", ["12", "12"]))
+def test_fuzzed_config_records_and_shield_fixtures_exit_with_one_error_line(case):
+    # one key of a valid config record, run through clt, sample,
+    # stabilization and evaluate --kernel fixed, or one field of a shield
+    # fixture, run through shield-check; a bool is a configuration error
+    # under every key: it is never a number, a model id or a job count
+    target, key, value = case
+    assume(not (key == "reps" and _more_than_ten(value)))  # a long run, not an input error
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if target == "shield":
+            fixture = json.loads((FIXTURES / "shield_ok.txt").read_text())
+            (tmp / "shield.json").write_text(json.dumps(dict(fixture, **{key: value})))
+            _run_under_contract(["shield-check", "--fixture", str(tmp / "shield.json")])
+            return
+        (tmp / "config.json").write_text(json.dumps(dict(_RECORD, **{key: value})))
+        (tmp / "points.txt").write_text(dump_configuration(_SMALL))
+        for args in (
+            ["clt", "--out", str(tmp / "out")],
+            ["sample", "--n", "6"],
+            ["stabilization", "--n", "6", "--draws", "3"],
+            ["evaluate", "--points", str(tmp / "points.txt"), "--kernel", "fixed"],
+        ):
+            code, errors = _run_under_contract([*args, "--config", str(tmp / "config.json")])
+            if isinstance(value, bool):
+                assert code == 2, (args, errors)
+                if key not in ("model", "jobs"):
+                    assert f"malformed config value for {key!r}" in errors[0], (args, errors)
 
 
 def test_shield_check_fixture(capsys):
@@ -1048,7 +1152,7 @@ def test_common_flags_on_every_subcommand(tmp_path, capsys):
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "pairfunc.cli", "bounds", "poisson", "10"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=ENV,
     )
     assert proc.returncode == 0
     assert float(proc.stdout) == pytest.approx(5.52e-3, rel=2e-3)
@@ -1063,7 +1167,7 @@ def test_closed_stdout_is_not_a_failure(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "pairfunc.cli", "clt", "--model", "inversion-uniform",
              "--n-grid", "4,6", "--reps", "3", "--seed", "5", "--jobs", "1", "--out", str(out)],
-            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=ENV,
         )
     finally:
         os.close(write_end)
@@ -1096,7 +1200,7 @@ def test_window_volume_overflow_is_config_error(tmp_path, command):
     # a subprocess, so that a numpy overflow warning would show on stderr
     proc = subprocess.run(
         [sys.executable, "-m", "pairfunc.cli", *command, "--out", str(tmp_path / "out")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=ENV,
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert "window volume is not finite" in _one_error_line(proc.stderr, 2)

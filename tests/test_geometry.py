@@ -11,9 +11,8 @@ from pairfunc.geometry import (
     Cube,
     Window,
     segments_properly_cross,
-    window_from_text,
-    window_to_text,
 )
+from pairfunc.process import MarkModel, PointConfiguration, dump_configuration, load_configuration
 
 from conftest import segment_crossing_oracle
 
@@ -164,5 +163,5 @@ def test_crossing_symmetries(coords):
 def test_window_text_round_trip():
     w = Window(n=0.1 + 0.2, dim=3, coefficients=(1 / 3, 2.0), exponents=(0.7, 1.0),
                boundary_margin=0.123456789012345)
-    back = window_from_text(window_to_text(w))
-    assert back == w
+    text = dump_configuration(PointConfiguration(w, MarkModel.none(), np.empty((0, 3))))
+    assert load_configuration(text).window == w
