@@ -18,6 +18,7 @@ from pairfunc import (
     sample_ppp,
 )
 from pairfunc.fixtures import SNOWFLAKE_KERNEL, snowflake_configuration
+from pairfunc.graphs import crossing_pair_scores
 
 window = Window(n=5.0, dim=3)
 
@@ -32,9 +33,9 @@ for kernel in (FixedRadius(), DirectedRandom(), MaxKernel(), Localized(cap=4)):
 
 # The ordered pair score carries a 1/8 weight that collapses onto the integer
 # count once summed over ordered point pairs: each unordered pair of ids in
-# pair_scores counts at both of its orders.
+# crossing_pair_scores counts at both of its orders.
 g = build_edges(cfg, FixedRadius())
-ordered = 2 * sum(g.pair_scores.values()) / 8
+ordered = 2 * sum(crossing_pair_scores(g).values()) / 8
 print("\nordered 1/8-weighted sum:", ordered, "| integer count:", crossing_number(g))
 
 # Six overlapping snowflake stars: three arm pairs overlap, crossing number 3.

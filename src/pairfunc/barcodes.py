@@ -533,22 +533,16 @@ def outside_pair_scores(cfg: PointConfiguration, center):
     return cfg.ids[outside].tolist(), sub.inversion_pairs
 
 
-def shield_property_check(
-    cfg: PointConfiguration,
-    center,
-    x,
-    require_membership: bool = True,
-) -> bool:
+def shield_property_check(cfg: PointConfiguration, center, x) -> bool:
     """Insert x into the inner cube of the side-8 box at ``center`` and report
-    whether every pair score between points outside the box is unchanged.
+    whether every pair score between points outside the box is unchanged;
+    whether the box holds a shield is ``shield_membership``'s question.
     ``x`` is a position or a ``MarkedPoint``, inserted by ``insert_point``.
     """
     augmented = insert_point(cfg, x)
     fresh = augmented.positions[augmented.ids == cfg.next_id()]
     if not Cube(tuple(center), INNER_HALF_SIDE).mask(fresh).all():
         raise ValueError("insertion point must lie in the inner cube")
-    if require_membership and not shield_membership(cfg, center):
-        raise ValueError("box content is not a shield configuration")
     # x lies inside the box, so both tables cover the same outside points
     _, before = outside_pair_scores(cfg, center)
     _, after = outside_pair_scores(augmented, center)

@@ -214,10 +214,7 @@ def _cmd_shield_check(args, inputs) -> int:
     if not insertions:
         lo = np.asarray(center) - 1.5
         insertions = [list(lo + 0.75 * k) for k in range(1, 4)]
-    prop = member and all(
-        shield_property_check(cfg, center, tuple(x), require_membership=False)
-        for x in insertions
-    )
+    prop = member and all(shield_property_check(cfg, center, tuple(x)) for x in insertions)
     _write_line(args, {"member": member, "property": prop},
                 f"member={str(member).lower()}, property={str(prop).lower()}")
     return 0 if member and prop else 3

@@ -119,14 +119,13 @@ def require_positive(key: str, value: float) -> float:
 
 
 def checked_window(rule: AdmissibilityRule | None = None, **kw) -> Window:
-    """``Window(**kw)``; a ConfigError when the window rejects a value (a
-    dimension beyond a tuple's length among them), or when ``rule`` admits
-    by tree realization and the shrunk window is empty."""
+    """``Window(**kw)``; a ConfigError when the window rejects a value, or
+    when ``rule`` admits by tree realization and the shrunk window is empty."""
     try:
         window = Window(**kw)
         if rule is not None and rule.kind == "tree_realization":
             window.shrunk()
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"window at n={kw['n']:g}: {exc}") from exc
     return window
 

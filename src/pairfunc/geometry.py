@@ -20,6 +20,11 @@ __all__ = [
 ]
 
 
+# the largest window dimension: a point's row of dim float64 coordinates must
+# fit in an array
+_MAX_DIM = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+
+
 def check_window_values(coefficients=(), exponents=(), boundary_margin=0.2) -> None:
     """A ValueError unless coefficients, exponents and margin are in range."""
     if any(v <= 0 for v in (*coefficients, *exponents)):
@@ -67,8 +72,9 @@ class Window(_Region):
     def __post_init__(self):
         if not (self.n > 0 and math.isfinite(self.n)):
             raise ValueError(f"window scale n must be positive and finite, got {self.n}")
-        if type(self.dim) is not int or self.dim < 1:  # not a float or bool equal to one
-            raise ValueError(f"dimension must be >= 1 and of type int, got {self.dim!r}")
+        # not a float or bool equal to one; bounded before the per-axis tuples are built
+        if type(self.dim) is not int or not 1 <= self.dim <= _MAX_DIM:
+            raise ValueError(f"dimension must be >= 1, <= {_MAX_DIM} and of type int, got {self.dim!r}")
         coeffs = tuple(float(c) for c in self.coefficients) or (1.0,) * (self.dim - 1)
         expos = tuple(float(e) for e in self.exponents) or (1.0,) * (self.dim - 1)
         if len(coeffs) != self.dim - 1 or len(expos) != self.dim - 1:

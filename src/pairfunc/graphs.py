@@ -147,13 +147,6 @@ class GeometricGraph:
     def retained(self) -> tuple[bool, ...]:
         return tuple(self.retained_mask.tolist())
 
-    @cached_property
-    def pair_scores(self) -> dict[tuple[int, int], int]:
-        """``crossing_pair_scores`` of this graph, computed once: the pair-score
-        oracle of the tests (``pair_value`` in ``tests/conftest.py``) reads
-        it once per pair."""
-        return crossing_pair_scores(self)
-
     def total(self) -> int:
         """The crossing number: the 1/8-weighted pair score summed over
         ordered pairs of ids."""
@@ -164,7 +157,8 @@ class GeometricGraph:
         ``other``, in ascending order.  Only pairs of ids present in both
         configurations count: a pair with a point missing from either (an
         inserted or a removed point) is left out."""
-        keys = {key for key, _ in self.pair_scores.items() ^ other.pair_scores.items()}
+        before, after = crossing_pair_scores(self), crossing_pair_scores(other)
+        keys = {key for key, _ in before.items() ^ after.items()}
         pairs = np.array(sorted(keys), dtype=np.int64).reshape(-1, 2)
         kept = np.isin(pairs, self.cfg.ids).all(axis=1) & np.isin(pairs, other.cfg.ids).all(axis=1)
         return pairs[kept]

@@ -51,8 +51,8 @@ class Model:
     build_context: Callable[[PointConfiguration], Any]
     stack_scores: Callable[..., tuple[Any, Any]]
 
-    def sample(self, window: Window, seed, intensity: float = 1.0) -> PointConfiguration:
-        return sample_ppp(window, intensity, self.mark_model, seed)
+    def sample(self, window: Window, seed) -> PointConfiguration:
+        return sample_ppp(window, 1.0, self.mark_model, seed)
 
     def evaluate(self, cfg: PointConfiguration) -> FunctionalValue:
         if self.functional_kind == "double_sum":

@@ -6,6 +6,7 @@ paths they check.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from pairfunc.barcodes import Barcode, inversion_score
 from pairfunc.functionals import AdmissibilityRule
 from pairfunc.geometry import Cube, Window
-from pairfunc.graphs import GeometricGraph
+from pairfunc.graphs import GeometricGraph, crossing_pair_scores
 from pairfunc.process import MarkModel, MarkedPoint, PointConfiguration, id_rows, insert_point
 
 
@@ -34,14 +35,21 @@ def random_configuration(rng, window, count, mark_model=MarkModel.none()):
 
 # ---------------------------------------------------------------- oracles --
 
+@functools.lru_cache(maxsize=8)
+def _graph_pair_scores(graph: GeometricGraph) -> dict[tuple[int, int], int]:
+    """``crossing_pair_scores`` of a graph (hashed by identity), kept for the
+    last few graphs: ``pair_value`` reads it once per pair."""
+    return crossing_pair_scores(graph)
+
+
 def pair_value(a: int, b: int, ctx) -> float:
     """The pair score of ids a and b on a model's context: a crossing graph's
-    1/8-weighted share of ``pair_scores``, or a barcode's inversion indicator
-    of the two bars."""
+    1/8-weighted share of ``crossing_pair_scores``, or a barcode's inversion
+    indicator of the two bars."""
     if a == b:
         return 0.0
     if isinstance(ctx, GeometricGraph):
-        return ctx.pair_scores.get((min(a, b), max(a, b)), 0) / 8.0
+        return _graph_pair_scores(ctx).get((min(a, b), max(a, b)), 0) / 8.0
     ka, kb = id_rows(ctx.owners, (a, b)).tolist()
     return float(inversion_score(ctx.bars[ka], ctx.bars[kb]))
 

@@ -1115,10 +1115,7 @@ _BRIDGED_BRANCH = [
 
 def test_property_checker_detects_changes_without_shield():
     cfg = PointConfiguration(W24, MarkModel.none(), _BRIDGED_BRANCH)
-    ok = shield_property_check(cfg, CENTER, (12.0, 12.6), require_membership=False)
-    assert ok is False
-    with pytest.raises(ValueError):
-        shield_property_check(cfg, CENTER, (12.0, 12.6))  # membership precondition
+    assert shield_property_check(cfg, CENTER, (12.0, 12.6)) is False
 
 
 def _literal_outside_pairs(cfg, center):
@@ -1158,7 +1155,7 @@ def test_shield_check_without_membership_matches_literal_outside_scores():
         rng = derive_rng(seed, 4321)
         for x in [(12.0, 12.6)] + [tuple(rng.uniform(10.0, 14.0, 2)) for _ in range(3)]:
             after = _literal_outside_pairs(insert_point(cfg, x), CENTER)
-            changed = not shield_property_check(cfg, CENTER, x, require_membership=False)
+            changed = not shield_property_check(cfg, CENTER, x)
             assert changed == (after != before)
             outcomes.add(changed)
     assert outcomes == {False, True}
@@ -1189,4 +1186,4 @@ def test_shield_property_monte_carlo_small():
         rng = derive_rng(seed, 1234)
         for _ in range(4):
             x = tuple(rng.uniform(10.0, 14.0, 2))
-            assert shield_property_check(cfg, CENTER, x, require_membership=False)
+            assert shield_property_check(cfg, CENTER, x)

@@ -389,6 +389,86 @@ def test_fuzzed_config_records_and_shield_fixtures_exit_with_one_error_line(case
                     assert f"malformed config value for {key!r}" in errors[0], (args, errors)
 
 
+@pytest.mark.parametrize("d", [2**63 - 1, 10**20])
+def test_a_dimension_no_window_holds_is_one_error_line_before_any_allocation(tmp_path, d):
+    # a point's row of d float64 coordinates fits no array: the window refuses
+    # d before it builds a per-axis tuple, so the size of d does not pick the
+    # exit class (2**63 - 1 exited 3 with "out of memory" under config and
+    # flag, and as a bare "out of memory" from a point file)
+    (tmp_path / "config.json").write_text(json.dumps({"d": d, "seed": 1}))
+    runs = [[*args, "--config", str(tmp_path / "config.json")] for args in (
+        ["clt", "--out", str(tmp_path / "out")],
+        ["sample", "--n", "6"],
+        ["stabilization", "--n", "6", "--draws", "3"],
+    )] + [["sample", "--n", "6", "--seed", "1", "--d", str(d)],
+          ["stabilization", "--n", "6", "--draws", "3", "--seed", "1", "--d", str(d)]]
+    for args in runs:
+        code, errors = _run_under_contract(args)
+        assert code == 2 and f"dimension must be >= 1, <= {2**60 - 1}" in errors[0], (args, errors)
+    header, *rows = dump_configuration(_SMALL).splitlines()
+    record = json.loads(header)
+    record["d"] = record["window"]["dim"] = d
+    (tmp_path / "points.txt").write_text("\n".join([json.dumps(record), *rows]) + "\n")
+    for args in (["--kernel", "fixed"], ["--model", "inversion-tree"]):
+        code, errors = _run_under_contract(["evaluate", "--points", str(tmp_path / "points.txt"),
+                                            *args])
+        assert code == 3 and "line 1: malformed header (ValueError: dimension" in errors[0], errors
+
+
+# a run of a few milliseconds of each subcommand that draws or evaluates, and
+# the flags that take a value there
+_FLAG_RUNS = {
+    "sample": (["--n=4", "--seed=1"],
+               ["--model", "--n", "--d", "--intensity", "--seed", "--format"]),
+    "evaluate": (["--points={points}", "--model=inversion-tree"],
+                 ["--model", "--kernel", "--cutoff", "--format"]),
+    "clt": (["--n-grid=4,6", "--reps=3", "--seed=1", "--jobs=1", "--out={out}"],
+            ["--model", "--n-grid", "--reps", "--jobs", "--seed", "--format"]),
+    "stabilization": (["--n=6", "--draws=3", "--seed=1"],
+                      ["--model", "--n", "--d", "--draws", "--seed", "--format"]),
+}
+_FLAG_RUNS["scaling"] = _FLAG_RUNS["clt"]
+_FLAG_VALUES = ["", "nan", "inf", "-inf", "-1", "0", "2.5", "1e400", "0x10", "true", "1_0",
+                " 3 ", str(2**63 - 1), "1" + "0" * 30, "\u0668", "\uff13", "\u00f1", "\u221e"]
+# the size each flag asks for, where it parses: the fuzz draws no large sample,
+# rep count or worker pool, and no dimension between 3 and 2**62
+_SIZE_LIMITS = {"--n": (float, 8), "--n-grid": (float, 8), "--intensity": (float, 8),
+                "--reps": (int, 10), "--draws": (int, 10), "--jobs": (int, 1), "--d": (int, 3)}
+
+
+def _asks_too_much(flag: str, value: str) -> bool:
+    if flag not in _SIZE_LIMITS:
+        return False
+    convert, limit = _SIZE_LIMITS[flag]
+    try:
+        size = convert(value)
+    except (ValueError, OverflowError):
+        return False
+    return size > limit and not (flag == "--d" and size >= 2**62)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(command, flag) for command, (_, flags) in _FLAG_RUNS.items()
+                        for flag in flags]), st.sampled_from(_FLAG_VALUES))
+@example(("sample", "--d"), str(2**63 - 1))
+@example(("stabilization", "--d"), str(2**63 - 1))
+def test_fuzzed_flag_values_exit_with_one_error_line(where, value):
+    # one flag of a small valid run set to an adversarial string, passed as
+    # --flag=value so that argparse hands a leading "-" to the flag
+    command, flag = where
+    assume(not _asks_too_much(flag, value))
+    base = _FLAG_RUNS[command][0]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "points.txt").write_text(dump_configuration(_SMALL))
+        args = [arg.format(points=tmp / "points.txt", out=tmp / "out") for arg in base
+                if not arg.startswith(flag + "=")]
+        text = f"4,{value}" if flag == "--n-grid" else value  # one element of the grid
+        code, errors = _run_under_contract([command, *args, f"{flag}={text}"])
+    if flag == "--d" and value.strip().isdigit() and int(value) >= 2**62:
+        assert code == 2 and "dimension must be" in errors[0], errors
+
+
 def test_shield_check_fixture(capsys):
     code, out, _ = run_cli(["shield-check", "--fixture", str(FIXTURES / "shield_ok.txt")], capsys)
     assert code == 0

@@ -18,7 +18,7 @@ from pairfunc.experiment import (
 from pairfunc.functionals import empirical_stabilization_radius, evaluate_all
 from pairfunc.geometry import Window
 from pairfunc.models import get_model
-from pairfunc.process import MarkedPoint, PointConfiguration, derive_rng, sample_stack
+from pairfunc.process import MarkedPoint, PointConfiguration, derive_rng, sample_ppp, sample_stack
 
 
 def _files(config, out):
@@ -170,7 +170,8 @@ def test_rows_match_evaluate_of_each_replication(monkeypatch, model_id, d, grid,
     model = get_model(model_id)
     sizes = []
     for row in run_experiment(config).rows:
-        cfg = model.sample(config.window(row.n), (23, grid.index(row.n), row.rep), config.intensity)
+        cfg = sample_ppp(config.window(row.n), config.intensity, model.mark_model,
+                         (23, grid.index(row.n), row.rep))
         fv = model.evaluate(cfg)
         assert (row.value, row.admissible, row.dropped_zero_g) == (
             fv.value, fv.admissible_count, fv.dropped_zero_g)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from pairfunc.geometry import Window
-from pairfunc.graphs import FixedRadius, MaxKernel, build_edges
+from pairfunc.graphs import FixedRadius, MaxKernel, build_edges, crossing_pair_scores
 from pairfunc.models import MODEL_NAMES, get_model
 from pairfunc.process import (
     MarkModel, MarkedPoint, PointConfiguration, derive_rng, insert_point, sample_stack,
@@ -38,7 +38,7 @@ def test_crossing_models_ignore_the_id_labels_at_n128(model_id):
     assert relabelled_before.total() == before.total() > 0
     # insert a point next to an end of a crossing segment: the changed pairs
     # map through the labels
-    end = min(before.pair_scores)[0]
+    end = min(crossing_pair_scores(before))[0]
     position = tuple(cfg.positions[cfg.ids == end][0] + 0.05)
     x = position if cfg.marks is None else MarkedPoint(position, 1.0, -1)
     changed = before.changed_pairs(model.build_context(insert_point(cfg, x)))
@@ -145,6 +145,34 @@ def test_insertion_changes_the_pairs_that_its_tables_differ_in(model_id, d, n, i
         assert after.total() - before.total() == 2 * at_new.sum() + 2 * (len(common) - len(old))
         moved += len(changed)
     assert (moved > 0) == model_id.endswith("-tree")  # uniform lifetimes never move
+
+
+@pytest.mark.parametrize("d, n", [(2, 128.0), (3, 16.0)])
+def test_crossing_insertion_moves_the_count_by_its_pair_scores(d, n):
+    # every crossing pair of segments separates its four endpoint pairings, so
+    # crossing_pair_scores sums to 4 C: an insertion moves 4 C by the scores
+    # at the new point plus the score change over the common pairs, and the
+    # common pairs whose score changed are changed_pairs
+    model, window = get_model("crossing-fixed"), Window(n=n, dim=d)
+    cfg = model.sample(window, (128, 0, 0))
+    before = model.build_context(cfg)
+    old, total = crossing_pair_scores(before), before.total()
+    fresh = cfg.next_id()
+    rng = derive_rng(128, 1, 0)
+    moved = 0
+    for _ in range(5):
+        position = tuple(rng.uniform(0.0, 1.0, d) * np.array(window.sides))
+        after = model.build_context(insert_point(cfg, position))
+        new = crossing_pair_scores(after)
+        at_new = sum(count for pair, count in new.items() if fresh in pair)
+        common = {pair: count for pair, count in new.items() if fresh not in pair}
+        change = sum(common.values()) - sum(old.values())
+        step = after.total() - total
+        assert 4 * step == at_new + change
+        differ = sorted({pair for pair, _ in common.items() ^ old.items()})
+        assert before.changed_pairs(after).tolist() == [list(pair) for pair in differ]
+        moved += step != 0
+    assert moved > 0
 
 
 def _swapped(cfg: PointConfiguration, i: int, j: int) -> PointConfiguration:
